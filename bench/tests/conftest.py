@@ -1,0 +1,10 @@
+"""Make ``bench`` and the repository's ``repro`` sources importable, so
+``pytest bench`` works from the repository root without setup."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
