@@ -27,7 +27,7 @@ by construction and never flagged.
 
 Two further paired protocols are **runtime-tracked only** (entries with
 ``static=False``): the flow-network register/epoch pair
-(``FlowNetwork._active`` add on activation, discard in
+(``FlowNetwork._flows`` insert on activation, removal in
 ``_reallocate``) and the trace span open/close pair
 (``TraceRecorder.flow_started``/``flow_finished`` +
 ``drain_open_flows``).  Their handles are born inside the engine's
@@ -116,7 +116,7 @@ PROTOCOLS: Tuple[Protocol, ...] = (
         releases={},
         static=False,
         description="FlowNetwork flow registration: activated flows must "
-                    "leave _active via _reallocate (sim/flows.py); "
+                    "leave _flows via _reallocate (sim/flows.py); "
                     "runtime-audited as open flows at teardown",
     ),
     Protocol(

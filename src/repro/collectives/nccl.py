@@ -106,8 +106,9 @@ class _LaunchPlan:
     overhead are all static properties of the ring/tree structure.
     Time-varying link capacity (fault degradation) enters at execution
     time through :meth:`repro.sim.flows.Flow.refresh_capacity`, which
-    re-derives every flow's rate ceiling on each allocation — so a plan
-    computed on a healthy fabric stays valid under degradation.
+    re-derives a flow's rate ceiling whenever the allocator re-rates it
+    — so a plan computed on a healthy fabric stays valid under
+    degradation.
     """
 
     #: ``(route, bytes, weight_multiplier)`` per flow to launch.

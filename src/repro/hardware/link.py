@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..units import GB, Bytes, BytesPerSecond, Seconds
@@ -95,14 +96,14 @@ class LinkSpec:
         return self.bandwidth_per_direction * self.efficiency
 
 
-@dataclass(slots=True)
+@dataclass
 class TransferRecord:
     """One completed transfer interval over a link (one direction).
 
     ``degraded`` marks intervals settled while the link's capacity was
     reduced by an injected fault (see :mod:`repro.faults`), so bandwidth
-    timelines can show the fault window.  Slotted: ledgers hold hundreds
-    of thousands of these on long runs.
+    timelines can show the fault window.  Ledgers store records in
+    columns and build these rows only when iterated.
     """
 
     start: Seconds
@@ -142,13 +143,59 @@ class Reservation:
     owner: str = ""
 
 
+class _Columns:
+    """Transfer records stored field by field, in record order.
+
+    One ``array('d')`` each for start, end and bytes plus a ``bytearray``
+    of degraded flags: 25 bytes a record, against a slotted
+    :class:`TransferRecord` holding three boxed floats.
+    """
+
+    __slots__ = ("starts", "ends", "sizes", "degraded")
+
+    def __init__(self, records: Iterable[TransferRecord] = ()) -> None:
+        self.starts = array("d")
+        self.ends = array("d")
+        self.sizes = array("d")
+        self.degraded = bytearray()
+        for r in records:
+            self.starts.append(r.start)
+            self.ends.append(r.end)
+            self.sizes.append(r.num_bytes)
+            self.degraded.append(r.degraded)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def rows(self, shift: Optional[Seconds] = None
+             ) -> Iterator[Tuple[float, float, float, int]]:
+        """``(start, end, bytes, degraded)`` per record, times shifted."""
+        rows = zip(self.starts, self.ends, self.sizes, self.degraded)
+        if shift is None:
+            return rows
+        return ((s + shift, e + shift, b, d) for s, e, b, d in rows)
+
+    def degraded_spans(self, shift: Optional[Seconds] = None
+                       ) -> Iterator[Tuple[float, float]]:
+        """``(start, end)`` of the degraded records, times shifted."""
+        index = self.degraded.find(1)
+        while index != -1:
+            if shift is None:
+                yield self.starts[index], self.ends[index]
+            else:
+                yield self.starts[index] + shift, self.ends[index] + shift
+            index = self.degraded.find(1, index + 1)
+
+
 class BandwidthLedger:
     """Append-only record of transfers over one link.
 
     The ledger stores ``(start, end, bytes)`` intervals.  Utilization at any
     instant is the sum of the rates of the intervals covering it; the
     telemetry layer samples this on a regular grid to produce the paper's
-    average/90th/peak statistics and time-series plots.
+    average/90th/peak statistics and time-series plots.  Records live in
+    columns (:class:`_Columns`); iteration hands out
+    :class:`TransferRecord` views built on the fly.
 
     Ledgers additionally carry a reservation table (see
     :class:`Reservation`): opt-in byte claims with a strict
@@ -157,7 +204,7 @@ class BandwidthLedger:
     """
 
     def __init__(self) -> None:
-        self._records: List[TransferRecord] = []
+        self._columns = _Columns()
         #: open reservations by id; strictly balanced reserve/settle
         self._reservations: Dict[int, Reservation] = {}
         self._reservation_ids = itertools.count()
@@ -167,8 +214,7 @@ class BandwidthLedger:
         #: expanded on demand, so a hybrid run never materializes the
         #: hundreds of thousands of records it extrapolates unless a
         #: consumer actually walks them.
-        self._replicas: List[Tuple[Tuple[TransferRecord, ...],
-                                   Seconds, int]] = []
+        self._replicas: List[Tuple[_Columns, Seconds, int]] = []
 
     def record(self, start: Seconds, end: Seconds, num_bytes: Bytes, *,
                degraded: bool = False) -> None:
@@ -181,9 +227,11 @@ class BandwidthLedger:
             raise ConfigurationError("cannot record a negative byte count")
         if num_bytes == 0:
             return
-        self._records.append(
-            TransferRecord(start, end, num_bytes, degraded=degraded)
-        )
+        columns = self._columns
+        columns.starts.append(start)
+        columns.ends.append(end)
+        columns.sizes.append(num_bytes)
+        columns.degraded.append(degraded)
 
     def replicate_shifted(self, template: List[TransferRecord],
                           period: Seconds, count: int) -> None:
@@ -192,36 +240,40 @@ class BandwidthLedger:
 
         The hybrid extrapolator replicates one steady iteration's records
         tens of times; storing the block instead of materializing every
-        shifted :class:`TransferRecord` keeps extrapolation O(template)
-        rather than O(template x count).  Length, byte totals, sampling,
-        and iteration all account for the replicas.
+        shifted record keeps extrapolation O(template) rather than
+        O(template x count).  Length, byte totals, sampling, and
+        iteration all account for the replicas.
         """
         if count <= 0 or not template:
             return
-        self._replicas.append((tuple(template), period, count))
+        self._replicas.append((_Columns(template), period, count))
 
-    def __len__(self) -> int:
-        return (len(self._records)
-                + sum(len(t) * c for t, _, c in self._replicas))
-
-    def __iter__(self):
-        yield from self._records
+    def _blocks(self) -> Iterator[Tuple[_Columns, Optional[Seconds]]]:
+        """Every stored block with its time shift, in record order."""
+        yield self._columns, None
         for template, period, count in self._replicas:
             for k in range(1, count + 1):
-                shift = k * period
-                for r in template:
-                    yield TransferRecord(r.start + shift, r.end + shift,
-                                         r.num_bytes, degraded=r.degraded)
+                yield template, k * period
+
+    def __len__(self) -> int:
+        return (len(self._columns)
+                + sum(len(t) * c for t, _, c in self._replicas))
+
+    def __iter__(self) -> Iterator[TransferRecord]:
+        for columns, shift in self._blocks():
+            for start, end, num_bytes, degraded in columns.rows(shift):
+                yield TransferRecord(start, end, num_bytes,
+                                     degraded=bool(degraded))
 
     @property
     def total_bytes(self) -> Bytes:
-        total = sum(r.num_bytes for r in self._records)
+        total = sum(self._columns.sizes)
         for template, _, count in self._replicas:
-            total += count * sum(r.num_bytes for r in template)
+            total += count * sum(template.sizes)
         return total
 
     def clear(self) -> None:
-        self._records.clear()
+        self._columns = _Columns()
         self._replicas.clear()
         self._reservations.clear()
 
@@ -300,9 +352,10 @@ class BandwidthLedger:
 
     def degraded_intervals(self) -> List[Tuple[float, float]]:
         """Merged ``(start, end)`` windows covered by degraded records."""
-        return merge_intervals(
-            (r.start, r.end) for r in self if r.degraded
-        )
+        return merge_intervals(itertools.chain.from_iterable(
+            columns.degraded_spans(shift)
+            for columns, shift in self._blocks()
+        ))
 
     def utilization_at(self, instant: Seconds) -> BytesPerSecond:
         """Instantaneous bytes/s at ``instant`` (sum of covering intervals)."""
@@ -328,58 +381,29 @@ class BandwidthLedger:
         # Hot loop (hundreds of thousands of records on long runs):
         # locals instead of attribute/property lookups, arithmetic kept
         # expression-identical so results stay bit-exact.
-        for r in self._records:
-            r_start = r.start
-            r_end = r.end
-            if r_end <= start or r_start >= end:
-                continue
-            lo = r_start if r_start > start else start
-            hi = r_end if r_end < end else end
-            duration = r_end - r_start
-            if duration <= 0:
-                # Instantaneous transfer: deposit in the containing bin.
-                idx = int((lo - start) / width)
-                bins[idx if idx < last_bin else last_bin] += r.num_bytes
-                continue
-            rate = r.num_bytes / duration
-            first = int((lo - start) / width)
-            last = int((hi - start) / width)
-            if last > last_bin:
-                last = last_bin
-            for idx in range(first, last + 1):
-                b_lo = start + idx * width
-                b_hi = b_lo + width
-                overlap = min(hi, b_hi) - max(lo, b_lo)
-                if overlap > 0:
-                    bins[idx] += rate * overlap
-        # Replica blocks: same deposit arithmetic on (template + shift)
-        # floats, without materializing the shifted records.
-        for template, period, count in self._replicas:
-            for k in range(1, count + 1):
-                shift = k * period
-                for t in template:
-                    r_start = t.start + shift
-                    r_end = t.end + shift
-                    if r_end <= start or r_start >= end:
-                        continue
-                    lo = r_start if r_start > start else start
-                    hi = r_end if r_end < end else end
-                    duration = r_end - r_start
-                    if duration <= 0:
-                        idx = int((lo - start) / width)
-                        bins[idx if idx < last_bin else last_bin] += t.num_bytes
-                        continue
-                    rate = t.num_bytes / duration
-                    first = int((lo - start) / width)
-                    last = int((hi - start) / width)
-                    if last > last_bin:
-                        last = last_bin
-                    for idx in range(first, last + 1):
-                        b_lo = start + idx * width
-                        b_hi = b_lo + width
-                        overlap = min(hi, b_hi) - max(lo, b_lo)
-                        if overlap > 0:
-                            bins[idx] += rate * overlap
+        for columns, shift in self._blocks():
+            for r_start, r_end, num_bytes, _ in columns.rows(shift):
+                if r_end <= start or r_start >= end:
+                    continue
+                lo = r_start if r_start > start else start
+                hi = r_end if r_end < end else end
+                duration = r_end - r_start
+                if duration <= 0:
+                    # Instantaneous transfer: deposit in the containing bin.
+                    idx = int((lo - start) / width)
+                    bins[idx if idx < last_bin else last_bin] += num_bytes
+                    continue
+                rate = num_bytes / duration
+                first = int((lo - start) / width)
+                last = int((hi - start) / width)
+                if last > last_bin:
+                    last = last_bin
+                for idx in range(first, last + 1):
+                    b_lo = start + idx * width
+                    b_hi = b_lo + width
+                    overlap = min(hi, b_hi) - max(lo, b_lo)
+                    if overlap > 0:
+                        bins[idx] += rate * overlap
         return [b / width for b in bins]
 
 
@@ -420,6 +444,8 @@ class Link:
         self.endpoint_a = endpoint_a
         self.endpoint_b = endpoint_b
         self.count = count
+        #: rated capacity; the spec is frozen, so it is fixed for life
+        self._base_capacity = spec.attainable_per_direction * count
         self.ledger = BandwidthLedger()
         #: current usable fraction of the rated capacity (faults lower it)
         self._capacity_fraction = 1.0
@@ -436,12 +462,12 @@ class Link:
     @property
     def base_capacity_per_direction(self) -> BytesPerSecond:
         """Rated aggregate attainable bytes/s per direction (fault-free)."""
-        return self.spec.attainable_per_direction * self.count
+        return self._base_capacity
 
     @property
     def capacity_per_direction(self) -> BytesPerSecond:
         """Aggregate attainable bytes/s in each direction, right now."""
-        return self.base_capacity_per_direction * self._capacity_fraction
+        return self._base_capacity * self._capacity_fraction
 
     @property
     def capacity_fraction(self) -> float:

@@ -27,15 +27,34 @@ from .link import BandwidthLedger, Link, LinkClass
 from .serdes import SerdesContentionModel, TrafficProfile
 
 
+#: A bandwidth pool: one direction of one link (half-duplex links have
+#: the single direction 0).
+PoolKey = Tuple[Link, int]
+
+
 class Route:
-    """An ordered path of links between two devices."""
+    """An ordered path of links between two devices.
+
+    The pools a route loads, its per-profile SerDes derate and its
+    latency depend only on its links' classes, directions and specs, so
+    they are computed once here; only link *capacities* vary during a
+    run (fault injection).
+    """
 
     def __init__(self, source: str, destination: str, links: Sequence[Link],
                  contention: SerdesContentionModel) -> None:
         self.source = source
         self.destination = destination
         self.links: Tuple[Link, ...] = tuple(links)
-        self._contention = contention
+        #: per-direction pool of every link along the route, in order
+        self.pool_keys: Tuple[PoolKey, ...] = _pool_keys(source, self.links)
+        self._derates: Dict[TrafficProfile, float] = {
+            profile: contention.derate(self.links, profile)
+            for profile in TrafficProfile
+        }
+        self._latency: Seconds = (
+            self.base_latency * contention.latency_factor(self.links)
+        )
 
     def __len__(self) -> int:
         return len(self.links)
@@ -61,7 +80,12 @@ class Route:
 
     def latency(self) -> Seconds:
         """End-to-end small-message latency including SerDes queueing."""
-        return self.base_latency * self._contention.latency_factor(self.links)
+        return self._latency
+
+    def derate(self, profile: TrafficProfile = TrafficProfile.SUSTAINED
+               ) -> float:
+        """SerDes contention bandwidth multiplier in (0, 1] for ``profile``."""
+        return self._derates[profile]
 
     def bandwidth(self, profile: TrafficProfile = TrafficProfile.SUSTAINED
                   ) -> BytesPerSecond:
@@ -69,7 +93,7 @@ class Route:
         if self.is_loopback:
             return float("inf")
         bottleneck = min(link.capacity_per_direction for link in self.links)
-        return bottleneck * self._contention.derate(self.links, profile)
+        return bottleneck * self._derates[profile]
 
     def transfer_time(self, num_bytes: Bytes,
                       profile: TrafficProfile = TrafficProfile.SUSTAINED
@@ -94,6 +118,23 @@ class Route:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         hops = " -> ".join(str(link.link_class) for link in self.links)
         return f"Route({self.source} -> {self.destination}: {hops or 'loopback'})"
+
+
+def _pool_keys(source: str, links: Sequence[Link]) -> Tuple[PoolKey, ...]:
+    """Per-direction pool keys for every link along a route from ``source``."""
+    keys: List[PoolKey] = []
+    cursor = source
+    for link in links:
+        if link.endpoint_a == cursor:
+            direction = 0
+            cursor = link.endpoint_b
+        else:
+            direction = 1
+            cursor = link.endpoint_a
+        if not link.spec.duplex:
+            direction = 0
+        keys.append((link, direction))
+    return tuple(keys)
 
 
 class Topology:

@@ -390,7 +390,7 @@ class TestPlantedRace:
         assert diffs[0].baseline != diffs[0].perturbed
 
     def test_differ_refutes_an_order_invariant_fold(self):
-        # The flows.py _compute_rates shape: iterating a set but adding
+        # The flows.py reference_rates shape: iterating a set but adding
         # the same delta to every member — order cannot matter, and the
         # differ must not cry wolf.
         def run(order):

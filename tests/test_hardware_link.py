@@ -1,6 +1,8 @@
 """Link specs and the bandwidth ledger."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.link import (
@@ -9,6 +11,8 @@ from repro.hardware.link import (
     LinkClass,
     LinkSpec,
     SERDES_CLASSES,
+    TransferRecord,
+    merge_intervals,
 )
 
 
@@ -158,3 +162,119 @@ class TestBandwidthLedger:
         ledger.record(10.0, 11.0, 1e9)
         samples = ledger.sample(0.0, 1.0, 5)
         assert all(s == 0.0 for s in samples)
+
+
+class ListLedger:
+    """The list-of-:class:`TransferRecord` ledger the columnar one replaced,
+    kept as the reference its results must equal bit for bit."""
+
+    def __init__(self):
+        self.records = []
+        self.replicas = []
+
+    def record(self, start, end, num_bytes, *, degraded=False):
+        if num_bytes:
+            self.records.append(
+                TransferRecord(start, end, num_bytes, degraded=degraded))
+
+    def replicate_shifted(self, template, period, count):
+        if count > 0 and template:
+            self.replicas.append((tuple(template), period, count))
+
+    def __iter__(self):
+        yield from self.records
+        for template, period, count in self.replicas:
+            for k in range(1, count + 1):
+                shift = k * period
+                for r in template:
+                    yield TransferRecord(r.start + shift, r.end + shift,
+                                         r.num_bytes, degraded=r.degraded)
+
+    def __len__(self):
+        return (len(self.records)
+                + sum(len(t) * c for t, _, c in self.replicas))
+
+    @property
+    def total_bytes(self):
+        total = sum(r.num_bytes for r in self.records)
+        for template, _, count in self.replicas:
+            total += count * sum(r.num_bytes for r in template)
+        return total
+
+    def degraded_intervals(self):
+        return merge_intervals((r.start, r.end) for r in self if r.degraded)
+
+    def sample(self, start, end, num_samples):
+        width = (end - start) / num_samples
+        bins = [0.0] * num_samples
+        last_bin = num_samples - 1
+        for r in self:
+            if r.end <= start or r.start >= end:
+                continue
+            lo = r.start if r.start > start else start
+            hi = r.end if r.end < end else end
+            duration = r.end - r.start
+            if duration <= 0:
+                idx = int((lo - start) / width)
+                bins[idx if idx < last_bin else last_bin] += r.num_bytes
+                continue
+            rate = r.num_bytes / duration
+            first = int((lo - start) / width)
+            last = min(int((hi - start) / width), last_bin)
+            for idx in range(first, last + 1):
+                b_lo = start + idx * width
+                b_hi = b_lo + width
+                overlap = min(hi, b_hi) - max(lo, b_lo)
+                if overlap > 0:
+                    bins[idx] += rate * overlap
+        return [b / width for b in bins]
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+def _record_bits(record):
+    return (_bits(record.start), _bits(record.end), _bits(record.num_bytes),
+            record.degraded)
+
+
+_records = st.lists(st.tuples(
+    st.floats(0.0, 5.0),                        # start
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),  # duration (0: instant)
+    st.floats(1.0, 1e10),                       # bytes
+    st.booleans(),                              # degraded
+), max_size=30)
+
+
+@given(records=_records,
+       blocks=st.lists(st.tuples(st.integers(0, 10), st.floats(0.01, 3.0),
+                                 st.integers(0, 4)), max_size=3),
+       window=st.tuples(st.floats(0.0, 4.0), st.floats(0.1, 20.0),
+                        st.integers(1, 64)))
+@settings(max_examples=300, deadline=None)
+def test_columnar_ledger_matches_the_record_list_bit_for_bit(
+        records, blocks, window):
+    """Plain, instantaneous, degraded and replicated records: ``len``,
+    iteration, ``total_bytes``, ``degraded_intervals`` and ``sample`` of
+    the columnar ledger equal the record-list reference bit for bit."""
+    ledger, reference = BandwidthLedger(), ListLedger()
+    for start, duration, num_bytes, degraded in records:
+        for target in (ledger, reference):
+            target.record(start, start + duration, num_bytes,
+                          degraded=degraded)
+    for size, period, count in blocks:
+        template = list(reference)[-size:] if size else []
+        for target in (ledger, reference):
+            target.replicate_shifted(template, period, count)
+    assert len(ledger) == len(reference)
+    assert ([_record_bits(r) for r in ledger]
+            == [_record_bits(r) for r in reference])
+    assert _bits(ledger.total_bytes) == _bits(reference.total_bytes)
+    assert ([tuple(map(_bits, span)) for span in ledger.degraded_intervals()]
+            == [tuple(map(_bits, span))
+                for span in reference.degraded_intervals()])
+    start, width, bins = window
+    assert ([_bits(v) for v in ledger.sample(start, start + width, bins)]
+            == [_bits(v) for v in reference.sample(start, start + width,
+                                                    bins)])

@@ -177,3 +177,26 @@ class TestNumericalRobustness:
         engine.process(proc())
         engine.run(max_events=200_000)
         assert network.completed_flows == 200
+
+
+class TestFlowIds:
+    def test_each_network_numbers_its_flows_from_zero(self, cluster):
+        route = cluster.topology.route("node0/gpu0", "node0/gpu1")
+        for _ in range(2):
+            engine = Engine()
+            network = FlowNetwork(engine)
+            network.transfer(route, 1e9)
+            network.transfer(route, 1e9)
+            engine.run(until=route.latency())
+            assert [flow.id for flow in network.active_flows()] == [0, 1]
+
+    def test_two_traced_runs_in_one_process_give_equal_traces(self):
+        """Flow ids are per network, so the second run's trace (flow ids
+        included) equals the first's exactly."""
+        from repro.api import RunSpec, run_spec
+
+        spec = RunSpec("ddp", size_billions=0.7, iterations=2, trace=True)
+        first = run_spec(spec).trace.to_dict()
+        second = run_spec(spec).trace.to_dict()
+        assert first["flows"]
+        assert first == second
