@@ -137,6 +137,8 @@ class ServingScheduler:
         self._prefill: List[RequestRecord] = []
         self._wakeup = engine.event()
         self._expected = 0
+        #: records of the current :meth:`serve` pass not yet finished
+        self._unfinished = 0
 
     # -- arrival callback ------------------------------------------------------
     def submit(self, record: RequestRecord) -> None:
@@ -209,6 +211,7 @@ class ServingScheduler:
         self.kvcache.release(record.name)
         self._active.remove(record)
         self.stats.completed += 1
+        self._unfinished -= 1
 
     def _prefill_phase(self):
         batch, self._prefill = self._prefill, []
@@ -262,13 +265,13 @@ class ServingScheduler:
         """
         engine = self.engine
         self.expect(len(records))
-        pending = [record for record in records if not record.done]
+        self._unfinished = sum(1 for record in records if not record.done)
 
         def stopped() -> bool:
             return should_stop is not None and should_stop()
 
         while not stopped():
-            if all(record.done for record in pending):
+            if not self._unfinished:
                 break
             self._admit()
             if self._prefill:

@@ -8,10 +8,12 @@ PFC).  A *pool* is one direction of one link; flows that share a pool,
 directly or through a chain of other flows, form a *component*.  When a
 flow starts or finishes, rates are recomputed only for the component the
 change touches: max-min sharing splits exactly over components, so every
-other flow keeps its rate.  An external capacity change re-rates every
-flow (:meth:`FlowNetwork.rebalance`).  :func:`reference_rates` keeps the
-global allocation over all flows at once as the reference the
-component-local allocator is tested against.
+other flow keeps its rate.  Identical components recur (a ring step
+launches the same routes at the same caps every iteration), so
+component fills are memoized on the network.  An external capacity
+change re-rates every flow (:meth:`FlowNetwork.rebalance`).
+:func:`reference_rates` keeps the global allocation over all flows at
+once as the reference the component-local allocator is tested against.
 
 SerDes contention (Section III-C4 of the paper) enters as a *consumption
 weight*: a flow whose route is derated to fraction ``d`` consumes ``1/d``
@@ -20,9 +22,12 @@ units of pool capacity per delivered byte, so a contended path attains
 stress-test observation that four kernels together reach only ~47-52 % of
 theoretical.
 
-Every settled interval is recorded into each traversed link's
-:class:`~repro.hardware.link.BandwidthLedger`, which is where the paper's
-Table IV statistics and Figs. 9/10/12 time-series come from.
+Settlement is lazy: each flow accounts its bytes up to ``Flow.since``
+and is settled only when its rate is about to change or it finishes, so
+one record in each traversed link's
+:class:`~repro.hardware.link.BandwidthLedger` covers one constant-rate
+interval of one flow.  The ledgers are where the paper's Table IV
+statistics and Figs. 9/10/12 time-series come from.
 """
 
 from __future__ import annotations
@@ -54,10 +59,15 @@ class Flow:
         self._user_cap = cap
         self._derate = route.derate(profile)
         self.weight_multiplier = weight_multiplier
-        #: set by :meth:`refresh_capacity` whenever the flow is re-rated
+        #: set by :meth:`refresh_capacity` when the flow activates and on
+        #: every :meth:`FlowNetwork.rebalance`
         self.weight = 1.0
         self.cap = float("inf")
         self.rate = 0.0
+        #: instant up to which ``bytes_remaining`` is accounted
+        self.since = 0.0
+        #: projected finish at ``rate`` (inf while the flow is stalled)
+        self.finish_at = float("inf")
         self.completion: Optional[SimEvent] = None
         self.started_at: Optional[float] = None
 
@@ -100,8 +110,10 @@ class Flow:
     def refresh_capacity(self) -> None:
         """Re-derive ``weight`` and ``cap`` (see :meth:`capacity`).
 
-        Called for every flow the allocator re-rates: link capacities
-        are time-varying under fault injection.
+        Called when the flow activates and for every flow on
+        :meth:`FlowNetwork.rebalance`: link capacities are time-varying
+        under fault injection, and every change is followed by a
+        rebalance.
         """
         self.weight, self.cap = self.capacity()
 
@@ -264,6 +276,10 @@ def _water_fill(flows: Sequence[Flow]) -> List[float]:
 class FlowNetwork:
     """Shares link capacity among active flows and completes them in order."""
 
+    #: component fills remembered between rebalances; a full memo is
+    #: emptied, which bounds it on runs whose components never repeat
+    _FILL_MEMO_LIMIT = 4096
+
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         #: active flows in id order; every float fold over flows (ledger
@@ -273,8 +289,15 @@ class FlowNetwork:
         #: active members of every loaded pool, in id order
         self._members: Dict[PoolKey, List[Flow]] = {}
         self._flow_ids = itertools.count()
+        #: rates of each component water-filled since the last
+        #: :meth:`rebalance`, keyed by the component's ``(route, weight,
+        #: cap)`` triples in id order
+        self._fills: Dict[Tuple[Tuple[Route, float, float], ...],
+                          List[float]] = {}
+        #: due time of the one live completion check (inf: none), and
+        #: the tag that tells it from the checks it superseded
+        self._check_at = float("inf")
         self._generation = 0
-        self._last_update = engine.now
         self.completed_flows = 0
         self.total_bytes_moved = 0.0
         #: optional :class:`repro.trace.TraceRecorder`.  Its hooks only
@@ -288,8 +311,8 @@ class FlowNetwork:
         #: control) and cannot perturb the simulated schedule.
         self.leaksan = None
         #: Batchable activation: a collective launching N flows at one
-        #: instant folds into a single settle + N adds + one reallocate,
-        #: replacing N full water-filling rounds (see
+        #: instant folds into N adds + one reallocate, replacing N full
+        #: water-filling rounds (see
         #: :class:`~repro.sim.engine.BatchHandler`).
         self._activate = BatchHandler(self._activate_one,
                                       self._activate_batch)
@@ -328,16 +351,20 @@ class FlowNetwork:
         return list(self._flows)
 
     def settle(self) -> None:
-        """Account in-flight transfers up to the current simulated time.
+        """Account every active flow's bytes up to the current time.
 
-        Ledger records are normally written when flows start or finish;
-        open-ended measurements (the stress tests run flows that outlive
-        the measurement window) call this before reading the ledgers.
+        A start or finish settles only the flows whose rate it may
+        change, so between changes a flow's ``bytes_remaining`` and its
+        ledgers lag behind the clock.  Open-ended measurements (the
+        stress tests run flows that outlive the measurement window) call
+        this before reading the ledgers, and the fault injector calls it
+        before a capacity change, so every interval is recorded with the
+        degradation stamp that held over all of it.
         """
-        self._settle()
+        self._settle(self._flows)
 
     def rebalance(self) -> None:
-        """Recompute every active flow's rate after a capacity change.
+        """Settle and re-rate every active flow after a capacity change.
 
         Rates are otherwise recomputed only for the flows a start or
         finish touches, so **any** change to a link's capacity must be
@@ -345,9 +372,14 @@ class FlowNetwork:
         :meth:`settle` *before* degrading or restoring link capacity (so
         in-flight intervals are accounted at the rates that actually
         applied) and this afterwards, so every active flow's rate
-        reflects the new capacities from this instant.
+        reflects the new capacities from this instant.  Pool capacities
+        are the one input of a component fill its memo key leaves out,
+        so this also empties the memo.
         """
-        self._settle()
+        self._settle(self._flows)
+        self._fills.clear()
+        for flow in self._flows:
+            flow.refresh_capacity()
         self._reallocate(dict.fromkeys(self._members))
 
     # -- internals -----------------------------------------------------------------
@@ -359,6 +391,8 @@ class FlowNetwork:
             self.leaksan.flow_opened(flow)
 
     def _add(self, flow: Flow, touched: Dict[PoolKey, None]) -> None:
+        flow.since = self.engine.now
+        flow.refresh_capacity()
         _insert_by_id(self._flows, flow)
         for key in flow.route.pool_keys:
             _insert_by_id(self._members.setdefault(key, []), flow)
@@ -367,7 +401,6 @@ class FlowNetwork:
     def _activate_one(self, flow: Flow) -> None:
         self._start(flow)
         self.engine.note_touch("flows:allocator")
-        self._settle()
         touched: Dict[PoolKey, None] = {}
         self._add(flow, touched)
         self._reallocate(touched)
@@ -376,56 +409,63 @@ class FlowNetwork:
         """Activate a same-timestamp run of flows with one allocation.
 
         Equivalent to :meth:`_activate_one` per flow in order: between
-        same-timestamp activations no simulated time elapses, so the
-        intermediate ``_settle`` calls account nothing and the
-        intermediate rate allocations never apply (their completion
-        checks are superseded by ``_generation``).  Only the final
+        same-timestamp activations no simulated time elapses, so no flow
+        finishes and settling a component again accounts nothing, and
+        the intermediate rate allocations never apply.  Only the final
         allocation of each touched component has observable effect —
         which is exactly what this computes once.
         """
         self.engine.note_touch("flows:allocator")
-        self._settle()
         touched: Dict[PoolKey, None] = {}
         for (flow,) in batch:
             self._start(flow)
             self._add(flow, touched)
         self._reallocate(touched)
 
-    def _settle(self) -> None:
-        """Account bytes moved since the last change at the current rates."""
+    def _settle(self, flows: Iterable[Flow]) -> None:
+        """Account each of ``flows`` up to now at its current rate: one
+        ledger record per link for the interval since it was settled."""
         now = self.engine.now
-        elapsed = now - self._last_update
-        if elapsed > 0:
-            start = now - elapsed
-            sanitizer = self.engine.sanitizer
-            for flow in self._flows:
-                remaining = flow.bytes_remaining
-                moved = flow.rate * elapsed
-                if remaining < moved:
+        sanitizer = self.engine.sanitizer
+        for flow in flows:
+            start = flow.since
+            elapsed = now - start
+            if elapsed <= 0:
+                continue
+            flow.since = now
+            remaining = flow.bytes_remaining
+            moved = flow.rate * elapsed
+            if remaining < moved:
+                moved = remaining
+            if moved > 0:
+                if sanitizer is not None:
+                    for link in flow.route.links:
+                        self.engine.note_touch(f"ledger:{link.name}")
+                # Absorb floating-point dust: crediting rate x elapsed
+                # can undershoot the true remainder by ~1 ulp, which
+                # would otherwise strand a nanobyte whose completion
+                # time rounds to zero clock advance.
+                if remaining - moved <= Flow.EPSILON_BYTES:
                     moved = remaining
-                if moved > 0:
-                    if sanitizer is not None:
-                        for link in flow.route.links:
-                            self.engine.note_touch(f"ledger:{link.name}")
-                    # Absorb floating-point dust: crediting rate x elapsed
-                    # can undershoot the true remainder by ~1 ulp, which
-                    # would otherwise strand a nanobyte whose completion
-                    # time rounds to zero clock advance.
-                    if remaining - moved <= Flow.EPSILON_BYTES:
-                        moved = remaining
-                    flow.bytes_remaining = remaining - moved
-                    self.total_bytes_moved += moved
-                    flow.route.record(start, now, moved)
-        self._last_update = now
+                flow.bytes_remaining = remaining - moved
+                self.total_bytes_moved += moved
+                flow.route.record(start, now, moved)
 
     def _reallocate(self, touched: Dict[PoolKey, None]) -> None:
         """Retire finished flows, re-rate the components of the
         ``touched`` pools (plus those the finished flows leave), then
-        schedule the next completion."""
+        keep the completion check at the earliest projected finish."""
         self.engine.note_touch("flows:allocator")
-        self._generation += 1
-        finished = [flow for flow in self._flows if flow.done]
+        now = self.engine.now
+        # The projection of what settling would leave: a flow finishes
+        # in the same callback as if every flow were settled now.
+        finished = [
+            flow for flow in self._flows
+            if flow.bytes_remaining - flow.rate * (now - flow.since)
+            <= Flow.EPSILON_BYTES
+        ]
         if finished:
+            self._settle(finished)
             self._flows = [flow for flow in self._flows if not flow.done]
             for flow in finished:
                 for key in flow.route.pool_keys:
@@ -437,18 +477,22 @@ class FlowNetwork:
             for flow in finished:
                 self.completed_flows += 1
                 if self.recorder is not None:
-                    self.recorder.flow_finished(flow, self.engine.now)
+                    self.recorder.flow_finished(flow, now)
                 if self.leaksan is not None:
-                    self.leaksan.flow_closed(flow, self.engine.now)
+                    self.leaksan.flow_closed(flow, now)
                 assert flow.completion is not None
                 flow.completion.succeed(None)
-        if not self._flows:
-            return
-        self._rerate(touched)
+        if self._flows:
+            self._rerate(touched)
         self._schedule_next_completion()
 
     def _rerate(self, touched: Dict[PoolKey, None]) -> None:
-        """Water-fill each component that loads a ``touched`` pool."""
+        """Settle and water-fill each component that loads a ``touched``
+        pool.  Every flow of the component is settled, whether or not
+        its rate changes, so which intervals the ledgers hold does not
+        depend on the order of same-instant changes."""
+        now = self.engine.now
+        fills = self._fills
         placed: Set[Flow] = set()
         for seed in touched:
             for first in self._members.get(seed, ()):
@@ -463,40 +507,52 @@ class FlowNetwork:
                                 placed.add(other)
                                 component.append(other)
                 component.sort(key=_flow_id)
-                for flow in component:
-                    flow.refresh_capacity()
-                for flow, rate in zip(component, _water_fill(component)):
+                self._settle(component)
+                key = tuple([(flow.route, flow.weight, flow.cap)
+                             for flow in component])
+                rates = fills.get(key)
+                if rates is None:
+                    if len(fills) >= self._FILL_MEMO_LIMIT:
+                        fills.clear()
+                    rates = fills[key] = _water_fill(component)
+                for flow, rate in zip(component, rates):
                     flow.rate = rate
+                    flow.finish_at = (now + flow.bytes_remaining / rate
+                                      if rate > 0 else float("inf"))
 
     def _schedule_next_completion(self) -> None:
-        soonest = float("inf")
+        """Keep one live completion check, due at the earliest projected
+        finish; a new one is scheduled only when that instant moves."""
+        due = float("inf")
         for flow in self._flows:
-            if flow.rate > 0:
-                until_done = flow.bytes_remaining / flow.rate
-                if until_done < soonest:
-                    soonest = until_done
-        if soonest == float("inf"):
-            if any(flow.cap <= 0.0 for flow in self._flows):
-                # Every runnable flow is stalled behind a fully-down link.
-                # No completion can be scheduled; the fault injector's
-                # restore callback will rebalance and resume them.  If no
-                # restore is pending the engine drains and the liveness
-                # diagnostics name the stalled processes.
-                return
-            raise SimulationError(
-                "active flows exist but none has a positive rate"
-            )
-        # Guarantee measurable clock advance even for residual payloads.
-        soonest = max(soonest, 1e-12)
-        generation = self._generation
-        self.engine.schedule_at(
-            self.engine.now + soonest, self._on_completion_check, generation
-        )
+            if flow.finish_at < due:
+                due = flow.finish_at
+        if due == float("inf"):
+            if self._flows and not any(flow.cap <= 0.0
+                                       for flow in self._flows):
+                raise SimulationError(
+                    "active flows exist but none has a positive rate"
+                )
+            # Every runnable flow is stalled behind a fully-down link (or
+            # none is left).  No completion can be scheduled; the fault
+            # injector's restore callback will rebalance and resume them.
+            # If no restore is pending the engine drains and the liveness
+            # diagnostics name the stalled processes.
+        else:
+            # Guarantee measurable clock advance even for residual payloads.
+            due = max(due, self.engine.now + 1e-12)
+        if due == self._check_at:
+            return
+        self._generation += 1  # supersedes the pending check, if any
+        self._check_at = due
+        if due != float("inf"):
+            self.engine.schedule_at(due, self._on_completion_check,
+                                    self._generation)
 
     def _on_completion_check(self, generation: int) -> None:
         if generation != self._generation:
-            return  # superseded by a newer allocation epoch
-        self._settle()
+            return  # superseded: the earliest projected finish moved
+        self._check_at = float("inf")
         self._reallocate({})
 
 

@@ -17,6 +17,12 @@ check the network's state after every engine step:
 * after the run, **within 1e-9 relative**, each link's ledger holds the
   bytes its flows moved (the ledger sums per-interval increments, the
   flows their totals).
+
+Settlement is tested the same way: the same scenarios and three
+training runs also run under :class:`EagerFlowNetwork`, which settles
+every active flow at every change, and finish instants, ledger byte
+totals, sampled bins and degraded windows must agree **within 1e-12**,
+with no more ledger records than the eager run keeps.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunSpec, run_spec
+from repro.api.build import build_cluster
 from repro.errors import SimulationError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.hardware import dual_node_cluster, paper_cluster, single_node_cluster
@@ -158,28 +166,52 @@ def assert_ledgers_balance(cluster, flows: List[Flow]) -> None:
 # driver
 # ---------------------------------------------------------------------------
 
+class EagerFlowNetwork(FlowNetwork):
+    """The eager reference for lazy settlement: every active flow is
+    settled at every start and finish, not only the re-rated ones."""
+
+    def _reallocate(self, touched):
+        self.settle()
+        super()._reallocate(touched)
+
+
+@dataclass
+class Run:
+    """What one :func:`simulate` call leaves behind."""
+
+    cluster: object
+    #: every started flow, in id order
+    flows: List[Flow]
+    #: engine states the allocation was checked in
+    checked: int
+    #: completion instant of each spec, by spec index
+    finished: Dict[int, float]
+
+
 def simulate(cluster_name: str, specs: List[FlowSpec],
-             faults: List[FaultEvent]):
+             faults: List[FaultEvent], *, network_class=FlowNetwork,
+             check: bool = True) -> Run:
     """Run ``specs`` (and ``faults``) to completion on a fresh cluster,
-    checking the allocation after every engine step.  Returns the
-    cluster, the started flows and the number of checked states."""
+    checking the allocation after every engine step if ``check``."""
     cluster = CLUSTERS[cluster_name]()
     engine = Engine()
-    network = FlowNetwork(engine)
+    network = network_class(engine)
     if faults:
         FaultInjector(FaultPlan(events=list(faults), seed=3), cluster,
                       engine, network)
     started: Dict[int, Flow] = {}
-    for spec in specs:
+    finished: Dict[int, float] = {}
+    for index, spec in enumerate(specs):
         route = cluster.topology.route(spec.source, spec.destination)
-        engine.schedule_at(spec.issue_at, _issue, network, route, spec)
+        engine.schedule_at(spec.issue_at, _issue, network, route, spec,
+                           index, finished)
     checked = 0
     engine.run(until=0.0)  # arms the fault injector
     for _ in range(100_000):
         active = network.active_flows()
         for flow in active:
             started.setdefault(flow.id, flow)
-        if active:
+        if active and check:
             assert_matches_reference(active)
             assert_max_min(active)
             checked += 1
@@ -189,12 +221,48 @@ def simulate(cluster_name: str, specs: List[FlowSpec],
     else:  # pragma: no cover - a runaway schedule is itself a failure
         pytest.fail("simulation did not drain")
     assert network.active_count == 0
-    return cluster, sorted(started.values(), key=lambda flow: flow.id), checked
+    return Run(cluster, sorted(started.values(), key=lambda flow: flow.id),
+               checked, finished)
 
 
-def _issue(network: FlowNetwork, route, spec: FlowSpec) -> None:
-    network.transfer(route, spec.num_bytes, profile=spec.profile,
-                     cap=spec.cap, weight_multiplier=spec.weight_multiplier)
+def _issue(network: FlowNetwork, route, spec: FlowSpec, index: int,
+           finished: Dict[int, float]) -> None:
+    engine = network.engine
+    network.transfer(
+        route, spec.num_bytes, profile=spec.profile, cap=spec.cap,
+        weight_multiplier=spec.weight_multiplier,
+    ).add_callback(lambda event: finished.setdefault(index, engine.now))
+
+
+def assert_same_accounting(lazy_links, eager_links, end: float) -> None:
+    """Lazy ledgers against eager ones, link by link: equal bytes and
+    sampled bins within 1e-12, the same degraded windows, no more
+    records.  A degraded window can end where a flow finishes, and
+    finish instants agree within 1e-12, so window ends are compared at
+    that tolerance.  Every degraded window of the lazy ledgers also lies
+    inside a span in which the link ran below its rated capacity."""
+    for lazy, eager in zip(lazy_links, eager_links):
+        assert lazy.name == eager.name
+        assert math.isclose(lazy.ledger.total_bytes, eager.ledger.total_bytes,
+                            rel_tol=GLOBAL_RTOL), lazy.name
+        bins = lazy.ledger.sample(0.0, end, 200)
+        reference = eager.ledger.sample(0.0, end, 200)
+        peak = max(reference)
+        for got, want in zip(bins, reference):
+            assert abs(got - want) <= GLOBAL_RTOL * peak, lazy.name
+        windows = lazy.ledger.degraded_intervals()
+        reference_windows = eager.ledger.degraded_intervals()
+        assert len(windows) == len(reference_windows), lazy.name
+        for got, want in zip(windows, reference_windows):
+            for got_at, want_at in zip(got, want):
+                assert math.isclose(got_at, want_at,
+                                    rel_tol=GLOBAL_RTOL), lazy.name
+        for start, stop in windows:
+            assert (lazy.max_capacity_over(start, stop)
+                    < lazy.base_capacity_per_direction), (
+                f"{lazy.name}: degraded record over [{start}, {stop}] "
+                f"reaches into rated capacity")
+        assert len(lazy.ledger) <= len(eager.ledger), lazy.name
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +342,77 @@ def test_allocator_matches_reference_and_certificate(scenario):
     """Byte-identical per component, 1e-12 relative globally, certificate
     and ledger balance within 1e-9 relative (see the module docstring)."""
     cluster_name, specs, faults = scenario
-    cluster, flows, checked = simulate(cluster_name, specs, faults)
-    assert checked > 0
-    assert all(flow.done for flow in flows)
-    assert len(flows) == len(specs)
-    assert_ledgers_balance(cluster, flows)
+    run = simulate(cluster_name, specs, faults)
+    assert run.checked > 0
+    assert all(flow.done for flow in run.flows)
+    assert len(run.flows) == len(specs)
+    assert_ledgers_balance(run.cluster, run.flows)
+
+
+@given(scenario=scenarios())
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_lazy_settlement_matches_eager(scenario):
+    """Settling only re-rated and finishing flows accounts what settling
+    every flow at every change does: finish instants, byte totals and
+    sampled bins within 1e-12, the same degraded windows, no more
+    ledger records."""
+    cluster_name, specs, faults = scenario
+    lazy = simulate(cluster_name, specs, faults, check=False)
+    eager = simulate(cluster_name, specs, faults,
+                     network_class=EagerFlowNetwork, check=False)
+    assert sorted(lazy.finished) == list(range(len(specs)))
+    assert sorted(eager.finished) == list(range(len(specs)))
+    for index, instant in eager.finished.items():
+        assert math.isclose(lazy.finished[index], instant,
+                            rel_tol=GLOBAL_RTOL), index
+    assert_same_accounting(lazy.cluster.topology.links,
+                           eager.cluster.topology.links,
+                           max(eager.finished.values()))
+
+
+#: training runs for the lazy/eager differential: the collective-heavy
+#: dual-node case, NVMe offload traffic, and degraded stamps under flaps
+TRAINING_RUNS = {
+    "zero3-2node": RunSpec("zero3", size_billions=0.7, nodes=2,
+                           iterations=4),
+    "zero3_opt_nvme": RunSpec("zero3_opt_nvme", size_billions=1.4,
+                              iterations=4),
+    "zero2-xgmi-flap": RunSpec(
+        "zero2", size_billions=1.4, nodes=2, iterations=4,
+        faults=("node0/xgmi:flap@t=0.05,dur=0.5,period=0.07,mag=0.6",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_RUNS))
+def test_lazy_settlement_matches_eager_on_training_runs(name, monkeypatch):
+    """The differential above on full training runs: iteration times and
+    per-flow finish instants within 1e-12, ledgers as in
+    :func:`assert_same_accounting`."""
+    spec = TRAINING_RUNS[name].replace(trace=True)
+    lazy_cluster = build_cluster(spec)
+    lazy = run_spec(spec, cluster=lazy_cluster)
+    monkeypatch.setattr("repro.runtime.executor.FlowNetwork",
+                        EagerFlowNetwork)
+    eager_cluster = build_cluster(spec)
+    eager = run_spec(spec, cluster=eager_cluster)
+    times = lazy.execution.iteration_times
+    assert len(times) == len(eager.execution.iteration_times) == 4
+    for got, want in zip(times, eager.execution.iteration_times):
+        assert math.isclose(got, want, rel_tol=GLOBAL_RTOL)
+    lazy_ends = {span.flow_id: span.end for span in lazy.trace.flows}
+    eager_ends = {span.flow_id: span.end for span in eager.trace.flows}
+    assert lazy_ends.keys() == eager_ends.keys()
+    for flow_id, end in eager_ends.items():
+        assert math.isclose(lazy_ends[flow_id], end, rel_tol=GLOBAL_RTOL)
+    assert_same_accounting(lazy_cluster.topology.links,
+                           eager_cluster.topology.links,
+                           eager.execution.total_time)
+    if spec.faults:
+        assert any(link.ledger.degraded_intervals()
+                   for link in lazy_cluster.topology.links)
+    assert (sum(len(link.ledger) for link in lazy_cluster.topology.links)
+            < sum(len(link.ledger) for link in eager_cluster.topology.links))
 
 
 def test_four_transfer_case_fills_to_caps_and_pools():

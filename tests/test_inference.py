@@ -10,6 +10,9 @@ from repro.inference import (
     KvCache,
     PhaseCostModel,
     REQUEST_MIXES,
+    Request,
+    RequestRecord,
+    ServingScheduler,
     decode_flops,
     kv_bytes_per_token,
     poisson_requests,
@@ -270,6 +273,40 @@ class TestService:
     def test_tp_must_divide_heads(self):
         with pytest.raises(ConfigurationError, match="divide"):
             run_inference(self._spec(gpus=3))
+
+
+class TestServingScheduler:
+    @pytest.mark.parametrize("batching", ["continuous", "static"])
+    def test_serve_returns_when_the_last_request_finishes(self, batching):
+        """The loop returns at the instant its last record finishes,
+        although unrelated work is still queued behind it, and only
+        then: every record is done and counted."""
+        from repro.hardware.presets import single_node_cluster
+        from repro.sim.engine import Engine
+
+        gpu = single_node_cluster().nodes[0].spec.gpu
+        cost = PhaseCostModel(paper_model(num_layers=4), gpu,
+                              tensor_parallel=1)
+        pool = MemoryPool(1e12, owner="gpu0.hbm")
+        kvcache = KvCache([pool], budget_per_rank=1e9,
+                          bytes_per_token_per_rank=cost.kv_token_bytes_per_rank)
+        engine = Engine()
+        scheduler = ServingScheduler(
+            engine, cost, kvcache, comm=None, batching=batching,
+            max_batch_tokens=4096, max_batch_requests=2)
+        records = [RequestRecord(Request(f"r{i}", 0.001 * i, 32, 1 + 3 * i))
+                   for i in range(5)]
+        for record in records:
+            engine.schedule_at(record.request.time, scheduler.submit, record)
+        returned_at = []
+        serving = engine.process(scheduler.serve(records), name="serving")
+        serving.add_callback(lambda event: returned_at.append(engine.now))
+        engine.schedule_at(60.0, lambda: None)  # unrelated later work
+        engine.run()
+        assert all(record.done for record in records)
+        assert serving.value.completed == len(records)
+        assert returned_at == [max(r.finished_at for r in records)]
+        kvcache.close()
 
 
 class TestClusterIntegration:
