@@ -29,7 +29,7 @@ Two further paired protocols are **runtime-tracked only** (entries with
 ``static=False``): the flow-network register/epoch pair
 (``FlowNetwork._flows`` insert on activation, removal in
 ``_reallocate``) and the trace span open/close pair
-(``TraceRecorder.flow_started``/``flow_finished`` +
+(``TraceRecorder.flow_opened``/``flow_closed`` +
 ``drain_open_flows``).  Their handles are born inside the engine's
 event callbacks, where static per-function reasoning has no leverage;
 the runtime :class:`~repro.sim.leaksan.LeakSanitizer` audits them
@@ -125,8 +125,8 @@ PROTOCOLS: Tuple[Protocol, ...] = (
         acquires={},
         releases={},
         static=False,
-        description="TraceRecorder span open/close: flow_started must "
-                    "pair with flow_finished or drain_open_flows "
+        description="TraceRecorder span open/close: flow_opened must "
+                    "pair with flow_closed or drain_open_flows "
                     "(trace/recorder.py); runtime-audited as undrained "
                     "spans at teardown",
     ),

@@ -6,8 +6,9 @@ strategy names through :data:`repro.experiments.common.ALL_STRATEGIES`,
 placement keys through :data:`repro.parallel.placement.PLACEMENTS`,
 fault spec strings through :meth:`repro.faults.FaultPlan.parse`, and
 tie-order policy names onto the engine's :class:`~repro.sim.engine.
-TieOrder` classes.  The cluster-preset rule matches the CLI and the
-perturbation differ: NVMe strategies get a cluster wired from the
+TieOrder` classes (through :func:`repro.sim.probes.named_tie_order`, the
+mapping every workload shares).  The cluster-preset rule matches the CLI
+and the perturbation differ: NVMe strategies get a cluster wired from the
 placement's node spec; everything else uses the standard single-/dual-
 node presets (and an explicit ``ClusterSpec`` beyond two nodes).
 """
@@ -25,7 +26,8 @@ from ..hardware.cluster import Cluster, ClusterSpec
 from ..hardware.presets import dual_node_cluster, single_node_cluster
 from ..model.config import ModelConfig, TrainingConfig, paper_model
 from ..parallel.placement import PLACEMENTS, PlacementConfig
-from ..sim.engine import ReversedTies, SeededTies, TieOrder
+from ..sim.engine import TieOrder
+from ..sim.probes import named_tie_order
 from .spec import RunSpec
 
 
@@ -105,11 +107,7 @@ def build_retry_policy(spec: RunSpec) -> Optional[RetryPolicy]:
 
 
 def build_tie_order(spec: RunSpec) -> Optional[TieOrder]:
-    if spec.tie_order == "reversed":
-        return ReversedTies()
-    if spec.tie_order == "seeded":
-        return SeededTies(spec.tie_seed)
-    return None  # fifo: the engine default
+    return named_tie_order(spec.tie_order, spec.tie_seed)
 
 
 def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
@@ -139,8 +137,6 @@ def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
         trace=spec.trace,
         leak_check=spec.leak_check,
         preflight=spec.preflight,
-        # None (not "full") when the spec is silent, so an ambient
-        # fidelity_override() can still reach spec-driven runs.
-        fidelity=spec.fidelity if spec.fidelity != "full" else None,
+        fidelity=spec.fidelity,
         spec=spec,
     )

@@ -72,27 +72,34 @@ def _cluster_for(args: argparse.Namespace) -> Cluster:
     return single_node_cluster() if args.nodes == 1 else dual_node_cluster()
 
 
+def _report_instruments(args: argparse.Namespace, leaks, trace,
+                        kind: str, hint: str = "") -> None:
+    """Fail a leak-checked run that leaked, and write a traced run's
+    trace, each with its one stderr line."""
+    if args.leak_check:
+        assert leaks is not None
+        leaks.assert_clean()
+        print(f"leak sanitizer: clean "
+              f"({leaks.pools_audited} pools, "
+              f"{leaks.ledgers_audited} ledgers, "
+              f"{leaks.flows_tracked} flows audited)",
+              file=sys.stderr)
+    if args.trace is not None:
+        from .trace import write_trace
+        assert trace is not None
+        write_trace(trace, args.trace)
+        print(f"{kind} written: {args.trace} "
+              f"({len(trace.spans)} spans, "
+              f"{len(trace.flows)} flows, "
+              f"{len(trace.links)} links){hint}",
+              file=sys.stderr)
+
+
 def _serve_and_render(spec, args: argparse.Namespace) -> int:
     """Run one InferenceSpec and render its serving report."""
     run = spec.run()
     report = run.report
-    if args.leak_check:
-        assert report.leaks is not None
-        report.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({report.leaks.pools_audited} pools, "
-              f"{report.leaks.ledgers_audited} ledgers, "
-              f"{report.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert run.trace is not None
-        write_trace(run.trace, args.trace)
-        print(f"serving trace written: {args.trace} "
-              f"({len(run.trace.spans)} spans, "
-              f"{len(run.trace.flows)} flows, "
-              f"{len(run.trace.links)} links)",
-              file=sys.stderr)
+    _report_instruments(args, report.leaks, run.trace, "serving trace")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -173,24 +180,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
     )
     metrics = run_spec(spec)
-    if args.leak_check:
-        assert metrics.leaks is not None
-        metrics.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({metrics.leaks.pools_audited} pools, "
-              f"{metrics.leaks.ledgers_audited} ledgers, "
-              f"{metrics.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert metrics.trace is not None
-        write_trace(metrics.trace, args.trace)
-        print(f"trace written: {args.trace} "
-              f"({len(metrics.trace.spans)} spans, "
-              f"{len(metrics.trace.flows)} flows, "
-              f"{len(metrics.trace.links)} links) — load it in "
-              f"https://ui.perfetto.dev or chrome://tracing",
-              file=sys.stderr)
+    _report_instruments(args, metrics.leaks, metrics.trace, "trace",
+                        " — load it in https://ui.perfetto.dev or "
+                        "chrome://tracing")
     payload = metrics_to_dict(metrics)
     if args.json:
         # The same machine-readable schema `save_metrics` writes and the
@@ -336,23 +328,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     run = run_cluster(scenario)
     report = run.report
-    if args.leak_check:
-        assert report.leaks is not None
-        report.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({report.leaks.pools_audited} pools, "
-              f"{report.leaks.ledgers_audited} ledgers, "
-              f"{report.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert run.trace is not None
-        write_trace(run.trace, args.trace)
-        print(f"cluster trace written: {args.trace} "
-              f"({len(run.trace.spans)} spans, "
-              f"{len(run.trace.flows)} flows, "
-              f"{len(run.trace.links)} links)",
-              file=sys.stderr)
+    _report_instruments(args, report.leaks, run.trace, "cluster trace")
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2))

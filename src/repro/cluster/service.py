@@ -1,9 +1,10 @@
 """Wire it all together: one engine, one network, many job bodies.
 
 :func:`run_cluster` builds the shared machine (a parametric N-node
-:class:`~repro.hardware.cluster.Cluster`), one
-:class:`~repro.sim.engine.Engine`, and one
-:class:`~repro.sim.flows.FlowNetwork`, schedules the scenario's
+:class:`~repro.hardware.cluster.Cluster`), takes its one
+:class:`~repro.sim.engine.Engine` and one
+:class:`~repro.sim.flows.FlowNetwork` from a
+:class:`~repro.sim.probes.RunProbes`, schedules the scenario's
 arrivals, and runs the :class:`~repro.cluster.daemon.SchedulerDaemon`
 as a process among the job bodies.  Each granted job runs the existing
 :class:`~repro.runtime.executor.Executor` as a generator
@@ -11,12 +12,14 @@ as a process among the job bodies.  Each granted job runs the existing
 :class:`~repro.cluster.views.ClusterView`, with ``flow_tag=f"{job}/"``
 so every flow in the shared ledgers and trace is attributable.
 
-Ledger ownership: the *service* owns the shared network's recorder and
-leak-sanitizer hooks and the pools' observers; job bodies only charge
-and release their own job-prefixed memory-plan labels through the
-existing :func:`~repro.core.runner.apply_memory_plan` /
+Ledger ownership: the run's probes attach the recorder and the leak
+sanitizer to the shared network and pools and detach them when the run
+ends; the service wires no hooks by hand.  Job bodies only charge and
+release their own job-prefixed memory-plan labels through the existing
+:func:`~repro.core.runner.apply_memory_plan` /
 :func:`~repro.core.runner.release_memory_plan` walkers, so the
-byte-conservation audit covers the whole multi-job run.
+byte-conservation audit covers the whole multi-job run.  The trace is
+assembled by the one :func:`~repro.trace.recorder.build_trace`.
 
 Hybrid fidelity per job: the body simulates the measured window and,
 once steady, *holds* its resources for the extrapolated remainder via a
@@ -42,18 +45,18 @@ from ..hardware.cluster import Cluster, ClusterSpec
 from ..model.config import TrainingConfig
 from ..parallel.strategy import MemoryPlan, StrategyContext
 from ..runtime.executor import Executor
-from ..sim.engine import Engine, ReversedTies, SeededTies, TieOrder
+from ..sim.engine import Engine
 from ..sim.fastpath import hybrid_simulated_iterations, is_steady
 from ..sim.flows import FlowNetwork
-from ..sim.leaksan import LeakReport, LeakSanitizer
+from ..sim.leaksan import LeakReport
+from ..sim.probes import RunProbes, named_tie_order
 from ..trace.model import Span, Trace
 from ..units import GIB
-from ..trace.recorder import TraceRecorder
+from ..trace.recorder import TraceRecorder, build_trace
 from .daemon import SchedulerDaemon, checkpoint_seconds
 from .jobs import JobRecord, JobSpec, JobStore
 from .report import ClusterReport, build_report
 from .scenario import ClusterScenario
-from .trace import build_cluster_trace
 from .views import ClusterView, probe_view
 
 
@@ -95,14 +98,6 @@ class _JobCollectives:
             tuple(self.view.global_rank(rank) for rank in ranks),
             start, end,
         )
-
-
-def _build_tie_order(scenario: ClusterScenario) -> Optional[TieOrder]:
-    if scenario.tie_order == "reversed":
-        return ReversedTies()
-    if scenario.tie_order == "seeded":
-        return SeededTies(scenario.tie_seed)
-    return None  # fifo: the engine default
 
 
 class _ClusterService:
@@ -291,7 +286,7 @@ class _ClusterService:
             engine=engine,
             network=self.network,
             flow_tag=f"{job}/",
-            trace_recorder=(
+            collective_sink=(
                 _JobCollectives(job, view, self.recorder)
                 if self.recorder is not None else None),
         )
@@ -457,39 +452,34 @@ def run_cluster(scenario: ClusterScenario) -> ClusterRun:
     """Simulate one :class:`ClusterScenario` end to end."""
     arrivals = scenario.expand_arrivals()
     cluster = Cluster(ClusterSpec(num_nodes=scenario.nodes))
-    engine = Engine(tie_order=_build_tie_order(scenario))
-    network = FlowNetwork(engine)
-    recorder = TraceRecorder() if scenario.trace else None
-    network.recorder = recorder
-    leaksan: Optional[LeakSanitizer] = None
-    if scenario.leak_check:
-        leaksan = LeakSanitizer()
-        leaksan.attach(cluster)
-        network.leaksan = leaksan
+    with RunProbes(cluster,
+                   tie_order=named_tie_order(scenario.tie_order,
+                                             scenario.tie_seed),
+                   trace=scenario.trace,
+                   leak_check=scenario.leak_check) as probes:
+        engine = probes.engine
+        recorder = probes.recorder
+        service = _ClusterService(scenario, cluster, engine, probes.network,
+                                  recorder)
+        service.validate([arrival.spec for arrival in arrivals])
+        daemon = SchedulerDaemon(
+            engine, cluster, service.store,
+            policy=scenario.policy,
+            aging_rate=scenario.aging_rate,
+            expected_jobs=len(arrivals),
+            demand=service.demand_plan,
+            launch=service.launch,
+        )
+        service.daemon = daemon
 
-    service = _ClusterService(scenario, cluster, engine, network, recorder)
-    service.validate([arrival.spec for arrival in arrivals])
-    daemon = SchedulerDaemon(
-        engine, cluster, service.store,
-        policy=scenario.policy,
-        aging_rate=scenario.aging_rate,
-        expected_jobs=len(arrivals),
-        demand=service.demand_plan,
-        launch=service.launch,
-    )
-    service.daemon = daemon
-
-    for arrival in arrivals:
-        engine.schedule_at(arrival.time, service.submit, arrival.spec)
-    engine.process(daemon.run(), name="scheduler-daemon")
-    engine.run()
-    check_liveness(engine)
+        for arrival in arrivals:
+            engine.schedule_at(arrival.time, service.submit, arrival.spec)
+        engine.process(daemon.run(), name="scheduler-daemon")
+        engine.run()
+        check_liveness(engine)
+        _, leaks = probes.close()
 
     total_time = engine.now
-    leaks: Optional[LeakReport] = None
-    if leaksan is not None:
-        leaks = leaksan.finalize(cluster, network=network,
-                                 recorder=recorder)
     report = build_report(
         scenario.name, scenario.policy,
         nodes=cluster.num_nodes, num_gpus=cluster.num_gpus,
@@ -499,13 +489,20 @@ def run_cluster(scenario: ClusterScenario) -> ClusterRun:
         leaks=leaks,
     )
     trace = (
-        build_cluster_trace(cluster, service.store, recorder, total_time,
-                            meta={
-                                "scenario": scenario.name,
-                                "policy": scenario.policy,
-                                "num_nodes": cluster.num_nodes,
-                                "num_gpus": cluster.num_gpus,
-                            })
+        build_trace(
+            cluster, total_time,
+            spans=[span for record in service.store.records
+                   for span in record.spans],  # submission order
+            recorder=recorder,
+            counters=("device_mem",),
+            meta={
+                "scenario": scenario.name,
+                "policy": scenario.policy,
+                "num_nodes": cluster.num_nodes,
+                "num_gpus": cluster.num_gpus,
+                "total_time": total_time,
+                "jobs": len(service.store.records),
+            })
         if recorder is not None else None
     )
     return ClusterRun(report=report, trace=trace)

@@ -29,13 +29,13 @@ from ..runtime.executor import ExecutionResult, Executor
 from ..sim.engine import TieOrder
 from ..sim.fastpath import (
     FastpathReport,
-    ambient_fidelity,
     extrapolate_execution,
     hybrid_simulated_iterations,
     is_steady,
     validate_fidelity,
 )
-from ..sim.leaksan import LeakReport, LeakSanitizer
+from ..sim.leaksan import LeakReport
+from ..sim.probes import RunProbes
 from ..sim.sanitizer import SanitizerReport
 from ..telemetry.bandwidth import BandwidthMonitor, BandwidthStats
 from ..telemetry.flops_profiler import FlopsProfiler, ThroughputReport
@@ -178,7 +178,7 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
                  trace: bool = False,
                  leak_check: bool = False,
                  preflight: bool = True,
-                 fidelity: Optional[str] = None,
+                 fidelity: str = "full",
                  spec: Optional["RunSpec"] = None) -> RunMetrics:
     """Simulate ``iterations`` optimizer steps and measure everything.
 
@@ -189,6 +189,10 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     ``fault_plan`` injects deterministic hardware faults into the run
     (see :mod:`repro.faults`); ``retry_policy`` tunes how collectives
     ride out transient link outages.
+
+    The engine, the flow network and every opt-in instrument below come
+    from one :class:`~repro.sim.probes.RunProbes`, which detaches its
+    hooks when the run ends, also when it raises.
 
     ``tie_order`` perturbs how the engine orders same-timestamp events (a
     legal schedule permutation; see :class:`~repro.sim.engine.TieOrder`)
@@ -217,9 +221,9 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     :class:`~repro.errors.OutOfMemoryError` signal the size search
     binary-searches on.
 
-    ``fidelity`` selects the simulation fidelity (``None`` defers to the
-    ambient :func:`~repro.sim.fastpath.fidelity_override`, then
-    ``"full"``).  ``"hybrid"`` simulates ``warmup + 2`` iterations on
+    ``fidelity`` selects the simulation fidelity, ``"full"`` unless the
+    caller passes another; nothing else sets it.  ``"hybrid"``
+    simulates ``warmup + 2`` iterations on
     the DES and, once the measured iterations are confirmed periodic,
     extrapolates the remaining ones analytically — ledgers, timeline,
     trace spans, and iteration times all extended consistently (see
@@ -242,12 +246,9 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
         raise ConfigurationError(
             "need more iterations than warmup iterations"
         )
-    resolved_fidelity = validate_fidelity(
-        fidelity if fidelity is not None else (ambient_fidelity() or "full")
-    )
     fastpath_report: Optional[FastpathReport] = None
     sim_iterations = iterations
-    if resolved_fidelity == "hybrid":
+    if validate_fidelity(fidelity) == "hybrid":
         measured = hybrid_simulated_iterations(iterations, warmup_iterations)
         if fault_plan is not None:
             # Faults perturb specific iterations; the steady window the
@@ -271,50 +272,68 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     if needs_nvme and swap_volumes is None:
         chosen = placement if placement is not None else DEFAULT_PLACEMENT
         swap_volumes = chosen.build_volumes(cluster)
-    # The sanitizer must observe the pools before the plan charges them.
-    leaksan = LeakSanitizer() if leak_check else None
-    if leaksan is not None:
-        leaksan.attach(cluster)
-    apply_memory_plan(cluster, plan, swap_volumes)
+    metrics: Optional[RunMetrics] = None
+    with RunProbes(cluster, tie_order=tie_order, sanitize=sanitize,
+                   trace=trace, leak_check=leak_check) as probes:
+        # The leak sanitizer observes the pools before the plan charges
+        # them.
+        apply_memory_plan(cluster, plan, swap_volumes)
+        executor = Executor(
+            cluster, strategy.build_schedule(ctx),
+            traffic_profile=strategy.traffic_profile,
+            swap_volumes=swap_volumes,
+            internode_rate_efficiency=(
+                strategy.calibration.internode_efficiency),
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            collective_sink=probes.recorder,
+            engine=probes.engine,
+            network=probes.network,
+        )
+        result = executor.run(sim_iterations)
+        if (sim_iterations == iterations
+                or is_steady(result.iteration_times, warmup_iterations)):
+            if sim_iterations < iterations:
+                # Hybrid: extend the measured run analytically — must
+                # happen before any accounting that scales with total
+                # time/iterations (profiler, host background, bandwidth
+                # window, trace build).
+                extrapolate_execution(cluster, result, probes.recorder,
+                                      iterations)
+                fastpath_report = FastpathReport(
+                    "hybrid", True, sim_iterations,
+                    iterations - sim_iterations)
+            metrics = _measure(cluster, strategy, model, training, result,
+                               warmup_iterations, probes.recorder)
+            metrics.spec = spec
+            metrics.fastpath = fastpath_report
+            if leak_check:
+                # Return the plan's bytes; what the audit still finds
+                # outstanding is a leak.
+                release_memory_plan(cluster, plan, swap_volumes)
+            result.sanitizer, result.leaks = probes.close()
+    if metrics is None:
+        # The measured window was not periodic: redo the run in full.
+        metrics = run_training(
+            cluster, strategy, model, training=training,
+            iterations=iterations, warmup_iterations=warmup_iterations,
+            placement=placement, swap_volumes=swap_volumes,
+            fault_plan=fault_plan, retry_policy=retry_policy,
+            tie_order=tie_order, sanitize=sanitize, trace=trace,
+            leak_check=leak_check,
+            preflight=False, fidelity="full", spec=spec,
+        )
+        metrics.fastpath = FastpathReport(
+            "hybrid", False, iterations, 0, "steady state not detected")
+    return metrics
 
-    schedule = strategy.build_schedule(ctx)
-    recorder = TraceRecorder() if trace else None
-    executor = Executor(
-        cluster, schedule,
-        traffic_profile=strategy.traffic_profile,
-        swap_volumes=swap_volumes,
-        internode_rate_efficiency=strategy.calibration.internode_efficiency,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        tie_order=tie_order,
-        sanitize=sanitize,
-        trace_recorder=recorder,
-        leak_sanitizer=leaksan,
-    )
-    result = executor.run(sim_iterations)
 
-    if sim_iterations < iterations:
-        # Hybrid: extend the measured run analytically — must happen
-        # before any accounting that scales with total time/iterations
-        # (profiler, host background, bandwidth window, trace build).
-        if is_steady(result.iteration_times, warmup_iterations):
-            extrapolate_execution(cluster, result, recorder, iterations)
-            fastpath_report = FastpathReport(
-                "hybrid", True, sim_iterations, iterations - sim_iterations)
-        else:
-            metrics = run_training(
-                cluster, strategy, model, training=training,
-                iterations=iterations, warmup_iterations=warmup_iterations,
-                placement=placement, swap_volumes=swap_volumes,
-                fault_plan=fault_plan, retry_policy=retry_policy,
-                tie_order=tie_order, sanitize=sanitize, trace=trace,
-                leak_check=leak_check,
-                preflight=False, fidelity="full", spec=spec,
-            )
-            metrics.fastpath = FastpathReport(
-                "hybrid", False, iterations, 0, "steady state not detected")
-            return metrics
-
+def _measure(cluster: Cluster, strategy: TrainingStrategy,
+             model: ModelConfig, training: TrainingConfig,
+             result: ExecutionResult, warmup_iterations: int,
+             recorder: Optional[TraceRecorder]) -> RunMetrics:
+    """Throughput, bandwidth, memory and (for a traced run) the trace of
+    a finished run, before its teardown returns the plan's bytes."""
     profiler = FlopsProfiler(model, training, cluster.num_gpus,
                              warmup_iterations=warmup_iterations)
     for seconds in result.iteration_times:
@@ -330,22 +349,22 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     # Built after _record_host_background so the trace's link accounts
     # cover every ledger charge and reconcile exactly (see repro.trace).
     built_trace = (
-        build_trace(cluster, result, recorder, meta={
-            "strategy": strategy.name,
-            "num_nodes": cluster.num_nodes,
-            "num_gpus": cluster.num_gpus,
-            "model_parameters": total_parameters(model),
-        })
-        if trace else None
+        build_trace(
+            cluster, result.total_time,
+            spans=result.timeline.spans,
+            recorder=recorder,
+            faults=result.fault_events,
+            counters=("device_mem", "host_mem"),
+            meta={
+                "strategy": strategy.name,
+                "num_nodes": cluster.num_nodes,
+                "num_gpus": cluster.num_gpus,
+                "model_parameters": total_parameters(model),
+                "total_time": result.total_time,
+                "iterations": len(result.iteration_times),
+            })
+        if recorder is not None else None
     )
-
-    # Snapshot memory while the plan's labels are still charged; the
-    # leak-check teardown below returns them to the pools.
-    memory_report = snapshot(cluster)
-    if leaksan is not None:
-        release_memory_plan(cluster, plan, swap_volumes)
-        result.leaks = leaksan.finalize(
-            cluster, network=executor.network, recorder=recorder)
 
     return RunMetrics(
         strategy_name=strategy.name,
@@ -353,13 +372,11 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
         num_nodes=cluster.num_nodes,
         num_gpus=cluster.num_gpus,
         throughput=profiler.report(),
-        memory=memory_report,
+        memory=snapshot(cluster),
         bandwidth=bandwidth,
         execution=result,
         measurement_window=window,
         trace=built_trace,
-        spec=spec,
-        fastpath=fastpath_report,
     )
 
 

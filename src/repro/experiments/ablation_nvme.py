@@ -57,7 +57,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         node = replace(placement.node_spec(), nvme=nvme_spec)
         cluster = Cluster(ClusterSpec(num_nodes=1, node=node))
         metrics = run_training(cluster, zero3_nvme_optimizer(), model,
-                               iterations=iterations, placement=placement)
+                               iterations=iterations, placement=placement,
+                               fidelity=spec.fidelity)
         rows.append({
             "study": "media",
             "media_scale": scale,

@@ -63,7 +63,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                 if not overlap:
                     strategy = _BlockingWrapper(strategy)
                 metrics = run_training(cluster, strategy, model,
-                                       iterations=iterations)
+                                       iterations=iterations,
+                                       fidelity=spec.fidelity)
                 rows.append({
                     "nodes": num_nodes,
                     "model_b": size,

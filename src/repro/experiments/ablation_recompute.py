@@ -35,7 +35,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                 metrics = run_training(cluster, strategy,
                                        model_for_billions(0.7),
                                        training=training,
-                                       iterations=iterations)
+                                       iterations=iterations,
+                                       fidelity=spec.fidelity)
                 tflops = metrics.tflops
                 iteration_s = metrics.iteration_time
             except OutOfMemoryError:

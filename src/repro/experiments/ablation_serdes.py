@@ -38,7 +38,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             search = max_model_size(cluster, strategy)
             metrics = run_training(cluster, strategy,
                                    paper_model(search.max_layers),
-                                   iterations=iterations)
+                                   iterations=iterations,
+                                   fidelity=spec.fidelity)
             rows.append({
                 "contention": contended,
                 "strategy": strategy.name,

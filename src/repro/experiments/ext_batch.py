@@ -52,7 +52,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                 metrics = run_training(cluster, factory(), model,
                                        training=training,
                                        iterations=iterations,
-                                       placement=placement)
+                                       placement=placement,
+                                       fidelity=spec.fidelity)
                 rows.append({
                     "case": label, "micro_batch": batch, "fits": True,
                     "tflops": metrics.tflops,

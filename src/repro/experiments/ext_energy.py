@@ -40,7 +40,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         else:
             model = model_for_billions(size_b)
         metrics = run_training(cluster, strategy, model,
-                               iterations=iterations)
+                               iterations=iterations,
+                               fidelity=spec.fidelity)
         report = estimate_energy(cluster, metrics.execution.timeline,
                                  metrics.measurement_window)
         rows.append({

@@ -62,6 +62,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                 cluster, make_strategy(name), model,
                 iterations=iterations,
                 fault_plan=fabric_loss_plan(loss),
+                fidelity=spec.fidelity,
             )
             rows.append({
                 "strategy": name,

@@ -33,7 +33,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for strategy in (MegatronStrategy(), zero3(), pipeline_1f1b()):
         cluster = cluster_for(2)
         metrics = run_training(cluster, strategy, model,
-                               iterations=iterations)
+                               iterations=iterations,
+                               fidelity=spec.fidelity)
         rows.append({
             "study": "head_to_head",
             "strategy": strategy.name,
@@ -48,7 +49,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for m in (8, 16, 32, 64) if spec.full_sweep else (8, 16, 32):
         cluster = cluster_for(2)
         metrics = run_training(cluster, pipeline_1f1b(micro_batches=m),
-                               model, iterations=iterations)
+                               model, iterations=iterations,
+                               fidelity=spec.fidelity)
         rows.append({
             "study": "microbatch_sweep",
             "strategy": "pipeline",

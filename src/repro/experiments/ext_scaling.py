@@ -32,7 +32,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             cluster = Cluster(ClusterSpec(num_nodes=num_nodes))
             strategy = factory()
             metrics = run_training(cluster, strategy, model,
-                                   iterations=iterations)
+                                   iterations=iterations,
+                                   fidelity=spec.fidelity)
             rows.append({
                 "nodes": num_nodes,
                 "gpus": cluster.num_gpus,

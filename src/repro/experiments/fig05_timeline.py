@@ -43,7 +43,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             cluster = single_node_cluster()
         metrics = run_training(cluster, strategy, model,
                                iterations=spec.iterations,
-                               placement=placement)
+                               placement=placement,
+                               fidelity=spec.fidelity)
         timeline = metrics.execution.timeline
         busy = timeline.compute_busy_fraction(0)
         rows.append({

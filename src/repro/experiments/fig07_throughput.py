@@ -27,7 +27,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             search = max_model_size(cluster, strategy)
             model = paper_model(search.max_layers)
             metrics = run_training(cluster, strategy, model,
-                                   iterations=spec.iterations)
+                                   iterations=spec.iterations,
+                                   fidelity=spec.fidelity)
             rows.append({
                 "nodes": num_nodes,
                 "strategy": name,

@@ -29,7 +29,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for name, factory in CORE_STRATEGIES.items():
         cluster = cluster_for(1)
         metrics = run_training(cluster, factory(), model,
-                               iterations=iterations)
+                               iterations=iterations,
+                               fidelity=spec.fidelity)
         monitor = BandwidthMonitor(cluster)
         start, end = metrics.measurement_window
         series = monitor.series(LinkClass.NVLINK, start, end)

@@ -36,7 +36,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         search = max_model_size(cluster, strategy)
         metrics = run_training(cluster, strategy,
                                paper_model(search.max_layers),
-                               iterations=iterations)
+                               iterations=iterations,
+                               fidelity=spec.fidelity)
         monitor = BandwidthMonitor(cluster)
         start, end = metrics.measurement_window
         blocks.append(f"--- {strategy.display_name} "

@@ -40,14 +40,16 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     megatron = MegatronStrategy()
     search = max_model_size(dual, megatron)
     metrics = run_training(dual, megatron, paper_model(search.max_layers),
-                           iterations=iterations)
+                           iterations=iterations,
+                           fidelity=spec.fidelity)
     rows.append(_row("megatron_dual", metrics))
 
     # CPU offload on one node.
     for name in ("zero2_opt_cpu", "zero3_opt_cpu_param_cpu"):
         cluster = cluster_for(1)
         metrics = run_training(cluster, ALL_STRATEGIES[name](), model,
-                               iterations=iterations)
+                               iterations=iterations,
+                               fidelity=spec.fidelity)
         rows.append(_row(name, metrics))
 
     # NVMe offload, single and dual drives.
@@ -57,7 +59,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             cluster = placement_cluster(placement)
             metrics = run_training(cluster, ALL_STRATEGIES[base](), model,
                                    iterations=iterations,
-                                   placement=placement)
+                                   placement=placement,
+                                   fidelity=spec.fidelity)
             rows.append(_row(base + suffix, metrics))
 
     rendered = format_table(

@@ -44,7 +44,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         else:
             cluster = cluster_for(1)
         metrics = run_training(cluster, ALL_STRATEGIES[name](), model,
-                               iterations=iterations, placement=placement)
+                               iterations=iterations, placement=placement,
+                               fidelity=spec.fidelity)
         monitor = BandwidthMonitor(cluster)
         start, end = metrics.measurement_window
         blocks.append(f"--- {name} (iter {metrics.iteration_time:.2f} s)")

@@ -49,7 +49,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             model = paper_model(search.max_layers)
             measured_b = search.billions
         metrics = run_training(cluster, strategy, model,
-                               iterations=iterations, placement=placement)
+                               iterations=iterations, placement=placement,
+                               fidelity=spec.fidelity)
         rows.append({
             "strategy": name,
             "achieved_b": search.billions,

@@ -32,7 +32,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         cluster = placement_cluster(placement)
         metrics = run_training(cluster, zero3_nvme_optimizer_params(), model,
                                iterations=iterations, warmup_iterations=1,
-                               placement=placement)
+                               placement=placement,
+                               fidelity=spec.fidelity)
         paper = paper_data.TABLE_VI[key]
         rows.append({
             "config": key,

@@ -124,17 +124,9 @@ def spec_for(experiment_id: str, *, quick: bool = True) -> ExperimentSpec:
 def run_spec(spec: ExperimentSpec) -> ExperimentResult:
     """Execute one experiment spec (the campaign runner's entry point).
 
-    A non-default ``spec.fidelity`` is installed as the ambient fidelity
-    for the module's duration, so every ``run_training`` the module
-    performs inherits it without the 29 modules growing a parameter.
+    Modules pass ``spec.fidelity`` to every training run they make.
     """
-    module = _module_for(spec.experiment_id)
-    if spec.fidelity != "full":
-        from ..sim.fastpath import fidelity_override
-
-        with fidelity_override(spec.fidelity):
-            return module.run(spec)
-    return module.run(spec)
+    return _module_for(spec.experiment_id).run(spec)
 
 
 def run_experiment(experiment_id: str, *, quick: bool = True) -> ExperimentResult:

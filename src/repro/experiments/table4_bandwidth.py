@@ -41,7 +41,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             search = max_model_size(cluster, strategy)
             metrics = run_training(cluster, strategy,
                                    paper_model(search.max_layers),
-                                   iterations=iterations)
+                                   iterations=iterations,
+                                   fidelity=spec.fidelity)
             rows.append(_row(f"{name}@{num_nodes}n", name, num_nodes,
                              metrics))
 
@@ -49,7 +50,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for name in ("zero2_opt_cpu", "zero3_opt_cpu_param_cpu"):
         cluster = cluster_for(1)
         metrics = run_training(cluster, ALL_STRATEGIES[name](),
-                               consolidation_model, iterations=iterations)
+                               consolidation_model, iterations=iterations,
+                               fidelity=spec.fidelity)
         rows.append(_row(f"{name}@1n", name, 1, metrics))
 
     # Section V-B: ZeRO-Infinity with 1x and 2x NVMe at 11.4 B.
@@ -60,7 +62,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             metrics = run_training(cluster, ALL_STRATEGIES[name](),
                                    consolidation_model,
                                    iterations=iterations,
-                                   placement=placement)
+                                   placement=placement,
+                                   fidelity=spec.fidelity)
             rows.append(_row(f"{name}@{suffix}", name, 1, metrics))
 
     rendered = format_table(

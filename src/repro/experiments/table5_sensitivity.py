@@ -47,7 +47,8 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                 metrics = run_training(cluster, strategy,
                                        model_for_billions(size),
                                        iterations=iterations,
-                                       placement=placement)
+                                       placement=placement,
+                                       fidelity=spec.fidelity)
             except OutOfMemoryError:
                 rows.append({"config": config, "size_b": size,
                              "tflops": None,

@@ -2,8 +2,9 @@
 
 The serving analog of :func:`repro.cluster.service.run_cluster`: build
 the machine (a parametric N-node :class:`~repro.hardware.cluster.
-Cluster`), one :class:`~repro.sim.engine.Engine`, one
-:class:`~repro.sim.flows.FlowNetwork`, carve the tensor-parallel rank
+Cluster`), take one :class:`~repro.sim.engine.Engine` and one
+:class:`~repro.sim.flows.FlowNetwork` from a
+:class:`~repro.sim.probes.RunProbes`, carve the tensor-parallel rank
 space out with :func:`~repro.cluster.views.probe_view`, allocate
 weights and the KV budget in the device pools, schedule the open-loop
 request stream, and run the :class:`~repro.inference.batching.
@@ -13,11 +14,13 @@ view, so serving traffic pays NVLink/NIC costs with the same fidelity
 as training collectives — over two nodes, prefill all-reduces cross
 the switch exactly like a Megatron forward's.
 
-Ledger ownership mirrors the cluster service: this function owns the
-network's recorder/leak-sanitizer hooks and the pools' observers;
-weights, the KV budget's slack, and every per-request KV reservation
-are named pool labels, so ``leak_check=True`` audits the whole serving
-run for byte conservation (zero leaked KV bytes on a clean exit).
+Instruments attach as in every other run: the probes hook the recorder
+and the leak sanitizer into the network and pools and remove them when
+the run ends, and the one :func:`~repro.trace.recorder.build_trace`
+assembles the serving trace.  Weights, the KV budget's slack, and every
+per-request KV reservation are named pool labels, so ``leak_check=True``
+audits the whole serving run for byte conservation (zero leaked KV
+bytes on a clean exit).
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from ..core.search import model_for_billions
 from ..errors import ConfigurationError
 from ..hardware.cluster import Cluster, ClusterSpec
 from ..model.config import ModelConfig, paper_model
-from ..sim.engine import Engine, ReversedTies, SeededTies, TieOrder
-from ..sim.flows import FlowNetwork
-from ..sim.leaksan import LeakReport, LeakSanitizer
-from ..trace.model import CounterTrack, LinkAccount, Trace
-from ..trace.recorder import DEFAULT_COUNTER_SAMPLES, TraceRecorder
+from ..sim.leaksan import LeakReport
+from ..sim.probes import RunProbes, named_tie_order
+from ..trace.model import Trace
+from ..trace.recorder import build_trace
 from ..cluster.views import probe_view
-from .batching import RequestRecord, ServingScheduler, ServingStats
+from .batching import RequestRecord, ServingScheduler
 from .costmodel import PhaseCostModel
 from .kvcache import KvCache
 from .report import InferenceReport, build_report
@@ -58,55 +60,11 @@ class InferenceRun:
         return self.report.leaks
 
 
-def _build_tie_order(spec: InferenceSpec) -> Optional[TieOrder]:
-    if spec.tie_order == "reversed":
-        return ReversedTies()
-    if spec.tie_order == "seeded":
-        return SeededTies(spec.tie_seed)
-    return None  # fifo: the engine default
-
-
 def _model_for(spec: InferenceSpec) -> ModelConfig:
     if spec.num_layers is not None:
         return paper_model(spec.num_layers)
     assert spec.size_billions is not None
     return model_for_billions(spec.size_billions)
-
-
-def build_serving_trace(cluster: Cluster, stats: ServingStats,
-                        recorder: TraceRecorder, total_time: float, *,
-                        meta: Optional[dict] = None,
-                        counter_samples: int = DEFAULT_COUNTER_SAMPLES
-                        ) -> Trace:
-    """Assemble the serving :class:`Trace` (cluster-trace shape)."""
-    trace = Trace(meta=dict(meta or {}))
-    trace.meta.setdefault("total_time", total_time)
-    trace.spans.extend(stats.spans)
-    recorder.drain_open_flows(total_time)
-    trace.flows = list(recorder.flows)
-    trace.collectives = list(recorder.collectives)
-    for link in cluster.topology.links:
-        ledger = link.ledger
-        if len(ledger) == 0:
-            continue
-        trace.links.append(LinkAccount(
-            name=link.name,
-            link_class=str(link.link_class),
-            total_bytes=ledger.total_bytes,
-            record_count=len(ledger),
-            degraded=tuple(ledger.degraded_intervals()),
-        ))
-        if total_time > 0 and counter_samples > 0:
-            trace.counters.append(CounterTrack(
-                name=f"link:{link.name}",
-                unit="bytes/s",
-                start=0.0,
-                period=total_time / counter_samples,
-                values=tuple(
-                    ledger.sample(0.0, total_time, counter_samples)
-                ),
-            ))
-    return trace
 
 
 def run_inference(spec: InferenceSpec) -> InferenceRun:
@@ -128,77 +86,74 @@ def run_inference(spec: InferenceSpec) -> InferenceRun:
 
     cluster = Cluster(ClusterSpec(num_nodes=spec.nodes))
     view = probe_view(cluster, spec.gpus)
-    engine = Engine(tie_order=_build_tie_order(spec))
-    network = FlowNetwork(engine)
-    recorder = TraceRecorder() if spec.trace else None
-    network.recorder = recorder
-    leaksan: Optional[LeakSanitizer] = None
-    if spec.leak_check:
-        leaksan = LeakSanitizer()
-        leaksan.attach(cluster)
-        network.leaksan = leaksan
+    with RunProbes(cluster,
+                   tie_order=named_tie_order(spec.tie_order, spec.tie_seed),
+                   trace=spec.trace,
+                   leak_check=spec.leak_check) as probes:
+        engine = probes.engine
+        recorder = probes.recorder
+        cost = PhaseCostModel(
+            config, cluster.nodes[0].spec.gpu,
+            tensor_parallel=spec.gpus,
+            precision_bytes=spec.precision_bytes,
+        )
+        pools = [view.gpu(rank).memory for rank in range(view.num_gpus)]
+        for pool in pools:
+            pool.allocate(WEIGHTS, cost.weight_bytes_per_rank)
+        budget_per_rank = (min(pool.free_bytes for pool in pools)
+                           * spec.kv_fraction)
+        if budget_per_rank <= 0:
+            raise ConfigurationError(
+                f"no memory left for KV cache: weights take "
+                f"{cost.weight_bytes_per_rank:.0f} B of a "
+                f"{pools[0].capacity_bytes:.0f} B pool per rank"
+            )
+        largest = max(request.total_tokens for request in requests)
+        if largest * cost.kv_token_bytes_per_rank > budget_per_rank:
+            raise ConfigurationError(
+                f"KV budget ({budget_per_rank:.0f} B/rank) cannot hold "
+                f"even one {largest}-token request "
+                f"({largest * cost.kv_token_bytes_per_rank:.0f} B/rank); "
+                f"it could never be admitted"
+            )
+        kvcache = KvCache(
+            pools,
+            budget_per_rank=budget_per_rank,
+            bytes_per_token_per_rank=cost.kv_token_bytes_per_rank,
+        )
+        comm = (
+            NcclCommunicator(view, engine, probes.network,
+                             list(range(view.num_gpus)))
+            if view.num_gpus > 1 else None
+        )
+        scheduler = ServingScheduler(
+            engine, cost, kvcache,
+            comm=comm,
+            batching=spec.batching,
+            max_batch_tokens=spec.max_batch_tokens,
+            max_batch_requests=spec.max_batch_requests,
+            span_ranks=(
+                tuple(view.global_rank(rank)
+                      for rank in range(view.num_gpus))
+                if recorder is not None else ()),
+            collective_sink=recorder,
+        )
+        records = [RequestRecord(request=request) for request in requests]
+        for record in records:
+            engine.schedule_at(record.request.time, scheduler.submit,
+                               record)
+        engine.process(scheduler.serve(records), name="serving-loop")
+        engine.run()
+        check_liveness(engine)
 
-    cost = PhaseCostModel(
-        config, cluster.nodes[0].spec.gpu,
-        tensor_parallel=spec.gpus,
-        precision_bytes=spec.precision_bytes,
-    )
-    pools = [view.gpu(rank).memory for rank in range(view.num_gpus)]
-    for pool in pools:
-        pool.allocate(WEIGHTS, cost.weight_bytes_per_rank)
-    budget_per_rank = min(pool.free_bytes for pool in pools) * spec.kv_fraction
-    if budget_per_rank <= 0:
-        raise ConfigurationError(
-            f"no memory left for KV cache: weights take "
-            f"{cost.weight_bytes_per_rank:.0f} B of a "
-            f"{pools[0].capacity_bytes:.0f} B pool per rank"
-        )
-    largest = max(request.total_tokens for request in requests)
-    if largest * cost.kv_token_bytes_per_rank > budget_per_rank:
-        raise ConfigurationError(
-            f"KV budget ({budget_per_rank:.0f} B/rank) cannot hold even "
-            f"one {largest}-token request "
-            f"({largest * cost.kv_token_bytes_per_rank:.0f} B/rank); "
-            f"it could never be admitted"
-        )
-    kvcache = KvCache(
-        pools,
-        budget_per_rank=budget_per_rank,
-        bytes_per_token_per_rank=cost.kv_token_bytes_per_rank,
-    )
-    comm = (
-        NcclCommunicator(view, engine, network,
-                         list(range(view.num_gpus)))
-        if view.num_gpus > 1 else None
-    )
-    scheduler = ServingScheduler(
-        engine, cost, kvcache,
-        comm=comm,
-        batching=spec.batching,
-        max_batch_tokens=spec.max_batch_tokens,
-        max_batch_requests=spec.max_batch_requests,
-        span_ranks=(
-            tuple(view.global_rank(rank) for rank in range(view.num_gpus))
-            if recorder is not None else ()),
-        collective_sink=recorder,
-    )
-    records = [RequestRecord(request=request) for request in requests]
-    for record in records:
-        engine.schedule_at(record.request.time, scheduler.submit, record)
-    engine.process(scheduler.serve(records), name="serving-loop")
-    engine.run()
-    check_liveness(engine)
+        kv_peak = kvcache.peak_reserved_per_rank * view.num_gpus
+        kv_budget = kvcache.budget_per_rank * view.num_gpus
+        kvcache.close()
+        for pool in pools:
+            pool.free(WEIGHTS)
+        _, leaks = probes.close()
 
     total_time = engine.now
-    kv_peak = kvcache.peak_reserved_per_rank * view.num_gpus
-    kv_budget = kvcache.budget_per_rank * view.num_gpus
-    kvcache.close()
-    for pool in pools:
-        pool.free(WEIGHTS)
-    leaks: Optional[LeakReport] = None
-    if leaksan is not None:
-        leaks = leaksan.finalize(cluster, network=network,
-                                 recorder=recorder)
     report = build_report(
         spec.label, spec.batching,
         nodes=spec.nodes, num_gpus=view.num_gpus,
@@ -211,13 +166,16 @@ def run_inference(spec: InferenceSpec) -> InferenceRun:
         leaks=leaks,
     )
     trace = (
-        build_serving_trace(cluster, scheduler.stats, recorder, total_time,
-                            meta={
-                                "spec": spec.label,
-                                "batching": spec.batching,
-                                "num_nodes": spec.nodes,
-                                "num_gpus": view.num_gpus,
-                            })
+        build_trace(
+            cluster, total_time,
+            spans=scheduler.stats.spans,
+            recorder=recorder,
+            meta={
+                "spec": spec.label,
+                "batching": spec.batching,
+                "num_nodes": spec.nodes,
+                "num_gpus": view.num_gpus,
+            })
         if recorder is not None else None
     )
     return InferenceRun(report=report, trace=trace)

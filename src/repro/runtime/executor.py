@@ -13,6 +13,13 @@ One simulated process per GPU rank interprets the strategy's
 The run produces iteration times, a Fig.-5-style :class:`Timeline`, and
 fully populated per-link bandwidth ledgers — everything the paper's
 experiments need in a single pass.
+
+The executor builds and wires no instruments.  A run that wants a tie
+order, the sanitizers or a trace gets its engine and flow network from
+:class:`repro.sim.probes.RunProbes` and passes them in; the only hook
+left here is ``collective_sink``, told of every collective phase (the
+name and contract :class:`~repro.inference.batching.ServingScheduler`
+uses).
 """
 
 from __future__ import annotations
@@ -43,12 +50,11 @@ from ..parallel.schedule import (
     WaitForStep,
     WaitPendingStep,
 )
-from ..sim.engine import BaseEvent, Engine, TieOrder
+from ..sim.engine import BaseEvent, Engine
 from ..sim.flows import FlowNetwork
-from ..sim.leaksan import LeakReport, LeakSanitizer
-from ..sim.sanitizer import SanitizerReport, ScheduleSanitizer
+from ..sim.leaksan import LeakReport
+from ..sim.sanitizer import SanitizerReport
 from ..telemetry.timeline import Lane, Timeline
-from ..trace.recorder import TraceRecorder
 from .kernels import KernelKind, straggler_multiplier
 
 
@@ -59,7 +65,9 @@ class ExecutionResult:
     iteration_times: List[float]
     timeline: Timeline
     total_time: float
-    #: populated only for sanitized runs (``Executor(..., sanitize=True)``)
+    #: populated only for sanitized runs
+    #: (``run_training(..., sanitize=True)``); the runner fills it in
+    #: when it closes the run's probes
     sanitizer: Optional[SanitizerReport] = None
     #: populated only for leak-checked runs
     #: (``run_training(..., leak_check=True)``); the runner fills it in
@@ -132,9 +140,9 @@ class _CollectiveGate:
                 rank, Lane.COMMUNICATION, self.kernel, str(self.op.kind),
                 started_at, now,
             )
-        recorder = self.executor.recorder
-        if recorder is not None:
-            recorder.collective_phase(
+        sink = self.executor.collective_sink
+        if sink is not None:
+            sink.collective_phase(
                 self.comm_name, self.group_index, str(self.op.kind),
                 self.op.payload_bytes, self.launch_count,
                 tuple(self.group), started_at, now,
@@ -145,14 +153,13 @@ class _CollectiveGate:
 class Executor:
     """Runs an :class:`IterationSchedule` on a cluster for N iterations.
 
-    Standalone use builds a private :class:`~repro.sim.engine.Engine` and
-    :class:`~repro.sim.flows.FlowNetwork` per run (the historical
-    behaviour).  The cluster service (:mod:`repro.cluster`) instead
-    passes a *shared* ``engine``/``network`` so many jobs run
-    concurrently on one event loop and one set of link ledgers; in that
-    mode ``flow_tag`` prefixes every flow label the job launches (host
-    transfers and collective traffic alike), keeping per-job traffic
-    attributable in the shared ledgers and trace.
+    Without an ``engine`` and ``network`` it makes a bare private pair
+    with no instruments.  The cluster service (:mod:`repro.cluster`)
+    passes one *shared* pair so many jobs run concurrently on one event
+    loop and one set of link ledgers; in that mode ``flow_tag`` prefixes
+    every flow label the job launches (host transfers and collective
+    traffic alike), keeping per-job traffic attributable in the shared
+    ledgers and trace.
     """
 
     def __init__(self, cluster: Cluster, schedule: IterationSchedule, *,
@@ -161,10 +168,7 @@ class Executor:
                  internode_rate_efficiency: float = 0.35,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 tie_order: Optional[TieOrder] = None,
-                 sanitize: bool = False,
-                 trace_recorder: Optional[TraceRecorder] = None,
-                 leak_sanitizer: Optional[LeakSanitizer] = None,
+                 collective_sink=None,
                  engine: Optional[Engine] = None,
                  network: Optional[FlowNetwork] = None,
                  flow_tag: str = "") -> None:
@@ -173,25 +177,13 @@ class Executor:
         self.schedule = schedule
         self.traffic_profile = traffic_profile
         self.swap_volumes = swap_volumes or {}
-        owns_network = network is None
-        self.engine = engine if engine is not None else Engine(tie_order=tie_order)
-        self.sanitizer = ScheduleSanitizer(self.engine) if sanitize else None
+        self.engine = engine if engine is not None else Engine()
         self.network = network if network is not None else FlowNetwork(self.engine)
         self.timeline = Timeline()
         self.flow_tag = flow_tag
-        # The recorder's hooks are append-only (no engine interaction),
-        # so attaching one cannot change the schedule; when absent every
-        # hook site is a single None check.
-        self.recorder = trace_recorder
-        # Like the recorder, the leak sanitizer's hooks are pure
-        # bookkeeping (ledger reservations, never admission control), so
-        # attaching one cannot change the schedule either.  A shared
-        # network's hooks belong to whoever built it (the cluster
-        # service); only a privately built network is wired here.
-        self.leaksan = leak_sanitizer
-        if owns_network:
-            self.network.recorder = trace_recorder
-            self.network.leaksan = leak_sanitizer
+        # Append-only (no engine interaction), so a sink cannot change
+        # the schedule; when absent the gate's hook is one None check.
+        self.collective_sink = collective_sink
         self.retry_policy = retry_policy
         # An empty (or absent) plan registers no hooks and schedules no
         # events, so a fault-free run is bit-identical with or without it.
@@ -266,10 +258,6 @@ class Executor:
         self.engine.run()
         check_liveness(self.engine)
         result: ExecutionResult = proc.value
-        result.sanitizer = (
-            self.sanitizer.finalize(self.cluster)
-            if self.sanitizer is not None else None
-        )
         result.fault_events = (
             list(self.faults.applied_events)
             if self.faults is not None else []

@@ -20,18 +20,17 @@ Three independent accelerations, composable and all semantics-preserving
   fidelity, verify the measured iterations are periodic, then replicate
   the last measured iteration analytically for the remaining count.
 
-``fidelity`` threads from :class:`repro.api.RunSpec` /
-:class:`repro.experiments.common.ExperimentSpec` down to
-:func:`repro.core.runner.run_training`; :func:`fidelity_override` is the
-ambient channel the experiment registry uses so all experiment modules
-inherit a requested fidelity without each taking a new parameter.
+``fidelity`` is passed explicitly, never taken from ambient state: from
+:class:`repro.api.RunSpec` through :func:`repro.api.run_spec`, and from
+:class:`repro.experiments.common.ExperimentSpec` through every experiment
+module's ``run_training(..., fidelity=spec.fidelity)``, down to
+:func:`repro.core.runner.run_training`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 from ...errors import ConfigurationError
 
@@ -76,32 +75,6 @@ class FastpathReport:
         }
 
 
-#: Ambient fidelity stack; the top entry (when any) is the default for
-#: ``run_training`` calls that do not pass an explicit fidelity.
-_AMBIENT: List[str] = []
-
-
-@contextmanager
-def fidelity_override(fidelity: str) -> Iterator[None]:
-    """Make ``fidelity`` the ambient default for nested training runs.
-
-    The experiment registry wraps module ``run`` calls in this so every
-    ``run_training`` an experiment performs inherits the requested
-    fidelity without threading a parameter through all 29 modules.
-    """
-    validate_fidelity(fidelity)
-    _AMBIENT.append(fidelity)
-    try:
-        yield
-    finally:
-        _AMBIENT.pop()
-
-
-def ambient_fidelity() -> Optional[str]:
-    """The innermost :func:`fidelity_override` value, or ``None``."""
-    return _AMBIENT[-1] if _AMBIENT else None
-
-
 from .memo import (  # noqa: E402  (re-exports after the light definitions)
     COST_CACHE,
     CollectiveCostCache,
@@ -122,10 +95,8 @@ __all__ = [
     "FastpathReport",
     "HYBRID_MEASURE_ITERATIONS",
     "STEADY_STATE_RTOL",
-    "ambient_fidelity",
     "collective_cost_key",
     "extrapolate_execution",
-    "fidelity_override",
     "hybrid_simulated_iterations",
     "is_steady",
     "validate_fidelity",

@@ -33,7 +33,7 @@ statistics and Figs. 9/10/12 time-series come from.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 from ..hardware.serdes import TrafficProfile
@@ -300,16 +300,12 @@ class FlowNetwork:
         self._generation = 0
         self.completed_flows = 0
         self.total_bytes_moved = 0.0
-        #: optional :class:`repro.trace.TraceRecorder`.  Its hooks only
-        #: append to Python lists — they never schedule events or touch
-        #: engine state — so an attached recorder cannot perturb the
-        #: simulated schedule.
-        self.recorder = None
-        #: optional :class:`repro.sim.leaksan.LeakSanitizer`.  Same
-        #: invariant as the recorder: its hooks shadow flow lifecycles
-        #: with ledger reservations (pure bookkeeping — never admission
-        #: control) and cannot perturb the simulated schedule.
-        self.leaksan = None
+        #: instruments told of every flow's start (``flow_opened(flow)``)
+        #: and finish (``flow_closed(flow, now)``), in order; set by
+        #: :class:`repro.sim.probes.RunProbes`.  Their hooks only do
+        #: bookkeeping — they never schedule events or touch engine
+        #: state — so attaching one cannot perturb the simulated schedule.
+        self.observers: Tuple[Any, ...] = ()
         #: Batchable activation: a collective launching N flows at one
         #: instant folds into N adds + one reallocate, replacing N full
         #: water-filling rounds (see
@@ -385,10 +381,8 @@ class FlowNetwork:
     # -- internals -----------------------------------------------------------------
     def _start(self, flow: Flow) -> None:
         flow.started_at = self.engine.now
-        if self.recorder is not None:
-            self.recorder.flow_started(flow)
-        if self.leaksan is not None:
-            self.leaksan.flow_opened(flow)
+        for observer in self.observers:
+            observer.flow_opened(flow)
 
     def _add(self, flow: Flow, touched: Dict[PoolKey, None]) -> None:
         flow.since = self.engine.now
@@ -476,10 +470,8 @@ class FlowNetwork:
                     touched[key] = None
             for flow in finished:
                 self.completed_flows += 1
-                if self.recorder is not None:
-                    self.recorder.flow_finished(flow, now)
-                if self.leaksan is not None:
-                    self.leaksan.flow_closed(flow, now)
+                for observer in self.observers:
+                    observer.flow_closed(flow, now)
                 assert flow.completion is not None
                 flow.completion.succeed(None)
         if self._flows:

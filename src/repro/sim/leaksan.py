@@ -149,8 +149,10 @@ class LeakSanitizer:
 
     Attach with :meth:`attach` before resources are acquired, run the
     simulation, then :meth:`finalize` after teardown released what it
-    legitimately holds.  The report's :attr:`~LeakReport.clean` is the
-    zero-outstanding-balance assertion.
+    legitimately holds, and :meth:`detach`.  Runs do all three through
+    :class:`repro.sim.probes.RunProbes`, which also puts the sanitizer
+    among the flow network's observers.  The report's
+    :attr:`~LeakReport.clean` is the zero-outstanding-balance assertion.
     """
 
     def __init__(self) -> None:
@@ -161,13 +163,17 @@ class LeakSanitizer:
         self._flow_labels: Dict[int, str] = {}
 
     # -- wiring --------------------------------------------------------------
-    def attach(self, cluster: Any, network: Any = None) -> None:
-        """Observe every memory pool of ``cluster`` and, when a
-        :class:`~repro.sim.flows.FlowNetwork` is given, its flows."""
+    def attach(self, cluster: Any) -> None:
+        """Observe every memory pool of ``cluster``."""
         for pool in self._pools(cluster):
             pool.observer = self
-        if network is not None:
-            network.leaksan = self
+
+    def detach(self, cluster: Any) -> None:
+        """Stop observing ``cluster``'s pools; a pool another sanitizer
+        observes keeps its observer."""
+        for pool in self._pools(cluster):
+            if pool.observer is self:
+                pool.observer = None
 
     @staticmethod
     def _pools(cluster: Any) -> List[Any]:

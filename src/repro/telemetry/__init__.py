@@ -4,7 +4,7 @@ from .bandwidth import DEFAULT_SAMPLE_PERIOD, BandwidthMonitor, BandwidthStats
 from .energy import EnergyReport, PowerModel, estimate_energy
 from .flops_profiler import FlopsProfiler, ThroughputReport
 from .memory import MemoryReport, snapshot
-from .timeline import GLYPHS, Lane, Timeline, TraceRecord
+from .timeline import GLYPHS, Lane, Timeline
 from .report import (
     BANDWIDTH_HEADERS,
     bandwidth_row,
@@ -27,7 +27,6 @@ __all__ = [
     "MemoryReport",
     "ThroughputReport",
     "Timeline",
-    "TraceRecord",
     "bandwidth_row",
     "format_table",
     "series_block",

@@ -10,8 +10,7 @@ at-a-glance comparison of strategies.
 This module is a facade: the span model, the query functions, and the
 rendering all live in :mod:`repro.trace` (the structured tracing
 subsystem), so the ASCII figure and the exported Perfetto traces share
-one source of truth.  ``TraceRecord`` is an alias of the trace span for
-backward compatibility.
+one source of truth.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from ..trace import query as _query
 from ..trace.ascii import GLYPHS, legend_text, render_rank
 from ..trace.model import Lane, Span
 
-#: Backward-compatible alias: timeline records *are* trace spans.
-TraceRecord = Span
-
-__all__ = ["GLYPHS", "Lane", "Timeline", "TraceRecord"]
+__all__ = ["GLYPHS", "Lane", "Timeline"]
 
 
 class Timeline:

@@ -1,25 +1,27 @@
-"""Opt-in live recorder plus the post-run trace builder.
+"""Opt-in live recorder plus the one post-run trace builder.
 
 :class:`TraceRecorder` is the only live instrumentation tracing adds.
 It is deliberately inert: every hook appends to a Python list and never
 touches the engine (no events, no timeouts, no ``note_touch``), so an
 attached recorder cannot perturb the schedule — the tracing-invariance
-test pins this with the perturbation differ.  When no recorder is
-attached the hook sites are a single ``is None`` check, which is the
-zero-cost-when-disabled guarantee.
+test pins this with the perturbation differ.  It is one of the flow
+network's observers, attached by :class:`repro.sim.probes.RunProbes`;
+an untraced run's observer tuple is empty, so the hook sites cost one
+loop over nothing.
 
 Everything else a trace holds is *derived after the run ends* by
-:func:`build_trace`: rank-lane spans come from the executor's timeline,
-fault windows from the injector's materialized plan, link accounts and
-counter tracks from the bandwidth ledgers (sampled on a
-:data:`DEFAULT_COUNTER_SAMPLES`-bin grid), and per-rank memory from the
-pools.  Post-run derivation keeps the recording surface minimal and
-guarantees the accounts reconcile with the ledgers by construction.
+:func:`build_trace`, for training, cluster and serving runs alike:
+rank-lane spans from the run's timeline, fault windows from the
+injector's materialized plan, link accounts and counter tracks from the
+bandwidth ledgers (sampled on a :data:`DEFAULT_COUNTER_SAMPLES`-bin
+grid), and per-rank memory from the pools.  Post-run derivation keeps
+the recording surface minimal and guarantees the accounts reconcile with
+the ledgers by construction.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
     CollectiveSpan,
@@ -32,8 +34,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.events import FaultEvent
     from ..hardware.cluster import Cluster
-    from ..runtime.executor import ExecutionResult
     from ..sim.flows import Flow
 
 #: Bins in each per-link utilization counter track.
@@ -43,9 +45,10 @@ DEFAULT_COUNTER_SAMPLES = 200
 class TraceRecorder:
     """Collects flow and collective phases as they happen.
 
-    Attach one to :class:`~repro.runtime.executor.Executor` via its
-    ``trace_recorder`` argument; it threads the recorder into the flow
-    network.  All methods are append-only.
+    The flow network calls the flow hooks as one of its ``observers``;
+    the executor's collective gates and the serving scheduler call
+    :meth:`collective_phase` as their ``collective_sink``.  All methods
+    are append-only.
     """
 
     def __init__(self) -> None:
@@ -54,14 +57,14 @@ class TraceRecorder:
         self._open_flows: Dict[int, "Flow"] = {}
 
     # -- flow network hooks ----------------------------------------------------
-    def flow_started(self, flow: "Flow") -> None:
+    def flow_opened(self, flow: "Flow") -> None:
         self._open_flows[flow.id] = flow
 
-    def flow_finished(self, flow: "Flow", end: float) -> None:
+    def flow_closed(self, flow: "Flow", end: float) -> None:
         self._open_flows.pop(flow.id, None)
         self.flows.append(self._span_of(flow, end, completed=True))
 
-    # -- executor hook ---------------------------------------------------------
+    # -- collective sink -------------------------------------------------------
     def collective_phase(self, comm: str, group_index: int, kind: str,
                          payload_bytes: float, launch_count: int,
                          ranks: Tuple[int, ...], start: float,
@@ -114,26 +117,32 @@ class TraceRecorder:
         )
 
 
-def build_trace(cluster: "Cluster", result: "ExecutionResult",
-                recorder: Optional[TraceRecorder] = None, *,
-                meta: Optional[Dict[str, object]] = None,
-                counter_samples: int = DEFAULT_COUNTER_SAMPLES) -> Trace:
-    """Assemble the full :class:`Trace` for one finished run.
+def build_trace(cluster: "Cluster", total_time: float, *,
+                spans: Iterable[Span],
+                recorder: TraceRecorder,
+                faults: Iterable["FaultEvent"] = (),
+                counters: Sequence[str] = (),
+                meta: Optional[Dict[str, object]] = None) -> Trace:
+    """Assemble the :class:`Trace` of one finished run.
 
-    Call this *after* all ledger charges are in (in particular after
-    :func:`repro.core.runner._record_host_background`), so the link
-    accounts equal the final ledger state exactly.
+    ``spans`` are the rank-lane spans, ``faults`` the fault windows the
+    injector applied, and ``counters`` names the end-of-run memory
+    samples each rank gets: ``"device_mem"`` (its GPU pool) and
+    ``"host_mem"`` (its DRAM pool).  Flow and collective spans come from
+    ``recorder``; every link the run charged gets a
+    :class:`LinkAccount` and a utilization track.  ``meta`` keeps its
+    key order, and gains ``total_time`` unless it has one.
+
+    Call this *after* all ledger charges are in (for a training run,
+    after :func:`repro.core.runner._record_host_background`), so the
+    link accounts equal the final ledger state exactly.
     """
     trace = Trace(meta=dict(meta or {}))
-    trace.meta.setdefault("total_time", result.total_time)
-    trace.meta.setdefault("iterations", len(result.iteration_times))
-
-    trace.spans = list(result.timeline.spans)
-    if recorder is not None:
-        recorder.drain_open_flows(result.total_time)
-        trace.flows = list(recorder.flows)
-        trace.collectives = list(recorder.collectives)
-
+    trace.meta.setdefault("total_time", total_time)
+    trace.spans = list(spans)
+    recorder.drain_open_flows(total_time)
+    trace.flows = list(recorder.flows)
+    trace.collectives = list(recorder.collectives)
     trace.faults = [
         FaultSpan(
             kind=str(event.kind),
@@ -142,10 +151,9 @@ def build_trace(cluster: "Cluster", result: "ExecutionResult",
             start=event.start,
             end=event.end,
         )
-        for event in result.fault_events
+        for event in faults
     ]
 
-    duration = result.total_time
     for link in cluster.topology.links:
         ledger = link.ledger
         if len(ledger) == 0:
@@ -157,30 +165,25 @@ def build_trace(cluster: "Cluster", result: "ExecutionResult",
             record_count=len(ledger),
             degraded=tuple(ledger.degraded_intervals()),
         ))
-        if duration > 0 and counter_samples > 0:
+        if total_time > 0:
             trace.counters.append(CounterTrack(
                 name=f"link:{link.name}",
                 unit="bytes/s",
                 start=0.0,
-                period=duration / counter_samples,
-                values=tuple(ledger.sample(0.0, duration, counter_samples)),
+                period=total_time / DEFAULT_COUNTER_SAMPLES,
+                values=tuple(ledger.sample(0.0, total_time,
+                                           DEFAULT_COUNTER_SAMPLES)),
             ))
 
     for rank in range(cluster.num_gpus):
-        gpu = cluster.gpu(rank)
-        dram = cluster.dram_for_rank(rank)
-        trace.counters.append(CounterTrack(
-            name=f"rank{rank}:device_mem",
-            unit="bytes",
-            start=0.0,
-            period=duration if duration > 0 else 1.0,
-            values=(gpu.memory.used_bytes,),
-        ))
-        trace.counters.append(CounterTrack(
-            name=f"rank{rank}:host_mem",
-            unit="bytes",
-            start=0.0,
-            period=duration if duration > 0 else 1.0,
-            values=(dram.memory.used_bytes,),
-        ))
+        for name in counters:
+            device = (cluster.gpu(rank) if name == "device_mem"
+                      else cluster.dram_for_rank(rank))
+            trace.counters.append(CounterTrack(
+                name=f"rank{rank}:{name}",
+                unit="bytes",
+                start=0.0,
+                period=total_time if total_time > 0 else 1.0,
+                values=(device.memory.used_bytes,),
+            ))
     return trace

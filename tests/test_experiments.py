@@ -1,5 +1,8 @@
 """Experiment registry and the light experiment modules."""
 
+import ast
+import inspect
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -12,7 +15,15 @@ from repro.experiments.common import (
     ALL_STRATEGIES,
     CORE_STRATEGIES,
     ExperimentResult,
+    ExperimentSpec,
     make_strategy,
+)
+from repro.experiments.registry import spec_for
+
+#: experiments whose module runs training through ``run_training``
+TRAINING_EXPERIMENTS = sorted(
+    experiment_id for experiment_id, run in EXPERIMENTS.items()
+    if hasattr(inspect.getmodule(run), "run_training")
 )
 
 
@@ -35,6 +46,50 @@ class TestRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment("fig99")
+
+
+class _FirstTrainingRun(Exception):
+    """Raised by the spy to stop an experiment at its first training run."""
+
+
+class TestFidelityIsPassed:
+    """Experiments hand their spec's fidelity to every training run;
+    nothing supplies it from ambient state."""
+
+    def test_training_experiments_found(self):
+        assert len(TRAINING_EXPERIMENTS) == 20
+
+    @pytest.mark.parametrize("experiment_id", TRAINING_EXPERIMENTS)
+    def test_first_training_run_gets_the_spec_fidelity(self, experiment_id,
+                                                        monkeypatch):
+        module = inspect.getmodule(EXPERIMENTS[experiment_id])
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("fidelity", "full"))
+            raise _FirstTrainingRun
+
+        monkeypatch.setattr(module, "run_training", spy)
+        spec = ExperimentSpec.from_dict(
+            {**spec_for(experiment_id).to_dict(), "fidelity": "hybrid"})
+        with pytest.raises(_FirstTrainingRun):
+            module.run(spec)
+        assert seen == ["hybrid"]
+
+    @pytest.mark.parametrize("experiment_id", TRAINING_EXPERIMENTS)
+    def test_every_training_call_passes_the_spec_fidelity(self,
+                                                          experiment_id):
+        # The spy stops at the first call; the source shows all of them.
+        source = inspect.getsource(
+            inspect.getmodule(EXPERIMENTS[experiment_id]))
+        calls = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "run_training"]
+        assert calls
+        for call in calls:
+            passed = {keyword.arg: ast.unparse(keyword.value)
+                      for keyword in call.keywords}
+            assert passed.get("fidelity") == "spec.fidelity", call.lineno
 
 
 class TestStrategyFactories:

@@ -392,8 +392,7 @@ def test_lazy_settlement_matches_eager_on_training_runs(name, monkeypatch):
     spec = TRAINING_RUNS[name].replace(trace=True)
     lazy_cluster = build_cluster(spec)
     lazy = run_spec(spec, cluster=lazy_cluster)
-    monkeypatch.setattr("repro.runtime.executor.FlowNetwork",
-                        EagerFlowNetwork)
+    monkeypatch.setattr("repro.sim.probes.FlowNetwork", EagerFlowNetwork)
     eager_cluster = build_cluster(spec)
     eager = run_spec(spec, cluster=eager_cluster)
     times = lazy.execution.iteration_times

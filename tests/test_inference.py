@@ -23,6 +23,7 @@ from repro.inference import (
 )
 from repro.model.config import paper_model
 from repro.sim.engine import ReversedTies, SeededTies
+from repro.trace import DEFAULT_COUNTER_SAMPLES, flow_bytes_by_link
 
 
 def _tie_name(order):
@@ -246,11 +247,24 @@ class TestService:
 
     def test_trace_has_serving_spans_and_flows(self):
         run = run_inference(self._spec(trace=True))
-        assert run.trace is not None
-        names = {span.name for span in run.trace.spans}
+        trace = run.trace
+        assert trace is not None
+        names = {span.name for span in trace.spans}
         assert any(name.startswith("prefill[") for name in names)
         assert any(name.startswith("decode[") for name in names)
-        assert run.trace.flows  # TP all-reduces crossed real links
+        assert trace.flows  # TP all-reduces crossed real links
+        # Every link a flow crossed has an account and a full counter
+        # track, and flows never claim more bytes than it shows.
+        accounts = {account.name: account for account in trace.links}
+        tracks = {track.name: track for track in trace.counters}
+        for link, num_bytes in flow_bytes_by_link(trace).items():
+            assert link in accounts
+            assert (len(tracks[f"link:{link}"].values)
+                    == DEFAULT_COUNTER_SAMPLES)
+            assert num_bytes <= accounts[link].total_bytes * (1 + 1e-12)
+        assert trace.collectives
+        assert {(c.comm, c.kind, c.ranks) for c in trace.collectives} == {
+            ("tp", "all_reduce", (0, 1))}
 
     def test_single_gpu_has_no_collective_flows(self):
         run = run_inference(self._spec(gpus=1, trace=True))

@@ -12,9 +12,9 @@ over.
 import pytest
 
 from repro.analysis.findings import Finding, Severity
-from repro.api import RunSpec, run_spec
+from repro.api import RunSpec, build_cluster, run_spec
 from repro.core.runner import run_training
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, OutOfMemoryError, SimulationError
 from repro.hardware import single_node_cluster
 from repro.hardware.devices import MemoryPool
 from repro.hardware.link import BandwidthLedger
@@ -35,6 +35,13 @@ def cluster():
     c = single_node_cluster()
     c.reset()
     return c
+
+
+def _pools(cluster):
+    pools = [device.memory for device in cluster.topology.devices
+             if device.memory is not None]
+    assert pools
+    return pools
 
 
 class TestLedgerReservations:
@@ -146,6 +153,15 @@ class TestLeakSanitizerUnit:
         assert report.records[0].resource == link.name
         assert "forgotten" in report.records[0].detail
 
+    def test_detach_clears_only_its_own_observers(self, cluster):
+        first, second = LeakSanitizer(), LeakSanitizer()
+        first.attach(cluster)
+        second.attach(cluster)
+        first.detach(cluster)
+        assert all(pool.observer is second for pool in _pools(cluster))
+        second.detach(cluster)
+        assert all(pool.observer is None for pool in _pools(cluster))
+
     def test_unknown_flow_close_is_res008(self, cluster):
         class FakeFlow:
             id = 99
@@ -224,6 +240,23 @@ class TestLeakCheckedRun:
         plain = run_training(plain_cluster, DdpStrategy(), paper_model(4),
                              iterations=2)
         assert metrics_to_dict(plain)["leaks"] is None
+
+    def test_later_run_leaves_the_report_and_no_observer(self):
+        spec = RunSpec("zero2", size_billions=0.7, iterations=2,
+                       leak_check=True)
+        cluster = build_cluster(spec)
+        leaks = run_spec(spec, cluster=cluster).leaks
+        before = leaks.to_dict()
+        run_spec(spec.replace(leak_check=False), cluster=cluster)
+        assert leaks.to_dict() == before
+        assert all(pool.observer is None for pool in _pools(cluster))
+
+    def test_out_of_memory_run_leaves_no_observer(self):
+        spec = RunSpec("ddp", size_billions=11.0, leak_check=True)
+        cluster = build_cluster(spec)
+        with pytest.raises(OutOfMemoryError):
+            run_spec(spec, cluster=cluster)
+        assert all(pool.observer is None for pool in _pools(cluster))
 
     def test_memory_snapshot_survives_teardown(self, cluster):
         # The leak-check teardown frees the plan labels; the reported

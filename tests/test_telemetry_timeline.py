@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.kernels import KernelKind
-from repro.telemetry.timeline import GLYPHS, Lane, Timeline, TraceRecord
+from repro.telemetry.timeline import GLYPHS, Lane, Timeline
 from repro.trace.model import Span
 from repro.trace.query import overlap_fraction
 
@@ -65,9 +65,6 @@ class TestSummaries:
 
 class TestTraceFacade:
     """Timeline is now a facade over the repro.trace span model."""
-
-    def test_trace_record_is_the_trace_span(self):
-        assert TraceRecord is Span
 
     def test_spans_property_returns_copies(self, timeline):
         spans = timeline.spans
