@@ -40,7 +40,7 @@ from .determinism import det_lints as _det_lints  # noqa: F401  (registers passe
 from . import cluster_lints as _cluster_lints  # noqa: F401  (registers passes)
 from .dimensions import passes as _dim_passes  # noqa: F401  (registers passes)
 from .lifecycle import passes as _lifecycle_passes  # noqa: F401  (registers passes)
-from .source_lints import DEFAULT_SOURCE_ROOT
+from .program import DEFAULT_SOURCE_ROOT
 
 #: The CFG000 probe-error wrapper below is a reporter of its own.
 claim_codes("run-passes", ("CFG000",))

@@ -19,41 +19,25 @@ dedicated block:
   (ERROR, regardless of any ``random.seed`` call elsewhere in the
   file: arrivals must thread explicit seeds).
 
-Scope is the ``cluster`` package under the source root; a tree with no
-``cluster`` directory (a unit-test fixture) is scanned wholesale, same
-convention as :func:`~repro.analysis.determinism.det_lints._sim_files`.
+Scope is the ``cluster`` package under the source root, read through
+the context's shared parse (:mod:`~repro.analysis.program`); a tree with
+no ``cluster`` directory (a unit-test fixture) is read whole, the same
+convention as every other source pass.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from .context import AnalysisContext
-from .determinism.det_lints import _RANDOM_FNS, _WALL_CLOCK, _dotted
+from .determinism.det_lints import _RANDOM_FNS, _WALL_CLOCK
 from .findings import Finding, Severity
+from .program import dotted
 from .registry import register_pass
-from .source_lints import DEFAULT_SOURCE_ROOT
 
-
-def _cluster_files(root: Path) -> List[Path]:
-    package = root / "cluster"
-    if package.is_dir():
-        return sorted(package.rglob("*.py"))
-    return sorted(root.rglob("*.py"))
-
-
-def _cluster_modules(ctx: AnalysisContext
-                     ) -> Iterator[Tuple[ast.Module, str]]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    for path in _cluster_files(root):
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue  # unit hygiene (SRC000) reports unparseable files
-        yield tree, path.relative_to(root).as_posix()
+#: the packages this pass reads
+CLUSTER_PACKAGES = ("cluster",)
 
 
 @register_pass(
@@ -63,28 +47,28 @@ def _cluster_modules(ctx: AnalysisContext
     codes=("CLU001", "CLU002"),
 )
 def clu_scheduler_determinism(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _cluster_modules(ctx):
+    for location, tree in ctx.modules(CLUSTER_PACKAGES):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
-            if dotted in _WALL_CLOCK:
+            name = dotted(node.func)
+            if name in _WALL_CLOCK:
                 yield Finding(
                     "clu-scheduler-determinism", Severity.ERROR, "CLU001",
-                    f"{dotted}() reads the wall clock in scheduler code; "
+                    f"{name}() reads the wall clock in scheduler code; "
                     f"scheduling decisions must depend only on Engine.now",
                     location=f"{location}:{node.lineno}",
                 )
-            elif (dotted.startswith("random.")
-                    and dotted[len("random."):] in _RANDOM_FNS):
+            elif (name.startswith("random.")
+                    and name[len("random."):] in _RANDOM_FNS):
                 yield Finding(
                     "clu-scheduler-determinism", Severity.ERROR, "CLU002",
-                    f"{dotted}() draws from the process-global RNG in "
+                    f"{name}() draws from the process-global RNG in "
                     f"scheduler code; thread a seeded random.Random "
                     f"through the scenario instead",
                     location=f"{location}:{node.lineno}",
                 )
-            elif dotted in ("random.Random", "Random") and not node.args:
+            elif name in ("random.Random", "Random") and not node.args:
                 yield Finding(
                     "clu-scheduler-determinism", Severity.ERROR, "CLU002",
                     "random.Random() without a seed in scheduler code; "

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..hardware.cluster import Cluster
 from ..model.config import ModelConfig, TrainingConfig
 from ..parallel.placement import PlacementConfig
 from ..parallel.strategy import StrategyContext, TrainingStrategy
+from .program import DEFAULT_SOURCE_ROOT, Parsed, parse, source_files
 
 
 @dataclass
@@ -26,8 +28,9 @@ class AnalysisContext:
     never derive themselves, e.g. TP=3 on 8 GPUs.  ``fault_plan`` is the
     fault-injection schedule, when the run has one; the ``faults``
     family of passes vets it against the cluster.  ``source_root`` is
-    the tree the ``source`` family scans (defaults to the installed
-    ``repro`` package).
+    the tree the ``source``, ``dims`` and ``lifecycle`` families scan
+    (defaults to the installed ``repro`` package); :meth:`sources`
+    parses each of its files at most once per context.
     """
 
     cluster: Optional[Cluster] = None
@@ -43,6 +46,32 @@ class AnalysisContext:
     def __post_init__(self) -> None:
         if self.training is None:
             self.training = TrainingConfig()
+        self._parsed: Dict[Path, Parsed] = {}
+
+    def sources(self, packages: Sequence[str] = ()
+                ) -> List[Tuple[str, Parsed]]:
+        """``(location, tree or parse error)`` for every ``.py`` file of
+        ``packages`` under the source root, in path order.
+
+        A root containing none of the packages (or an empty scope) is
+        read whole; locations are root-relative POSIX paths.
+        """
+        root = (self.source_root if self.source_root is not None
+                else DEFAULT_SOURCE_ROOT)
+        pairs = []
+        for path in source_files(root, packages):
+            if path not in self._parsed:
+                self._parsed[path] = parse(path)
+            pairs.append((path.relative_to(root).as_posix(),
+                          self._parsed[path]))
+        return pairs
+
+    def modules(self, packages: Sequence[str] = ()
+                ) -> List[Tuple[str, ast.Module]]:
+        """:meth:`sources` without the files that do not parse (the
+        ``source-hygiene`` pass reports those as ``SRC000``)."""
+        return [(location, tree) for location, tree in self.sources(packages)
+                if isinstance(tree, ast.Module)]
 
     def require_cluster(self) -> Cluster:
         if self.cluster is None:

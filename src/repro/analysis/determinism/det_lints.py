@@ -25,22 +25,23 @@ hazard patterns statically:
 * ``DET040`` — mutable default arguments, which leak state across
   invocations of event callbacks (WARNING).
 
-The passes scan only the packages whose code runs under the engine; the
-analysis layer itself (this package included) is out of scope.  On trees
-that have none of the known package directories — unit-test fixtures —
-the whole tree is scanned instead.
+The passes read only the packages whose code runs under the engine
+(:data:`SIM_PACKAGES`, through the context's shared parse — see
+:mod:`~repro.analysis.program`); the analysis layer itself (this
+package included) is out of scope.  On trees that have none of the
+known package directories — unit-test fixtures — the whole tree is read
+instead.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from ..context import AnalysisContext
 from ..findings import Finding, Severity
+from ..program import dotted
 from ..registry import register_pass
-from ..source_lints import DEFAULT_SOURCE_ROOT
 
 #: Packages under the source root whose code runs inside the DES; only
 #: these are in scope for the determinism lints.
@@ -73,62 +74,6 @@ _WALL_CLOCK = frozenset({
     "datetime.now", "datetime.utcnow", "datetime.datetime.now",
     "datetime.datetime.utcnow", "datetime.date.today", "date.today",
 })
-
-_ParsedFile = Tuple[ast.Module, str]
-
-#: (path, mtime) -> parsed module; five passes share one parse per file.
-_PARSE_CACHE: Dict[Tuple[str, float], ast.Module] = {}
-
-
-def _sim_files(root: Path) -> List[Path]:
-    """The ``.py`` files in scope under ``root``.
-
-    Prefers the known simulation packages; a root containing none of
-    them (a test fixture tree) is scanned wholesale.
-    """
-    package_dirs = [root / name for name in SIM_PACKAGES
-                    if (root / name).is_dir()]
-    if package_dirs:
-        files: List[Path] = []
-        for directory in package_dirs:
-            files.extend(directory.rglob("*.py"))
-        return sorted(files)
-    return sorted(root.rglob("*.py"))
-
-
-def _modules(ctx: AnalysisContext) -> Iterator[_ParsedFile]:
-    """Parsed (module, relative-location) pairs for the context's tree.
-
-    Unparseable files are skipped here — the unit-hygiene pass already
-    reports them as ``SRC000``.
-    """
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    if len(_PARSE_CACHE) > 512:
-        _PARSE_CACHE.clear()
-    for path in _sim_files(root):
-        key = (str(path), path.stat().st_mtime)
-        tree = _PARSE_CACHE.get(key)
-        if tree is None:
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except SyntaxError:
-                continue
-            _PARSE_CACHE[key] = tree
-        yield tree, path.relative_to(root).as_posix()
-
-
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for an attribute chain rooted at a Name, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
 
 # ---------------------------------------------------------------------------
 # DET001/DET002 — unordered iteration feeding order-sensitive work
@@ -194,7 +139,7 @@ def _order_sensitive_stmt(body: List[ast.stmt]) -> Tuple[str, int]:
     codes=("DET001", "DET002"),
 )
 def det_set_iteration(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _modules(ctx):
+    for location, tree in ctx.modules(SIM_PACKAGES):
         set_names = _set_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.For):
@@ -247,26 +192,26 @@ def det_set_iteration(ctx: AnalysisContext) -> Iterator[Finding]:
     codes=("DET010", "DET011"),
 )
 def det_unseeded_random(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _modules(ctx):
+    for location, tree in ctx.modules(SIM_PACKAGES):
         module_seeded = any(
             isinstance(node, ast.Call)
-            and _dotted(node.func) == "random.seed"
+            and dotted(node.func) == "random.seed"
             for node in ast.walk(tree)
         )
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
-            if (dotted.startswith("random.")
-                    and dotted[len("random."):] in _RANDOM_FNS
+            name = dotted(node.func)
+            if (name.startswith("random.")
+                    and name[len("random."):] in _RANDOM_FNS
                     and not module_seeded):
                 yield Finding(
                     "det-unseeded-random", Severity.ERROR, "DET010",
-                    f"{dotted}() draws from the unseeded process-global "
+                    f"{name}() draws from the unseeded process-global "
                     f"RNG; use a seeded random.Random instance",
                     location=f"{location}:{node.lineno}",
                 )
-            elif dotted in ("random.Random", "Random") and not node.args:
+            elif name in ("random.Random", "Random") and not node.args:
                 yield Finding(
                     "det-unseeded-random", Severity.WARNING, "DET011",
                     "random.Random() without a seed draws entropy from "
@@ -285,15 +230,15 @@ def det_unseeded_random(ctx: AnalysisContext) -> Iterator[Finding]:
     codes=("DET020",),
 )
 def det_wall_clock(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _modules(ctx):
+    for location, tree in ctx.modules(SIM_PACKAGES):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
-            if dotted in _WALL_CLOCK:
+            name = dotted(node.func)
+            if name in _WALL_CLOCK:
                 yield Finding(
                     "det-wall-clock", Severity.ERROR, "DET020",
-                    f"{dotted}() reads the wall clock inside simulation "
+                    f"{name}() reads the wall clock inside simulation "
                     f"code; the DES must know only Engine.now",
                     location=f"{location}:{node.lineno}",
                 )
@@ -322,7 +267,7 @@ def _key_uses_id(keyword: ast.keyword) -> bool:
     codes=("DET030",),
 )
 def det_id_ordering(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _modules(ctx):
+    for location, tree in ctx.modules(SIM_PACKAGES):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -362,7 +307,7 @@ def _is_mutable_default(node: ast.expr) -> bool:
     codes=("DET040",),
 )
 def det_mutable_default(ctx: AnalysisContext) -> Iterator[Finding]:
-    for tree, location in _modules(ctx):
+    for location, tree in ctx.modules(SIM_PACKAGES):
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

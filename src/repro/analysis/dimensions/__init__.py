@@ -40,7 +40,7 @@ from .lattice import (
     UNKNOWN,
     Dim,
 )
-from .engine import DimensionAnalyzer, analyze_tree
+from .engine import UnitsProgram, UnitSignature, analyze_tree
 from .stubs import (
     ANNOTATION_DIMS,
     COUNTER_UNITS,
@@ -58,7 +58,6 @@ __all__ = [
     "COUNTER_UNITS",
     "DIMENSIONLESS",
     "Dim",
-    "DimensionAnalyzer",
     "FLOPS",
     "FLOPS_PER_S",
     "SINK_CONTRACTS",
@@ -66,6 +65,8 @@ __all__ = [
     "UNITS_CONSTANTS",
     "UNITS_FUNCTIONS",
     "UNKNOWN",
+    "UnitSignature",
+    "UnitsProgram",
     "analyze_tree",
     "annotation_dim",
 ]

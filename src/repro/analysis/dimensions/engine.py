@@ -1,18 +1,22 @@
-"""The dimensional abstract interpreter.
+"""The dimensional abstract interpreter (the ``dim-flow`` pass).
 
-:func:`analyze_tree` drives three phases over every module in scope:
+The units domain of the shared program core (:mod:`~repro.analysis.
+program`), which scans the tree, keeps the function table, resolves
+calls, runs the fixpoint and routes control flow.  This module keeps
+what is particular to units:
 
-1. **Collection** — parse each file once and harvest every function and
-   class: parameter/return dimensions from unit annotations
-   (``Bytes``/``Seconds``/... — see :mod:`~repro.analysis.dimensions.
-   stubs`), annotated dataclass fields, properties, and each module's
-   import map for :mod:`repro.units` names.
+1. **Summary** — a :class:`UnitSignature` per function: parameter and
+   return dimensions from unit annotations (``Bytes``/``Seconds``/... —
+   see :mod:`~repro.analysis.dimensions.stubs`).  :class:`UnitsProgram`
+   also keeps each module's import map for :mod:`repro.units` names and
+   an attribute table from annotated class fields and properties.
 2. **Fixpoint inference** — functions without a declared return
    dimension get one inferred by abstract interpretation of their body
-   (the join of their return expressions), iterated until no summary
-   changes.  This is what makes the analysis *interprocedural*: an
+   (the join of their return expressions); functions with one are
+   skipped.  This is what makes the analysis *interprocedural*: an
    unannotated helper that returns ``num_bytes / self.bandwidth``
-   carries ``s`` into every caller.
+   carries ``s`` into every caller.  Same-named definitions resolve
+   only when their return and parameter dimensions agree.
 3. **Checking** — re-interpret every function body with findings
    enabled: add/sub and comparisons require equal dimensions, calls are
    checked against summaries, unit stubs, and sink contracts, returns
@@ -20,21 +24,34 @@
 
 The interpreter is flow-sensitive (an environment of variable -> Dim
 maps through straight-line code; branches are analyzed separately and
-joined) and deliberately conservative: a finding is only emitted when
-*both* sides of an operation carry a known, non-dimensionless dimension
-and those dimensions disagree.  ``unknown`` and bare numeric literals
-never flag — the engine's job is catching unit algebra that is provably
-wrong, not demanding annotations everywhere.
+joined, and a branch that ends in raise/return/continue/break does not
+reach the code after it) and deliberately conservative: a finding is
+only emitted when *both* sides of an operation carry a known,
+non-dimensionless dimension and those dimensions disagree.  ``unknown``
+and bare numeric literals never flag — the engine's job is catching unit
+algebra that is provably wrong, not demanding annotations everywhere.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
+from ..context import AnalysisContext
 from ..findings import Finding, Severity
+from ..program import Function, Module, Program, Walker, dotted
 from .lattice import DIMENSIONLESS, TIME, UNKNOWN, Dim
 from .stubs import (
     ANNOTATION_DIMS,
@@ -59,23 +76,16 @@ _PASS_THROUGH_BUILTINS = frozenset({"abs", "float", "round", "int"})
 #: folds whose result carries the dimension of the folded elements
 _FOLD_BUILTINS = frozenset({"sum", "min", "max", "sorted"})
 
-#: fixpoint iteration cap; summaries stabilize in 2-3 rounds in practice
-_MAX_ROUNDS = 5
+Env = Dict[str, Dim]
 
 
-@dataclass
-class FunctionInfo:
-    """Interprocedural summary of one function definition."""
+@dataclass(frozen=True)
+class UnitSignature:
+    """The units summary of one function definition."""
 
-    name: str
-    qualname: str
-    module: str
-    node: ast.FunctionDef
-    is_method: bool
-    is_property: bool
-    param_names: List[str]
     param_dims: Dict[str, Dim]
     declared_return: Optional[Dim]
+    is_property: bool
     inferred_return: Dim = UNKNOWN
 
     @property
@@ -83,19 +93,6 @@ class FunctionInfo:
         if self.declared_return is not None:
             return self.declared_return
         return self.inferred_return
-
-
-@dataclass
-class ModuleInfo:
-    """One parsed module plus its units-import resolution map."""
-
-    location: str
-    tree: ast.Module
-    #: local names bound to the :mod:`repro.units` module object
-    units_aliases: List[str] = field(default_factory=list)
-    #: local name -> units member name (``from ..units import GB as G``)
-    units_members: Dict[str, str] = field(default_factory=dict)
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
 
 
 def _annotation_to_dim(node: Optional[ast.expr]) -> Optional[Dim]:
@@ -121,227 +118,82 @@ def _annotation_to_dim(node: Optional[ast.expr]) -> Optional[Dim]:
     return None
 
 
-def _decorator_names(node: ast.FunctionDef) -> List[str]:
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.append(target.attr)
-    return names
-
-
-class Program:
-    """Everything the interpreter knows about the scanned tree."""
-
-    def __init__(self) -> None:
-        self.modules: List[ModuleInfo] = []
-        #: bare function name -> every definition carrying that name
-        self.by_name: Dict[str, List[FunctionInfo]] = {}
-        #: attribute name -> dimension, from annotated class fields and
-        #: properties; names whose definitions disagree are dropped.
-        self.attr_dims: Dict[str, Dim] = {}
-        self._attr_conflicts: set = set()
-
-    # -- collection --------------------------------------------------------
-    def add_module(self, location: str, tree: ast.Module) -> None:
-        info = ModuleInfo(location=location, tree=tree)
-        self._collect_imports(info)
-        self._collect_functions(info)
-        self._collect_class_fields(info)
-        self.modules.append(info)
-
-    def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "units" or module.endswith(".units"):
-                    for alias in node.names:
-                        info.units_members[alias.asname or alias.name] = \
-                            alias.name
-                else:
-                    for alias in node.names:
-                        if alias.name == "units":
-                            info.units_aliases.append(
-                                alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
+def _units_imports(tree: ast.Module) -> Tuple[List[str], Dict[str, str]]:
+    """Local names bound to the :mod:`repro.units` module object, and
+    local name -> units member name (``from ..units import GB as G``)."""
+    aliases: List[str] = []
+    members: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "units" or module.endswith(".units"):
                 for alias in node.names:
-                    if alias.name == "units" or alias.name.endswith(".units"):
-                        info.units_aliases.append(
-                            alias.asname or alias.name.split(".")[0])
-
-    def _collect_functions(self, info: ModuleInfo) -> None:
-        def visit(body: Iterable[ast.stmt], class_name: str = "") -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(node.body, node.name)
-                elif isinstance(node, ast.FunctionDef):
-                    self._add_function(info, node, class_name)
-
-        visit(info.tree.body)
-
-    def _add_function(self, info: ModuleInfo, node: ast.FunctionDef,
-                      class_name: str) -> None:
-        decorators = _decorator_names(node)
-        is_method = bool(class_name) and "staticmethod" not in decorators
-        params = [*node.args.posonlyargs, *node.args.args]
-        param_names = [p.arg for p in params]
-        param_dims: Dict[str, Dim] = {}
-        for param in params:
-            dim = _annotation_to_dim(param.annotation)
-            if dim is not None:
-                param_dims[param.arg] = dim
-        fn = FunctionInfo(
-            name=node.name,
-            qualname=f"{class_name}.{node.name}" if class_name else node.name,
-            module=info.location,
-            node=node,
-            is_method=is_method,
-            is_property="property" in decorators or "cached_property" in decorators,
-            param_names=param_names,
-            param_dims=param_dims,
-            declared_return=_annotation_to_dim(node.returns),
-        )
-        info.functions.setdefault(node.name, fn)
-        self.by_name.setdefault(node.name, []).append(fn)
-        if fn.is_property and fn.declared_return is not None:
-            self._note_attr(node.name, fn.declared_return)
-
-    def _collect_class_fields(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in ast.walk(node):
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                dim = _annotation_to_dim(stmt.annotation)
-                if dim is None:
-                    continue
-                # Class-level fields (dataclasses) and annotated instance
-                # attributes (``self.now: Seconds = 0.0``) both count.
-                if isinstance(stmt.target, ast.Name):
-                    self._note_attr(stmt.target.id, dim)
-                elif (isinstance(stmt.target, ast.Attribute)
-                      and isinstance(stmt.target.value, ast.Name)
-                      and stmt.target.value.id == "self"):
-                    self._note_attr(stmt.target.attr, dim)
-
-    def _note_attr(self, name: str, dim: Dim) -> None:
-        if not dim.known or name in self._attr_conflicts:
-            return
-        held = self.attr_dims.get(name)
-        if held is None:
-            self.attr_dims[name] = dim
-        elif held != dim:
-            del self.attr_dims[name]
-            self._attr_conflicts.add(name)
-
-    # -- interprocedural resolution ---------------------------------------
-    def resolve_call(self, info: ModuleInfo,
-                     name: str) -> Optional[FunctionInfo]:
-        """The summary a bare-name or method call resolves to, if unique.
-
-        Module-local definitions win; otherwise a tree-wide unique name
-        resolves, and several same-named definitions resolve only when
-        their return dimensions agree (arguments are then checked
-        against the first definition only if all agree on those too).
-        """
-        local = info.functions.get(name)
-        if local is not None:
-            return local
-        candidates = self.by_name.get(name, [])
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        first = candidates[0]
-        if all(c.return_dim == first.return_dim
-               and c.param_dims == first.param_dims
-               and c.param_names == first.param_names
-               and c.is_method == first.is_method
-               for c in candidates[1:]):
-            return first
-        return None
-
-    def infer_round(self) -> bool:
-        """One fixpoint round; returns True when any summary changed."""
-        changed = False
-        for info in self.modules:
-            for fn in info.functions.values():
-                if fn.declared_return is not None:
-                    continue
-                interp = _Interpreter(self, info, fn, collect=False)
-                inferred = interp.run()
-                if inferred != fn.inferred_return:
-                    fn.inferred_return = inferred
-                    changed = True
-                    if fn.is_property:
-                        self._note_attr(fn.name, inferred)
-        return changed
+                    members[alias.asname or alias.name] = alias.name
+            else:
+                for alias in node.names:
+                    if alias.name == "units":
+                        aliases.append(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "units" or alias.name.endswith(".units"):
+                    aliases.append(alias.asname or alias.name.split(".")[0])
+    return aliases, members
 
 
-class _Interpreter:
+class _Interpreter(Walker):
     """Abstract interpretation of one function body."""
 
-    def __init__(self, program: Program, module: ModuleInfo,
-                 fn: FunctionInfo, *, collect: bool) -> None:
-        self.program = program
-        self.module = module
-        self.fn = fn
-        self.collect = collect
-        self.findings: List[Finding] = []
+    pass_name = PASS_NAME
+    program: "UnitsProgram"
+
+    def __init__(self, program: "UnitsProgram", module: Module,
+                 fn: Function, *, collect: bool) -> None:
+        super().__init__(program, module, fn, collect=collect)
+        self.units_aliases, self.units_members = \
+            program.imports[module.location]
         self.return_dim: Optional[Dim] = None
 
     # -- entry point -------------------------------------------------------
     def run(self) -> Dim:
-        env: Dict[str, Dim] = {}
+        env: Env = {}
         args = self.fn.node.args
         for param in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            env[param.arg] = self.fn.param_dims.get(param.arg, UNKNOWN)
-        self._exec_block(self.fn.node.body, env)
+            env[param.arg] = self.fn.summary.param_dims.get(param.arg,
+                                                            UNKNOWN)
+        self.exec_block(self.fn.node.body, env)
         return self.return_dim if self.return_dim is not None else UNKNOWN
 
-    # -- findings ----------------------------------------------------------
-    def _emit(self, severity: Severity, code: str, message: str,
-              line: int) -> None:
-        if not self.collect:
-            return
-        self.findings.append(Finding(
-            PASS_NAME, severity, code, message,
-            subject=self.fn.qualname,
-            location=f"{self.module.location}:{line}",
-        ))
-
     # -- statements --------------------------------------------------------
-    def _exec_block(self, body: Iterable[ast.stmt],
-                    env: Dict[str, Dim]) -> None:
-        for stmt in body:
-            self._exec_stmt(stmt, env)
+    def fork(self, env: Env) -> Env:
+        return dict(env)
 
-    def _exec_stmt(self, stmt: ast.stmt, env: Dict[str, Dim]) -> None:
+    def join(self, a: Env, b: Env) -> Env:
+        return {key: a.get(key, UNKNOWN).join(b.get(key, UNKNOWN))
+                for key in set(a) | set(b)}
+
+    def transfer(self, stmt: ast.stmt, env: Env) -> None:
         if isinstance(stmt, ast.Assign):
-            dim = self._eval(stmt.value, env)
+            dim, elements = self._eval_value(stmt.value, env)
             for target in stmt.targets:
-                self._bind(target, dim, env, value=stmt.value)
+                self._bind(target, dim, env, elements)
         elif isinstance(stmt, ast.AnnAssign):
             declared = _annotation_to_dim(stmt.annotation)
-            dim = (self._eval(stmt.value, env)
+            dim = (self.eval(stmt.value, env)
                    if stmt.value is not None else UNKNOWN)
             if declared is not None:
                 if (stmt.value is not None and dim.known
                         and not dim.is_dimensionless
                         and not dim.compatible(declared)):
-                    self._emit(
+                    self.emit(
                         Severity.ERROR, "DIM001",
                         f"assigning {dim} to a variable annotated {declared}",
                         stmt.lineno,
                     )
                 dim = declared
-            self._bind(stmt.target, dim, env, value=stmt.value)
+            self._bind(stmt.target, dim, env)
         elif isinstance(stmt, ast.AugAssign):
             target_dim = self._lookup_target(stmt.target, env)
-            value_dim = self._eval(stmt.value, env)
+            value_dim = self.eval(stmt.value, env)
             if isinstance(stmt.op, (ast.Add, ast.Sub)):
                 self._check_additive(target_dim, value_dim, stmt.lineno,
                                      verb="augmented-assigns")
@@ -355,13 +207,13 @@ class _Interpreter:
                 result = UNKNOWN
             self._bind(stmt.target, result, env)
         elif isinstance(stmt, ast.Return):
-            dim = (self._eval(stmt.value, env)
+            dim = (self.eval(stmt.value, env)
                    if stmt.value is not None else DIMENSIONLESS)
-            declared = self.fn.declared_return
+            declared = self.fn.summary.declared_return
             if (declared is not None and stmt.value is not None
                     and dim.known and not dim.is_dimensionless
                     and not dim.compatible(declared)):
-                self._emit(
+                self.emit(
                     Severity.ERROR, "DIM005",
                     f"{self.fn.qualname}() is annotated to return "
                     f"{declared} but returns {dim}",
@@ -370,88 +222,57 @@ class _Interpreter:
             if stmt.value is not None:
                 self.return_dim = (dim if self.return_dim is None
                                    else self.return_dim.join(dim))
-        elif isinstance(stmt, ast.If):
-            self._eval(stmt.test, env)
-            then_env = dict(env)
-            else_env = dict(env)
-            self._exec_block(stmt.body, then_env)
-            self._exec_block(stmt.orelse, else_env)
-            self._merge_into(env, then_env, else_env)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._bind(stmt.target, self._element_dim(stmt.iter, env), env)
-            self._eval(stmt.iter, env)
-            body_env = dict(env)
-            self._exec_block(stmt.body, body_env)
-            self._exec_block(stmt.orelse, body_env)
-            self._merge_into(env, body_env, env)
-        elif isinstance(stmt, ast.While):
-            self._eval(stmt.test, env)
-            body_env = dict(env)
-            self._exec_block(stmt.body, body_env)
-            self._exec_block(stmt.orelse, body_env)
-            self._merge_into(env, body_env, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, UNKNOWN, env)
-            self._exec_block(stmt.body, env)
-        elif isinstance(stmt, ast.Try):
-            self._exec_block(stmt.body, env)
-            for handler in stmt.handlers:
-                handler_env = dict(env)
-                if handler.name:
-                    handler_env[handler.name] = UNKNOWN
-                self._exec_block(handler.body, handler_env)
-                self._merge_into(env, handler_env, env)
-            self._exec_block(stmt.orelse, env)
-            self._exec_block(stmt.finalbody, env)
         elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value, env)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child, env)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            pass  # nested definitions are analyzed on their own
+            self.eval(stmt.value, env)
         # pass/break/continue/import/global/del: nothing to track
 
-    def _merge_into(self, env: Dict[str, Dim], a: Dict[str, Dim],
-                    b: Dict[str, Dim]) -> None:
-        for key in set(a) | set(b):
-            left = a.get(key, UNKNOWN)
-            right = b.get(key, UNKNOWN)
-            env[key] = left.join(right)
+    def enter_for(self, stmt: Union[ast.For, ast.AsyncFor],
+                  env: Env) -> Env:
+        self._bind(stmt.target, self._element_dim(stmt.iter, env), env)
+        self.eval(stmt.iter, env)
+        return dict(env)
 
-    def _bind(self, target: ast.expr, dim: Dim, env: Dict[str, Dim],
-              value: Optional[ast.expr] = None) -> None:
+    def enter_with(self, stmt: Union[ast.With, ast.AsyncWith],
+                   env: Env) -> ContextManager[None]:
+        for item in stmt.items:
+            self.eval(item.context_expr, env)
+            if item.optional_vars is not None:
+                self._bind(item.optional_vars, UNKNOWN, env)
+        return nullcontext()
+
+    def bind_exception(self, name: str, env: Env) -> None:
+        env[name] = UNKNOWN
+
+    def _bind(self, target: ast.expr, dim: Dim, env: Env,
+              elements: Optional[List[Dim]] = None) -> None:
         if isinstance(target, ast.Name):
             env[target.id] = dim
         elif isinstance(target, ast.Attribute):
-            path = _dotted(target)
+            path = dotted(target)
             if path:
                 env[path] = dim
         elif isinstance(target, (ast.Tuple, ast.List)):
-            elements: List[Optional[ast.expr]]
-            if isinstance(value, (ast.Tuple, ast.List)) and \
-                    len(value.elts) == len(target.elts):
-                elements = list(value.elts)
-            else:
-                elements = [None] * len(target.elts)
-            for sub_target, sub_value in zip(target.elts, elements):
-                sub_dim = self._last_eval.get(id(sub_value), UNKNOWN) \
-                    if sub_value is not None else UNKNOWN
+            if elements is None or len(elements) != len(target.elts):
+                elements = [UNKNOWN] * len(target.elts)
+            for sub_target, sub_dim in zip(target.elts, elements):
                 self._bind(sub_target, sub_dim, env)
 
-    def _lookup_target(self, target: ast.expr, env: Dict[str, Dim]) -> Dim:
+    def _eval_value(self, value: ast.expr,
+                    env: Env) -> Tuple[Dim, Optional[List[Dim]]]:
+        """An assigned value's dimension, plus each element's when it is
+        a tuple or list display (what unpacking binds to its targets)."""
+        if isinstance(value, (ast.Tuple, ast.List)):
+            return UNKNOWN, [self.eval(elt, env) for elt in value.elts]
+        return self.eval(value, env), None
+
+    def _lookup_target(self, target: ast.expr, env: Env) -> Dim:
         if isinstance(target, ast.Name):
             return env.get(target.id, UNKNOWN)
         if isinstance(target, ast.Attribute):
             return self._attribute_dim(target, env)
         return UNKNOWN
 
-    def _element_dim(self, iterable: ast.expr, env: Dict[str, Dim]) -> Dim:
+    def _element_dim(self, iterable: ast.expr, env: Env) -> Dim:
         """Dimension of the loop variable for ``for x in iterable``."""
         if isinstance(iterable, ast.Call) and \
                 isinstance(iterable.func, ast.Name) and \
@@ -460,19 +281,9 @@ class _Interpreter:
         return UNKNOWN
 
     # -- expressions -------------------------------------------------------
-    #: side table so tuple-unpacking can reuse sub-expression dims
-    _last_eval: Dict[int, Dim] = {}
-
-    def _eval(self, node: Optional[ast.expr], env: Dict[str, Dim]) -> Dim:
+    def eval(self, node: Optional[ast.expr], env: Env) -> Dim:
         if node is None:
             return UNKNOWN
-        dim = self._eval_inner(node, env)
-        if len(self._last_eval) > 4096:
-            self._last_eval.clear()
-        self._last_eval[id(node)] = dim
-        return dim
-
-    def _eval_inner(self, node: ast.expr, env: Dict[str, Dim]) -> Dim:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or node.value is None or \
                     isinstance(node.value, str):
@@ -483,7 +294,7 @@ class _Interpreter:
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
-            member = self.module.units_members.get(node.id)
+            member = self.units_members.get(node.id)
             if member is not None and member in UNITS_CONSTANTS:
                 return UNITS_CONSTANTS[member]
             return UNKNOWN
@@ -492,7 +303,7 @@ class _Interpreter:
         if isinstance(node, ast.BinOp):
             return self._binop_dim(node, env)
         if isinstance(node, ast.UnaryOp):
-            inner = self._eval(node.operand, env)
+            inner = self.eval(node.operand, env)
             return inner if isinstance(node.op, (ast.USub, ast.UAdd)) \
                 else UNKNOWN
         if isinstance(node, ast.Compare):
@@ -500,11 +311,11 @@ class _Interpreter:
         if isinstance(node, ast.Call):
             return self._call_dim(node, env)
         if isinstance(node, ast.IfExp):
-            self._eval(node.test, env)
-            return self._eval(node.body, env).join(
-                self._eval(node.orelse, env))
+            self.eval(node.test, env)
+            return self.eval(node.body, env).join(
+                self.eval(node.orelse, env))
         if isinstance(node, ast.BoolOp):
-            dims = [self._eval(value, env) for value in node.values]
+            dims = [self.eval(value, env) for value in node.values]
             result = dims[0]
             for dim in dims[1:]:
                 result = result.join(dim)
@@ -512,53 +323,53 @@ class _Interpreter:
         if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
-                    self._eval(child, env)
+                    self.eval(child, env)
             return UNKNOWN
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                              ast.DictComp)):
             return self._comprehension_dim(node, env)
         if isinstance(node, ast.Subscript):
-            self._eval(node.value, env)
+            self.eval(node.value, env)
             if isinstance(node.slice, ast.expr):
-                self._eval(node.slice, env)
+                self.eval(node.slice, env)
             return UNKNOWN
         if isinstance(node, ast.Starred):
-            return self._eval(node.value, env)
+            return self.eval(node.value, env)
         if isinstance(node, ast.NamedExpr):
-            dim = self._eval(node.value, env)
+            dim = self.eval(node.value, env)
             self._bind(node.target, dim, env)
             return dim
         if isinstance(node, ast.JoinedStr):
             for value in node.values:
                 if isinstance(value, ast.FormattedValue):
-                    self._eval(value.value, env)
+                    self.eval(value.value, env)
             return UNKNOWN
         if isinstance(node, ast.Lambda):
             return UNKNOWN
         return UNKNOWN
 
     def _comprehension_dim(self, node: ast.expr,
-                           env: Dict[str, Dim]) -> Dim:
+                           env: Env) -> Dim:
         comp_env = dict(env)
         for generator in node.generators:  # type: ignore[attr-defined]
-            self._eval(generator.iter, comp_env)
+            self.eval(generator.iter, comp_env)
             self._bind(generator.target,
                        self._element_dim(generator.iter, comp_env), comp_env)
             for condition in generator.ifs:
-                self._eval(condition, comp_env)
+                self.eval(condition, comp_env)
         if isinstance(node, ast.DictComp):
-            self._eval(node.key, comp_env)
-            self._eval(node.value, comp_env)
+            self.eval(node.key, comp_env)
+            self.eval(node.value, comp_env)
             return UNKNOWN
-        return self._eval(node.elt, comp_env)  # type: ignore[attr-defined]
+        return self.eval(node.elt, comp_env)  # type: ignore[attr-defined]
 
     def _attribute_dim(self, node: ast.Attribute,
-                       env: Dict[str, Dim]) -> Dim:
-        path = _dotted(node)
+                       env: Env) -> Dim:
+        path = dotted(node)
         if path and path in env:
             return env[path]
         root = path.split(".", 1)[0] if path else ""
-        if root in self.module.units_aliases:
+        if root in self.units_aliases:
             member = path.split(".", 1)[1] if "." in path else ""
             if member in UNITS_CONSTANTS:
                 return UNITS_CONSTANTS[member]
@@ -567,15 +378,15 @@ class _Interpreter:
         return self.program.attr_dims.get(node.attr, UNKNOWN)
 
     def _eval_receiver(self, node: ast.Attribute,
-                       env: Dict[str, Dim]) -> None:
+                       env: Env) -> None:
         # Evaluate the receiver expression for findings, but only when it
         # is itself compound (a bare name receiver has nothing to check).
         if not isinstance(node.value, (ast.Name, ast.Attribute)):
-            self._eval(node.value, env)
+            self.eval(node.value, env)
 
-    def _binop_dim(self, node: ast.BinOp, env: Dict[str, Dim]) -> Dim:
-        left = self._eval(node.left, env)
-        right = self._eval(node.right, env)
+    def _binop_dim(self, node: ast.BinOp, env: Env) -> Dim:
+        left = self.eval(node.left, env)
+        right = self.eval(node.right, env)
         if isinstance(node.op, ast.Mult):
             return left.mul(right)
         if isinstance(node.op, (ast.Div, ast.FloorDiv)):
@@ -600,37 +411,37 @@ class _Interpreter:
         if not left.compatible(right):
             if left.is_dimensionless or right.is_dimensionless:
                 return  # adding a literal offset: not provably wrong
-            self._emit(
+            self.emit(
                 Severity.ERROR, "DIM001",
                 f"{verb} {left} with {right}; addition/subtraction "
                 f"requires equal dimensions",
                 line,
             )
         elif left.scale_conflict(right):
-            self._emit(
+            self.emit(
                 Severity.WARNING, "DIM003",
                 f"{verb} decimal-scaled (GB) and binary-scaled (GiB) "
                 f"byte quantities; these differ by 7 % per power of 1000",
                 line,
             )
 
-    def _compare_dim(self, node: ast.Compare, env: Dict[str, Dim]) -> Dim:
+    def _compare_dim(self, node: ast.Compare, env: Env) -> Dim:
         operands = [node.left, *node.comparators]
-        dims = [self._eval(operand, env) for operand in operands]
+        dims = [self.eval(operand, env) for operand in operands]
         for op, (left, right) in zip(node.ops, zip(dims, dims[1:])):
             if isinstance(op, (ast.In, ast.NotIn, ast.Is, ast.IsNot)):
                 continue
             if not left.compatible(right):
                 if left.is_dimensionless or right.is_dimensionless:
                     continue
-                self._emit(
+                self.emit(
                     Severity.ERROR, "DIM002",
                     f"comparing {left} with {right}; a comparison "
                     f"requires equal dimensions",
                     node.lineno,
                 )
             elif left.scale_conflict(right):
-                self._emit(
+                self.emit(
                     Severity.WARNING, "DIM003",
                     "comparing decimal-scaled (GB) against binary-scaled "
                     "(GiB) byte quantities; these differ by 7 % per "
@@ -640,13 +451,13 @@ class _Interpreter:
         return DIMENSIONLESS
 
     # -- calls -------------------------------------------------------------
-    def _call_dim(self, node: ast.Call, env: Dict[str, Dim]) -> Dim:
-        arg_dims = [self._eval(arg, env) for arg in node.args]
-        kwarg_dims = {kw.arg: self._eval(kw.value, env)
+    def _call_dim(self, node: ast.Call, env: Env) -> Dim:
+        arg_dims = [self.eval(arg, env) for arg in node.args]
+        kwarg_dims = {kw.arg: self.eval(kw.value, env)
                       for kw in node.keywords if kw.arg is not None}
         for kw in node.keywords:
             if kw.arg is None:
-                self._eval(kw.value, env)
+                self.eval(kw.value, env)
 
         func = node.func
         if isinstance(func, ast.Name):
@@ -655,13 +466,13 @@ class _Interpreter:
             self._eval_receiver(func, env)
             return self._method_call_dim(node, func, arg_dims, kwarg_dims,
                                          env)
-        self._eval(func, env)
+        self.eval(func, env)
         return UNKNOWN
 
     def _name_call_dim(self, node: ast.Call, name: str,
                        arg_dims: List[Dim],
-                       kwarg_dims: Dict[str, Dim]) -> Dim:
-        member = self.module.units_members.get(name)
+                       kwarg_dims: Env) -> Dim:
+        member = self.units_members.get(name)
         if member is not None and member in UNITS_FUNCTIONS:
             return self._check_units_fn(node, member, arg_dims)
         if name in _PASS_THROUGH_BUILTINS and len(arg_dims) == 1:
@@ -676,19 +487,19 @@ class _Interpreter:
         if name == "CounterTrack":
             self._check_counter_track(node, kwarg_dims)
             return UNKNOWN
-        resolved = self.program.resolve_call(self.module, name)
+        resolved = self.program.resolve(self.module, name)
         if resolved is not None and not resolved.is_method:
             self._check_resolved_args(node, resolved, arg_dims, kwarg_dims,
                                       offset=0)
-            return resolved.return_dim
+            return resolved.summary.return_dim
         return UNKNOWN
 
     def _method_call_dim(self, node: ast.Call, func: ast.Attribute,
-                         arg_dims: List[Dim], kwarg_dims: Dict[str, Dim],
-                         env: Dict[str, Dim]) -> Dim:
+                         arg_dims: List[Dim], kwarg_dims: Env,
+                         env: Env) -> Dim:
         name = func.attr
-        root = _dotted(func).split(".", 1)[0]
-        if root in self.module.units_aliases and name in UNITS_FUNCTIONS:
+        root = dotted(func).split(".", 1)[0]
+        if root in self.units_aliases and name in UNITS_FUNCTIONS:
             return self._check_units_fn(node, name, arg_dims)
         contract = SINK_CONTRACTS.get(name)
         if contract is not None:
@@ -700,19 +511,19 @@ class _Interpreter:
                         continue
                     if got.known and not got.is_dimensionless and \
                             not got.compatible(expected):
-                        self._emit(
+                        self.emit(
                             Severity.ERROR, "DIM006",
                             f".{name}() expects {expected} for argument "
                             f"{index + 1}, got {got}",
                             node.lineno,
                         )
                 return return_dim
-        resolved = self.program.resolve_call(self.module, name)
+        resolved = self.program.resolve(self.module, name)
         if resolved is not None:
             offset = 1 if resolved.is_method else 0
             self._check_resolved_args(node, resolved, arg_dims, kwarg_dims,
                                       offset=offset)
-            return resolved.return_dim
+            return resolved.summary.return_dim
         return UNKNOWN
 
     def _check_units_fn(self, node: ast.Call, name: str,
@@ -721,39 +532,39 @@ class _Interpreter:
         for index, (expected, got) in enumerate(zip(params, arg_dims)):
             if got.known and not got.is_dimensionless and \
                     not got.compatible(expected):
-                self._emit(
+                self.emit(
                     Severity.ERROR, "DIM004",
                     f"units.{name}() expects {expected}, got {got}",
                     node.lineno,
                 )
         return return_dim
 
-    def _check_resolved_args(self, node: ast.Call, fn: FunctionInfo,
+    def _check_resolved_args(self, node: ast.Call, fn: Function,
                              arg_dims: List[Dim],
-                             kwarg_dims: Dict[str, Dim],
+                             kwarg_dims: Env,
                              offset: int) -> None:
         names = fn.param_names[offset:]
         for index, got in enumerate(arg_dims):
             if index >= len(names):
                 break
-            expected = fn.param_dims.get(names[index])
+            expected = fn.summary.param_dims.get(names[index])
             if expected is None:
                 continue
             if got.known and not got.is_dimensionless and \
                     not got.compatible(expected):
-                self._emit(
+                self.emit(
                     Severity.ERROR, "DIM004",
                     f"{fn.qualname}() expects {expected} for "
                     f"{names[index]!r}, got {got}",
                     node.lineno,
                 )
         for keyword, got in kwarg_dims.items():
-            expected = fn.param_dims.get(keyword)
+            expected = fn.summary.param_dims.get(keyword)
             if expected is None or keyword not in names:
                 continue
             if got.known and not got.is_dimensionless and \
                     not got.compatible(expected):
-                self._emit(
+                self.emit(
                     Severity.ERROR, "DIM004",
                     f"{fn.qualname}() expects {expected} for "
                     f"{keyword!r}, got {got}",
@@ -761,12 +572,12 @@ class _Interpreter:
                 )
 
     def _check_counter_track(self, node: ast.Call,
-                             kwarg_dims: Dict[str, Dim]) -> None:
+                             kwarg_dims: Env) -> None:
         for kw in node.keywords:
             if kw.arg == "unit" and isinstance(kw.value, ast.Constant) \
                     and isinstance(kw.value.value, str):
                 if kw.value.value not in COUNTER_UNITS:
-                    self._emit(
+                    self.emit(
                         Severity.ERROR, "DIM006",
                         f"CounterTrack unit {kw.value.value!r} is not in "
                         f"the counter-unit vocabulary "
@@ -777,7 +588,7 @@ class _Interpreter:
                 got = kwarg_dims.get(kw.arg, UNKNOWN)
                 if got.known and not got.is_dimensionless and \
                         not got.compatible(TIME):
-                    self._emit(
+                    self.emit(
                         Severity.ERROR, "DIM006",
                         f"CounterTrack {kw.arg}= must be seconds, "
                         f"got {got}",
@@ -785,60 +596,82 @@ class _Interpreter:
                     )
 
 
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for an attribute chain rooted at a Name, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+class UnitsProgram(Program):
+    """The units domain over the scanned tree."""
 
+    packages = DIM_PACKAGES
+    walker = _Interpreter
 
-def _scan_files(root: Path) -> List[Path]:
-    package_dirs = [root / name for name in DIM_PACKAGES
-                    if (root / name).is_dir()]
-    if package_dirs:
-        files: List[Path] = []
-        for directory in package_dirs:
-            files.extend(directory.rglob("*.py"))
-        return sorted(files)
-    return sorted(root.rglob("*.py"))
+    def __init__(self, modules: Iterable[Tuple[str, ast.Module]]) -> None:
+        #: module location -> its units aliases and members
+        self.imports: Dict[str, Tuple[List[str], Dict[str, str]]] = {}
+        #: attribute name -> dimension, from annotated class fields and
+        #: properties; names whose definitions disagree are dropped.
+        self.attr_dims: Dict[str, Dim] = {}
+        self._attr_conflicts: Set[str] = set()
+        super().__init__(modules)
 
+    def collect(self, module: Module) -> None:
+        self.imports[module.location] = _units_imports(module.tree)
+        super().collect(module)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in ast.walk(node):
+                if not isinstance(stmt, ast.AnnAssign):
+                    continue
+                dim = _annotation_to_dim(stmt.annotation)
+                if dim is None:
+                    continue
+                # Class-level fields (dataclasses) and annotated instance
+                # attributes (``self.now: Seconds = 0.0``) both count.
+                if isinstance(stmt.target, ast.Name):
+                    self._note_attr(stmt.target.id, dim)
+                elif (isinstance(stmt.target, ast.Attribute)
+                      and isinstance(stmt.target.value, ast.Name)
+                      and stmt.target.value.id == "self"):
+                    self._note_attr(stmt.target.attr, dim)
 
-class DimensionAnalyzer:
-    """Builds a :class:`Program` over a tree and checks every function."""
+    def initial(self, fn: Function) -> UnitSignature:
+        param_dims: Dict[str, Dim] = {}
+        for param in [*fn.node.args.posonlyargs, *fn.node.args.args]:
+            dim = _annotation_to_dim(param.annotation)
+            if dim is not None:
+                param_dims[param.arg] = dim
+        signature = UnitSignature(
+            param_dims=param_dims,
+            declared_return=_annotation_to_dim(fn.node.returns),
+            is_property=("property" in fn.decorators
+                         or "cached_property" in fn.decorators),
+        )
+        if signature.is_property and signature.declared_return is not None:
+            self._note_attr(fn.name, signature.declared_return)
+        return signature
 
-    def __init__(self, root: Path) -> None:
-        self.root = root
-        self.program = Program()
-        for path in _scan_files(root):
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (SyntaxError, OSError):
-                continue  # SRC000 reports unparseable files
-            self.program.add_module(path.relative_to(root).as_posix(), tree)
+    def summarize(self, module: Module, fn: Function) -> UnitSignature:
+        if fn.summary.declared_return is not None:
+            return fn.summary  # declared: nothing to infer
+        inferred = _Interpreter(self, module, fn, collect=False).run()
+        if fn.summary.is_property:
+            self._note_attr(fn.name, inferred)
+        return replace(fn.summary, inferred_return=inferred)
 
-    def infer(self) -> None:
-        for _ in range(_MAX_ROUNDS):
-            if not self.program.infer_round():
-                break
+    def agree(self, a: Function, b: Function) -> bool:
+        return (a.summary.return_dim == b.summary.return_dim
+                and a.summary.param_dims == b.summary.param_dims
+                and a.param_names == b.param_names)
 
-    def check(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in self.program.modules:
-            for fn in module.functions.values():
-                interp = _Interpreter(self.program, module, fn, collect=True)
-                interp.run()
-                findings.extend(interp.findings)
-        findings.sort(key=lambda f: (f.location, f.code, f.message))
-        return findings
+    def _note_attr(self, name: str, dim: Dim) -> None:
+        if not dim.known or name in self._attr_conflicts:
+            return
+        held = self.attr_dims.get(name)
+        if held is None:
+            self.attr_dims[name] = dim
+        elif held != dim:
+            del self.attr_dims[name]
+            self._attr_conflicts.add(name)
 
 
 def analyze_tree(root: Path) -> List[Finding]:
     """Run the full dimensional analysis over every module under ``root``."""
-    analyzer = DimensionAnalyzer(root)
-    analyzer.infer()
-    return analyzer.check()
+    return UnitsProgram.over(AnalysisContext(source_root=Path(root))).check()

@@ -21,21 +21,24 @@ code          severity  meaning
                         ``SRC002``)
 ============  ========  ====================================================
 
-Both passes scan a source tree (``ctx.source_root``), not a cluster, and
-are expensive (full-tree parse + fixpoint), so they are ``cheap=False``
-and run only from ``repro analyze --dims`` and the CI sanitize matrix.
+Both passes read a source tree (``ctx.source_root``) through the
+context's shared parse, not a cluster: ``dim-flow`` reads
+:data:`~repro.analysis.dimensions.engine.DIM_PACKAGES`,
+``dim-vocabulary`` the whole tree.  They are expensive (full-tree parse
++ fixpoint), so they are ``cheap=False`` and run only from ``repro
+analyze --dims`` and the CI ``dims`` job.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterator
 
 from ..context import AnalysisContext
 from ..findings import Finding
 from ..registry import register_pass
-from ..source_lints import DEFAULT_SOURCE_ROOT
-from .engine import analyze_tree
-from .vocabulary import lint_vocabulary_tree
+from .engine import UnitsProgram
+from .vocabulary import lint_module
 
 #: codes the abstract interpreter may emit
 FLOW_CODES = ("DIM001", "DIM002", "DIM003", "DIM004", "DIM005", "DIM006")
@@ -51,9 +54,7 @@ VOCABULARY_CODES = ("DIM010", "DIM011")
     codes=FLOW_CODES,
 )
 def dim_flow(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from analyze_tree(root)
+    yield from UnitsProgram.over(ctx).check()
 
 
 @register_pass(
@@ -63,6 +64,6 @@ def dim_flow(ctx: AnalysisContext) -> Iterator[Finding]:
     codes=VOCABULARY_CODES,
 )
 def dim_vocabulary(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from lint_vocabulary_tree(root)
+    for location, tree in ctx.modules():
+        if Path(location).name != "units.py":
+            yield from lint_module(tree, location)

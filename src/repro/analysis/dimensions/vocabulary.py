@@ -12,8 +12,9 @@ not general source hygiene:
   are accumulated floats and must be compared with tolerances (WARNING).
 
 Unlike the abstract interpreter, these are single-node syntactic checks
-and scan the *whole* package root, not just the simulation packages —
-a magic ``2**30`` in a reporter is as wrong as one in the engine.
+and read the *whole* package root (every module but ``units.py``), not
+just the simulation packages — a magic ``2**30`` in a reporter is as
+wrong as one in the engine.
 Loading a legacy baseline still works: entries naming the retired
 ``SRC001``/``SRC002`` codes are migrated to their ``DIM`` successors on
 read (see :mod:`~repro.analysis.baseline`).
@@ -22,8 +23,7 @@ read (see :mod:`~repro.analysis.baseline`).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator
 
 from ... import units
 from ..findings import Finding, Severity
@@ -82,7 +82,8 @@ def _unit_suggestion(node: ast.expr) -> str:
     return ""
 
 
-def _lint_module(tree: ast.Module, location: str) -> Iterator[Finding]:
+def lint_module(tree: ast.Module, location: str) -> Iterator[Finding]:
+    """The DIM010/DIM011 findings of one parsed module."""
     # DIM010 — magic unit constants.
     pow2_spans = set()
     for node in ast.walk(tree):
@@ -134,22 +135,3 @@ def _lint_module(tree: ast.Module, location: str) -> Iterator[Finding]:
                     "with a tolerance instead",
                     location=f"{location}:{node.lineno}",
                 )
-
-
-def lint_vocabulary_tree(root: Path) -> List[Finding]:
-    """Run the vocabulary lints over every ``.py`` file under ``root``.
-
-    Unparseable files are skipped here; the unit-hygiene pass already
-    reports them as ``SRC000``.
-    """
-    findings: List[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "units.py":
-            continue
-        location = path.relative_to(root).as_posix()
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except SyntaxError:
-            continue
-        findings.extend(_lint_module(tree, location))
-    return findings

@@ -1,18 +1,19 @@
-"""The resource-lifecycle typestate interpreter.
+"""The resource-lifecycle typestate interpreter (the ``res-typestate`` pass).
 
-:func:`analyze_tree` drives three phases over every module in scope,
-mirroring the dimensional engine (:mod:`~repro.analysis.dimensions.
-engine`) it shares its architecture with:
+The lifecycle domain of the shared program core (:mod:`~repro.analysis.
+program`) — the same scan, function table, call resolution, fixpoint and
+statement walker the dimensional engine (:mod:`~repro.analysis.
+dimensions.engine`) runs on.  This module keeps what is particular to
+resource lifecycles:
 
-1. **Collection** — parse each file once and harvest every function
-   definition plus each module's import map.
-2. **Fixpoint inference** — every function gets an interprocedural
-   *lifecycle summary*: which parameter positions it releases, which it
-   escapes (stores/returns/containers), and whether it returns a freshly
-   acquired handle.  Summaries are iterated to a fixpoint so a helper
-   that forwards its argument to ``ledger.settle`` counts as a release
-   in every caller.
-3. **Checking** — re-interpret every function body with findings
+1. **Summary** — every function gets an interprocedural *lifecycle
+   summary* (:class:`LifecycleSummary`): which parameter positions it
+   releases, which it escapes (stores/returns/containers), and whether
+   it returns a freshly acquired handle.  Summaries are iterated to a
+   fixpoint so a helper that forwards its argument to ``ledger.settle``
+   counts as a release in every caller; same-named definitions resolve
+   only when their summaries agree.
+2. **Checking** — re-interpret every function body with findings
    enabled, running each tracked handle through the typestate machine::
 
        acquired --release--> released --release--> RES003 (double)
@@ -23,25 +24,30 @@ engine`) it shares its architecture with:
        acquired --escape (return/yield/store)-----> silent (escaped)
 
 The interpreter is flow-sensitive (branches analyzed separately and
-joined) and alias-aware: the environment maps variable names to handle
-*identities*, with states held in a side table, so ``r2 = r1;
-settle(r2); settle(r1)`` is recognized as a double release of one
-handle.  It is deliberately conservative — the escape lattice (owned →
-borrowed → escaped) silences anything whose ownership provably or
-plausibly moved elsewhere, and a state that differs between branches
-joins to ``maybe`` which never flags.  The engine's job is catching
-protocol usage that is wrong on *every* path, not demanding a style.
+joined; a branch ending in raise/return/continue/break is audited where
+it leaves and does not reach the code after it) and alias-aware: the
+environment maps variable names to handle *identities*, with states held
+in a side table, so ``r2 = r1; settle(r2); settle(r1)`` is recognized as
+a double release of one handle.  It is deliberately conservative — the
+escape lattice (owned → borrowed → escaped) silences anything whose
+ownership provably or plausibly moved elsewhere, and a state that
+differs between branches joins to ``maybe`` which never flags.  The
+engine's job is catching protocol usage that is wrong on *every* path,
+not demanding a style.
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from ..context import AnalysisContext
 from ..findings import Finding, Severity
+from ..program import Function, Module, Program, Walker, dotted
 from .protocols import (
     ACQUIRE_METHODS,
     CONSTRUCTORS,
@@ -61,9 +67,6 @@ LIFECYCLE_PACKAGES = (
     "sim", "runtime", "collectives", "parallel", "hardware", "model",
     "telemetry", "trace", "faults", "campaign", "core",
 )
-
-#: fixpoint iteration cap; summaries stabilize in 2-3 rounds in practice
-_MAX_ROUNDS = 5
 
 # -- handle states ---------------------------------------------------------
 
@@ -106,129 +109,30 @@ _NOT_HANDLE = -1
 
 Env = Dict[str, int]
 States = Dict[int, Handle]
+#: a walker state: the name -> handle-id environment and the handle table
+State = Tuple[Env, States]
 
 
-@dataclass
-class FunctionInfo:
-    """Interprocedural lifecycle summary of one function definition."""
+@dataclass(frozen=True)
+class LifecycleSummary:
+    """The lifecycle summary of one function definition."""
 
-    name: str
-    qualname: str
-    module: str
-    node: ast.FunctionDef
-    is_method: bool
-    param_names: List[str]
     #: parameter positions whose handle this function releases
-    releases_params: Tuple[int, ...] = ()
+    releases: Tuple[int, ...] = ()
     #: parameter positions whose handle this function escapes
-    escapes_params: Tuple[int, ...] = ()
+    escapes: Tuple[int, ...] = ()
     #: protocol name when the function returns a freshly acquired token
     returns_fresh: Optional[str] = None
 
 
-@dataclass
-class ModuleInfo:
-    """One parsed module in the scanned tree."""
-
-    location: str
-    tree: ast.Module
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-
-class Program:
-    """Everything the interpreter knows about the scanned tree."""
-
-    def __init__(self) -> None:
-        self.modules: List[ModuleInfo] = []
-        self.by_name: Dict[str, List[FunctionInfo]] = {}
-
-    def add_module(self, location: str, tree: ast.Module) -> None:
-        info = ModuleInfo(location=location, tree=tree)
-        self._collect_functions(info)
-        self.modules.append(info)
-
-    def _collect_functions(self, info: ModuleInfo) -> None:
-        def visit(body: Iterable[ast.stmt], class_name: str = "") -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(node.body, node.name)
-                elif isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    self._add_function(info, node, class_name)
-
-        visit(info.tree.body)
-
-    def _add_function(self, info: ModuleInfo, node: ast.FunctionDef,
-                      class_name: str) -> None:
-        decorators = _decorator_names(node)
-        is_method = bool(class_name) and "staticmethod" not in decorators
-        params = [*node.args.posonlyargs, *node.args.args]
-        fn = FunctionInfo(
-            name=node.name,
-            qualname=(f"{class_name}.{node.name}"
-                      if class_name else node.name),
-            module=info.location,
-            node=node,
-            is_method=is_method,
-            param_names=[p.arg for p in params],
-        )
-        info.functions.setdefault(node.name, fn)
-        self.by_name.setdefault(node.name, []).append(fn)
-
-    def resolve_call(self, info: ModuleInfo,
-                     name: str) -> Optional[FunctionInfo]:
-        """The summary a call by bare name resolves to, if unambiguous.
-
-        Module-local definitions win; otherwise a tree-wide unique name
-        resolves, and several same-named definitions resolve only when
-        their lifecycle summaries agree.
-        """
-        local = info.functions.get(name)
-        if local is not None:
-            return local
-        candidates = self.by_name.get(name, [])
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        first = candidates[0]
-        if all(c.releases_params == first.releases_params
-               and c.escapes_params == first.escapes_params
-               and c.returns_fresh == first.returns_fresh
-               and c.is_method == first.is_method
-               for c in candidates[1:]):
-            return first
-        return None
-
-    def infer_round(self) -> bool:
-        """One fixpoint round; returns True when any summary changed."""
-        changed = False
-        for info in self.modules:
-            for fn in info.functions.values():
-                interp = _Interpreter(self, info, fn, collect=False)
-                interp.run()
-                summary = (tuple(sorted(interp.released_params)),
-                           tuple(sorted(interp.escaped_params)),
-                           interp.returns_fresh)
-                held = (fn.releases_params, fn.escapes_params,
-                        fn.returns_fresh)
-                if summary != held:
-                    (fn.releases_params, fn.escapes_params,
-                     fn.returns_fresh) = summary
-                    changed = True
-        return changed
-
-
-class _Interpreter:
+class _Interpreter(Walker):
     """Typestate interpretation of one function body."""
 
-    def __init__(self, program: Program, module: ModuleInfo,
-                 fn: FunctionInfo, *, collect: bool) -> None:
-        self.program = program
-        self.module = module
-        self.fn = fn
-        self.collect = collect
-        self.findings: List[Finding] = []
+    pass_name = PASS_NAME
+
+    def __init__(self, program: Program, module: Module, fn: Function, *,
+                 collect: bool) -> None:
+        super().__init__(program, module, fn, collect=collect)
         self._ids = itertools.count()
         #: summary outputs (read after run())
         self.released_params: Set[int] = set()
@@ -242,14 +146,13 @@ class _Interpreter:
         #: them die with the function, so leaks there are silent but
         #: releasing a never-acquired handle is provably wrong
         self._local_receivers: Set[str] = set()
-        self._finally_depth = 0
         #: stack of with-block context variable name sets (RES006)
         self._with_ctx: List[Set[str]] = []
         #: label-shape leaks found at branch exits (deduped at exit)
         self._leaks: Dict[int, Handle] = {}
 
     # -- entry point -------------------------------------------------------
-    def run(self) -> None:
+    def run(self) -> LifecycleSummary:
         env: Env = {}
         states: States = {}
         args = self.fn.node.args
@@ -261,8 +164,11 @@ class _Interpreter:
                                  param_index=index)
         for param in args.kwonlyargs:
             env[param.arg] = _NOT_HANDLE
-        self._exec_block(self.fn.node.body, env, states)
+        env, states = self.exec_block(self.fn.node.body, (env, states))
         self._check_exit(states)
+        return LifecycleSummary(tuple(sorted(self.released_params)),
+                                tuple(sorted(self.escaped_params)),
+                                self.returns_fresh)
 
     def _check_exit(self, states: States) -> None:
         for handle in states.values():
@@ -274,7 +180,7 @@ class _Interpreter:
             else:
                 what = (f"{handle.protocol.name} token from "
                         f"{handle.receiver or 'acquire'}")
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES001",
                 f"{what} is never released on some path through "
                 f"{self.fn.qualname}() ({handle.protocol.name} protocol)",
@@ -297,26 +203,41 @@ class _Interpreter:
         if self.collect:
             self._leaks[id(handle)] = handle
 
-    # -- findings ----------------------------------------------------------
-    def _emit(self, severity: Severity, code: str, message: str,
-              line: int) -> None:
-        if not self.collect:
-            return
-        self.findings.append(Finding(
-            PASS_NAME, severity, code, message,
-            subject=self.fn.qualname,
-            location=f"{self.module.location}:{line}",
-        ))
-
     # -- statements --------------------------------------------------------
-    def _exec_block(self, body: Iterable[ast.stmt], env: Env,
-                    states: States) -> None:
-        for stmt in body:
-            self._mark_risky(stmt, env, states)
-            self._exec_stmt(stmt, env, states)
+    def fork(self, state: State) -> State:
+        env, states = state
+        return dict(env), _copy(states)
 
-    def _mark_risky(self, stmt: ast.stmt, env: Env,
-                    states: States) -> None:
+    def join(self, left: State, right: State) -> State:
+        left_env, left_states = left
+        right_env, right_states = right
+        env: Env = {}
+        states: States = {}
+        for hid in set(left_states) | set(right_states):
+            a = left_states.get(hid)
+            b = right_states.get(hid)
+            if a is None:
+                states[hid] = b.copy()  # type: ignore[union-attr]
+            elif b is None:
+                states[hid] = a.copy()
+            else:
+                joined = a.copy()
+                joined.state = _join(a.state, b.state)
+                joined.risky = a.risky or b.risky
+                states[hid] = joined
+        for name in set(left_env) | set(right_env):
+            a_id = left_env.get(name)
+            b_id = right_env.get(name)
+            if a_id == b_id and a_id is not None:
+                env[name] = a_id
+            # a name bound to different handles per branch is dropped;
+            # the handles themselves stay in ``states`` for exit audit
+        return env, states
+
+    def eval(self, node: ast.expr, state: State) -> Optional[int]:
+        return self._eval(node, *state)
+
+    def before(self, stmt: ast.stmt, state: State) -> None:
         """Before a statement with non-protocol calls runs, every live
         handle becomes exception-exposed (the RES002 precondition).
 
@@ -329,7 +250,7 @@ class _Interpreter:
                    for node in ast.walk(stmt)
                    if isinstance(node, ast.Call)):
             return
-        for handle in states.values():
+        for handle in state[1].values():
             if handle.state == ACQUIRED:
                 handle.risky = True
 
@@ -345,8 +266,8 @@ class _Interpreter:
             return node.func.id not in SAFE_TOKEN_SINKS
         return True
 
-    def _exec_stmt(self, stmt: ast.stmt, env: Env,
-                   states: States) -> None:
+    def transfer(self, stmt: ast.stmt, state: State) -> None:
+        env, states = state
         if isinstance(stmt, ast.Assign):
             hid = self._eval(stmt.value, env, states)
             for target in stmt.targets:
@@ -359,80 +280,29 @@ class _Interpreter:
             self._eval(stmt.value, env, states)
         elif isinstance(stmt, ast.Return):
             self._exec_return(stmt, env, states)
-        elif isinstance(stmt, ast.If):
-            self._eval(stmt.test, env, states)
-            then_env, then_states = dict(env), _copy(states)
-            else_env, else_states = dict(env), _copy(states)
-            self._exec_block(stmt.body, then_env, then_states)
-            self._exec_block(stmt.orelse, else_env, else_states)
-            if _terminates(stmt.body):
-                self._branch_exit(then_states)
-                env.clear()
-                env.update(else_env)
-                states.clear()
-                states.update(else_states)
-            elif stmt.orelse and _terminates(stmt.orelse):
-                self._branch_exit(else_states)
-                env.clear()
-                env.update(then_env)
-                states.clear()
-                states.update(then_states)
-            else:
-                self._merge(env, states, (then_env, then_states),
-                            (else_env, else_states))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._eval(stmt.iter, env, states)
-            body_env, body_states = dict(env), _copy(states)
-            self._bind(stmt.target, None, body_env, body_states)
-            self._exec_block(stmt.body, body_env, body_states)
-            self._exec_block(stmt.orelse, body_env, body_states)
-            self._merge(env, states, (body_env, body_states),
-                        (dict(env), _copy(states)))
-        elif isinstance(stmt, ast.While):
-            self._eval(stmt.test, env, states)
-            body_env, body_states = dict(env), _copy(states)
-            self._exec_block(stmt.body, body_env, body_states)
-            self._exec_block(stmt.orelse, body_env, body_states)
-            self._merge(env, states, (body_env, body_states),
-                        (dict(env), _copy(states)))
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._exec_with(stmt, env, states)
-        elif isinstance(stmt, ast.Try):
-            self._exec_block(stmt.body, env, states)
-            for handler in stmt.handlers:
-                handler_env, handler_states = dict(env), _copy(states)
-                if handler.name:
-                    handler_env[handler.name] = _NOT_HANDLE
-                self._exec_block(handler.body, handler_env,
-                                 handler_states)
-                self._merge(env, states, (handler_env, handler_states),
-                            (dict(env), _copy(states)))
-            self._exec_block(stmt.orelse, env, states)
-            self._finally_depth += 1
-            try:
-                self._exec_block(stmt.finalbody, env, states)
-            finally:
-                self._finally_depth -= 1
         elif isinstance(stmt, ast.Expr):
             hid = self._eval(stmt.value, env, states)
             self._check_discarded(stmt.value, hid, states)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child, env, states)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     env.pop(target.id, None)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            pass  # nested definitions are analyzed on their own
         # pass/break/continue/import/global: nothing to track
+
+    def enter_for(self, stmt: Union[ast.For, ast.AsyncFor],
+                  state: State) -> State:
+        self._eval(stmt.iter, *state)
+        body = self.fork(state)
+        self._bind(stmt.target, None, *body)
+        return body
+
+    def bind_exception(self, name: str, state: State) -> None:
+        state[0][name] = _NOT_HANDLE
 
     def _exec_return(self, stmt: ast.Return, env: Env,
                      states: States) -> None:
         if stmt.value is None:
-            self._branch_exit(states)
+            self.exit_branch((env, states))
             return
         hid = self._eval(stmt.value, env, states)
         if hid is not None and hid != _NOT_HANDLE and hid in states:
@@ -448,17 +318,19 @@ class _Interpreter:
                 self.escaped_params.add(handle.param_index)
         self._escape_names(stmt.value, env, states, line=stmt.lineno,
                            verb="returned")
-        self._branch_exit(states)
+        self.exit_branch((env, states))
 
-    def _branch_exit(self, states: States) -> None:
+    def exit_branch(self, state: State) -> None:
         """A path leaves the function here; audit its live handles."""
-        for handle in states.values():
+        for handle in state[1].values():
             self._note_leak_candidate(handle)
 
-    def _exec_with(self, stmt: ast.stmt, env: Env,
-                   states: States) -> None:
+    @contextmanager
+    def enter_with(self, stmt: Union[ast.With, ast.AsyncWith],
+                   state: State) -> Iterator[None]:
+        env, states = state
         ctx_names: Set[str] = set()
-        for item in stmt.items:  # type: ignore[attr-defined]
+        for item in stmt.items:
             self._eval(item.context_expr, env, states)
             is_protocol_ctx = (
                 isinstance(item.context_expr, ast.Call)
@@ -479,7 +351,7 @@ class _Interpreter:
                 self._bind(item.optional_vars, None, env, states)
         self._with_ctx.append(ctx_names)
         try:
-            self._exec_block(stmt.body, env, states)  # type: ignore
+            yield
         finally:
             self._with_ctx.pop()
 
@@ -490,7 +362,7 @@ class _Interpreter:
         the fault-revert / lease-teardown escape)."""
         root = handle.receiver.split(".", 1)[0]
         if any(root in names for names in self._with_ctx):
-            self._emit(
+            self.emit(
                 Severity.WARNING, "RES006",
                 f"{handle.protocol.name} token acquired from "
                 f"with-managed {handle.receiver!r} is {verb} out of its "
@@ -511,7 +383,7 @@ class _Interpreter:
                 and isinstance(value.func, ast.Attribute)
                 and value.func.attr in ACQUIRE_METHODS):
             return
-        self._emit(
+        self.emit(
             Severity.WARNING, "RES010",
             f"result of {handle.receiver}."
             f"{value.func.attr}() is discarded; the "
@@ -521,33 +393,6 @@ class _Interpreter:
         handle.state = ESCAPED  # don't double-report as RES001
 
     # -- env plumbing ------------------------------------------------------
-    def _merge(self, env: Env, states: States,
-               left: Tuple[Env, States],
-               right: Tuple[Env, States]) -> None:
-        left_env, left_states = left
-        right_env, right_states = right
-        env.clear()
-        states.clear()
-        for hid in set(left_states) | set(right_states):
-            a = left_states.get(hid)
-            b = right_states.get(hid)
-            if a is None:
-                states[hid] = b.copy()  # type: ignore[union-attr]
-            elif b is None:
-                states[hid] = a.copy()
-            else:
-                joined = a.copy()
-                joined.state = _join(a.state, b.state)
-                joined.risky = a.risky or b.risky
-                states[hid] = joined
-        for name in set(left_env) | set(right_env):
-            a_id = left_env.get(name)
-            b_id = right_env.get(name)
-            if a_id == b_id and a_id is not None:
-                env[name] = a_id
-            # a name bound to different handles per branch is dropped;
-            # the handles themselves stay in ``states`` for exit audit
-
     def _bind(self, target: ast.expr, hid: Optional[int], env: Env,
               states: States, value: Optional[ast.expr] = None) -> None:
         if isinstance(target, ast.Name):
@@ -694,7 +539,7 @@ class _Interpreter:
         func = node.func
         assert isinstance(func, ast.Attribute)
         method = func.attr
-        receiver = _dotted(func.value)
+        receiver = dotted(func.value)
         npos = len(node.args)
         self._check_receiver_use(receiver, env, states, node.lineno,
                                  method)
@@ -725,12 +570,12 @@ class _Interpreter:
 
         # ordinary method call: resolve interprocedurally, else assume
         # the callee takes ownership of handle arguments (conservative)
-        resolved = self.program.resolve_call(self.module, method)
+        resolved = self.program.resolve(self.module, method)
         self._apply_summary(node, resolved, env, states,
                             offset=1 if resolved is not None
                             and resolved.is_method else 0,
                             arg_ids=arg_ids)
-        if resolved is not None and resolved.returns_fresh is not None:
+        if resolved is not None and resolved.summary.returns_fresh is not None:
             return self._fresh_from_summary(resolved, node, receiver,
                                             states)
         return None
@@ -749,7 +594,7 @@ class _Interpreter:
             for arg in node.args:
                 self._eval(arg, env, states)
             return None  # _bind records the local receiver
-        resolved = self.program.resolve_call(self.module, name)
+        resolved = self.program.resolve(self.module, name)
         if resolved is not None and resolved.is_method:
             resolved = None  # a bare name cannot be a bound method here
         arg_ids = [env.get(arg.id) if isinstance(arg, ast.Name)
@@ -757,14 +602,14 @@ class _Interpreter:
                    for arg in node.args]
         self._apply_summary(node, resolved, env, states, offset=0,
                             arg_ids=arg_ids)
-        if resolved is not None and resolved.returns_fresh is not None:
+        if resolved is not None and resolved.summary.returns_fresh is not None:
             return self._fresh_from_summary(resolved, node, "", states)
         return None
 
-    def _fresh_from_summary(self, resolved: FunctionInfo, node: ast.Call,
+    def _fresh_from_summary(self, resolved: Function, node: ast.Call,
                             receiver: str, states: States) -> int:
         protocol = next((p for p in STATIC_PROTOCOLS
-                         if p.name == resolved.returns_fresh), None)
+                         if p.name == resolved.summary.returns_fresh), None)
         if protocol is None:  # pragma: no cover - summary invariant
             return _NOT_HANDLE
         hid = next(self._ids)
@@ -774,7 +619,7 @@ class _Interpreter:
         return hid
 
     def _apply_summary(self, node: ast.Call,
-                       resolved: Optional[FunctionInfo], env: Env,
+                       resolved: Optional[Function], env: Env,
                        states: States, *, offset: int,
                        arg_ids: Optional[List[Optional[int]]] = None
                        ) -> None:
@@ -803,10 +648,10 @@ class _Interpreter:
                 continue
             if resolved is None:
                 self._escape_handle(handle)
-            elif callee_pos in resolved.releases_params:
+            elif callee_pos in resolved.summary.releases:
                 self._release_handle(handle, node.lineno,
                                      via=resolved.qualname)
-            elif callee_pos in resolved.escapes_params:
+            elif callee_pos in resolved.summary.escapes:
                 self._escape_handle(handle)
         for kw in node.keywords:
             if isinstance(kw.value, ast.Name):
@@ -842,7 +687,7 @@ class _Interpreter:
             handle.state = RELEASED
             handle.released_line = line
         elif handle.state == RELEASED:
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES003",
                 f"handle released again via {via}() after the release on "
                 f"line {handle.released_line} (double release)",
@@ -851,7 +696,7 @@ class _Interpreter:
 
     def _use_after_release(self, handle: Handle, name: str,
                            line: int) -> None:
-        self._emit(
+        self.emit(
             Severity.ERROR, "RES004",
             f"{name!r} is used after its release on line "
             f"{handle.released_line}; a settled/freed handle is dead",
@@ -902,7 +747,7 @@ class _Interpreter:
         if hid is None:
             return  # unknown binding (global, closure): stay silent
         if hid == _NOT_HANDLE:
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES005",
                 f"{arg.id!r} passed to {method}() was never acquired "
                 f"from a {protocol.name} acquire call",
@@ -915,7 +760,7 @@ class _Interpreter:
         if handle.state in _QUIET:
             return
         if handle.state == RELEASED:
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES003",
                 f"{arg.id!r} released again via {method}() after the "
                 f"release on line {handle.released_line} "
@@ -931,7 +776,7 @@ class _Interpreter:
             return
         if handle.protocol.shape == "token" and \
                 handle.protocol.name != protocol.name:
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES005",
                 f"{arg.id!r} is a {handle.protocol.name} token but "
                 f"{method}() releases {protocol.name} handles",
@@ -959,7 +804,7 @@ class _Interpreter:
                 handle.state = RELEASED
                 handle.released_line = node.lineno
             elif handle.state == RELEASED:
-                self._emit(
+                self.emit(
                     Severity.ERROR, "RES003",
                     f"label {label!r} freed again via {method}() after "
                     f"the free on line {handle.released_line} "
@@ -971,7 +816,7 @@ class _Interpreter:
         if root in self._local_receivers:
             # the receiver was constructed here and every acquire on it
             # is visible, so this label provably was never allocated
-            self._emit(
+            self.emit(
                 Severity.ERROR, "RES005",
                 f"label {label!r} freed on locally-constructed "
                 f"{receiver} but never allocated there",
@@ -1018,11 +863,11 @@ class _Interpreter:
         """RES002: the acquire..release window contained a call that can
         raise, and this release is not in a ``finally`` block, so the
         exception path leaks."""
-        if not handle.risky or self._finally_depth > 0:
+        if not handle.risky or self.finally_depth > 0:
             return
         what = (f"label {handle.label!r}" if handle.protocol.shape ==
                 "label" else f"{handle.protocol.name} token")
-        self._emit(
+        self.emit(
             Severity.WARNING, "RES002",
             f"{what} acquired on line {handle.line} is released here "
             f"outside any finally block, but calls in between can "
@@ -1049,93 +894,33 @@ def _in_arity(window: Tuple[int, int], count: int) -> bool:
     return low <= count <= high
 
 
-def _terminates(body: List[ast.stmt]) -> bool:
-    """True when a block provably leaves the function (early-exit guard
-    shape: ``if x is None: raise/return``)."""
-    return bool(body) and isinstance(body[-1],
-                                     (ast.Raise, ast.Return, ast.Continue,
-                                      ast.Break))
-
-
 def _literal_str(node: Optional[ast.expr]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
 
 
-def _decorator_names(node: ast.FunctionDef) -> List[str]:
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.append(target.attr)
-    return names
-
-
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for an attribute chain rooted at a Name, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _copy(states: States) -> States:
     return {hid: handle.copy() for hid, handle in states.items()}
 
 
-def _scan_files(root: Path) -> List[Path]:
-    package_dirs = [root / name for name in LIFECYCLE_PACKAGES
-                    if (root / name).is_dir()]
-    if package_dirs:
-        files: List[Path] = []
-        for directory in package_dirs:
-            files.extend(directory.rglob("*.py"))
-        return sorted(files)
-    return sorted(root.rglob("*.py"))
+class LifecycleProgram(Program):
+    """The lifecycle domain over the scanned tree."""
 
+    packages = LIFECYCLE_PACKAGES
+    walker = _Interpreter
 
-class LifecycleAnalyzer:
-    """Builds a :class:`Program` over a tree and checks every function."""
+    def initial(self, fn: Function) -> LifecycleSummary:
+        return LifecycleSummary()
 
-    def __init__(self, root: Path) -> None:
-        root = Path(root)
-        self.root = root
-        self.program = Program()
-        for path in _scan_files(root):
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (SyntaxError, OSError):
-                continue  # SRC000 reports unparseable files
-            self.program.add_module(path.relative_to(root).as_posix(),
-                                    tree)
+    def summarize(self, module: Module, fn: Function) -> LifecycleSummary:
+        return _Interpreter(self, module, fn, collect=False).run()
 
-    def infer(self) -> None:
-        for _ in range(_MAX_ROUNDS):
-            if not self.program.infer_round():
-                break
-
-    def check(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in self.program.modules:
-            for fn in module.functions.values():
-                interp = _Interpreter(self.program, module, fn,
-                                      collect=True)
-                interp.run()
-                findings.extend(interp.findings)
-        findings.sort(key=lambda f: (f.location, f.code, f.message))
-        return findings
+    def agree(self, a: Function, b: Function) -> bool:
+        return a.summary == b.summary
 
 
 def analyze_tree(root: Path) -> List[Finding]:
     """Run the full lifecycle analysis over every module under ``root``."""
-    analyzer = LifecycleAnalyzer(root)
-    analyzer.infer()
-    return analyzer.check()
+    return LifecycleProgram.over(
+        AnalysisContext(source_root=Path(root))).check()

@@ -29,10 +29,11 @@ pool/ledger balance at teardown, ``RES008`` runtime protocol error
 observed under instrumentation, ``RES009`` cross-validation — a static
 RES finding matched (or contradicted) by an observed runtime leak.
 
-The pass scans a source tree (``ctx.source_root``), not a cluster, and
-is expensive (full-tree parse + interprocedural fixpoint), so it is
-``cheap=False`` and runs only from ``repro analyze --lifecycle`` and the
-CI lifecycle job.
+The pass reads :data:`~repro.analysis.lifecycle.engine.
+LIFECYCLE_PACKAGES` of a source tree (``ctx.source_root``) through the
+context's shared parse, not a cluster, and is expensive (full-tree
+parse + interprocedural fixpoint), so it is ``cheap=False`` and runs
+only from ``repro analyze --lifecycle`` and the CI lifecycle job.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from typing import Iterator
 from ..context import AnalysisContext
 from ..findings import Finding
 from ..registry import register_pass
-from ..source_lints import DEFAULT_SOURCE_ROOT
-from .engine import analyze_tree
+from .engine import LifecycleProgram
 
 #: codes the typestate interpreter may emit
 RES_CODES = ("RES001", "RES002", "RES003", "RES004", "RES005", "RES006",
@@ -58,6 +58,4 @@ RES_CODES = ("RES001", "RES002", "RES003", "RES004", "RES005", "RES006",
     codes=RES_CODES,
 )
 def res_typestate(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from analyze_tree(root)
+    yield from LifecycleProgram.over(ctx).check()

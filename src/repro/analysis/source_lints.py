@@ -1,9 +1,12 @@
 """Source-hygiene AST lint over the simulator's own source tree.
 
 This pass walks the stdlib :mod:`ast` of every module under
-``src/repro`` and flags:
+``src/repro`` (every module but ``units.py``, through the context's
+shared parse — see :mod:`~repro.analysis.program`) and flags:
 
-* ``SRC000`` — files the parser rejects outright (ERROR);
+* ``SRC000`` — files the parser rejects outright, including files that
+  are not valid UTF-8 (ERROR); it is the one pass that reports them,
+  every other source pass skips them;
 * ``SRC003`` — generator processes yielding plain constants instead of
   :class:`~repro.sim.engine.BaseEvent` objects, which the engine rejects
   only at runtime (ERROR).
@@ -19,16 +22,13 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator
 
 from .context import AnalysisContext
 from .findings import Finding, Severity
 from .registry import register_pass
 
 PASS_NAME = "source-hygiene"
-
-#: The simulator's own package root — what ``repro analyze --self`` scans.
-DEFAULT_SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Engine methods whose return values are events; a generator yielding
 #: one of these is a DES process.
@@ -77,26 +77,14 @@ def _yields_event_factory(node: ast.Yield) -> bool:
     codes=("SRC000", "SRC003"),
 )
 def source_hygiene(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from lint_source_tree(root)
-
-
-def lint_source_tree(root: Path) -> List[Finding]:
-    """Run the source-hygiene lint over every ``.py`` file under ``root``."""
-    findings: List[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "units.py":
+    for location, tree in ctx.sources():
+        if Path(location).name == "units.py":
             continue
-        location = path.relative_to(root).as_posix()
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except SyntaxError as error:
-            findings.append(Finding(
+        if isinstance(tree, ast.Module):
+            yield from _lint_module(tree, location)
+        else:
+            yield Finding(
                 PASS_NAME, Severity.ERROR, "SRC000",
-                f"cannot parse: {error}", location=f"{location}:"
-                f"{error.lineno or 0}",
-            ))
-            continue
-        findings.extend(_lint_module(tree, location))
-    return findings
+                f"cannot parse: {tree}",
+                location=f"{location}:{getattr(tree, 'lineno', 0) or 0}",
+            )

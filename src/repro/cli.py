@@ -460,6 +460,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("error: --self, --dims, --lifecycle, and --sanitize are "
               "mutually exclusive", file=sys.stderr)
         return 2
+    if args.root is not None and not (args.self or args.dims
+                                      or args.lifecycle):
+        print("error: --root applies only to --self, --dims and "
+              "--lifecycle", file=sys.stderr)
+        return 2
     diff_result = None
     if args.sanitize:
         # Deferred: the differ pulls in the training runner, which the
@@ -472,9 +477,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         report = diff_result.report()
     elif args.self:
-        report = analyze_source()
+        report = analyze_source(root=args.root)
     elif args.dims:
-        report = analyze_dimensions()
+        report = analyze_dimensions(root=args.root)
     elif args.lifecycle:
         report = analyze_lifecycle(root=args.root)
     else:
@@ -851,8 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "passes (RES0xx leak/double-free checks) "
                               "over the simulator's own source instead")
     analyze.add_argument("--root", default=None, metavar="DIR",
-                         help="alternative source tree for --lifecycle "
-                              "(defaults to the installed repro package)")
+                         help="alternative source tree for --self, --dims "
+                              "or --lifecycle (defaults to the installed "
+                              "repro package)")
     analyze.add_argument("--sanitize", action="store_true",
                          help="run the configuration under the schedule "
                               "sanitizer and diff it across legal "

@@ -7,8 +7,9 @@ Public surface:
   (:meth:`FaultPlan.parse` understands the CLI's compact spec strings);
 * :class:`FaultInjector` — applies a plan to a live engine/network pair
   through the engine's run-start hook;
-* :func:`resolve_target` / :func:`plan_problems` — target resolution and
-  the non-raising validation the analysis lint uses;
+* :func:`resolve_target` — target resolution (the ``fault-plan``
+  analysis pass, :mod:`repro.analysis.fault_lints`, reports a plan's
+  unresolvable targets and horizon overruns without raising);
 * :func:`degradation_report` — faulted-vs-baseline run comparison.
 """
 
@@ -16,7 +17,6 @@ from .events import LINK_KINDS, FaultEvent, FaultKind
 from .injector import (
     FaultInjector,
     ResolvedTarget,
-    plan_problems,
     resolve_target,
 )
 from .plan import FaultPlan, parse_fault_spec, parse_time
@@ -32,7 +32,6 @@ __all__ = [
     "degradation_report",
     "parse_fault_spec",
     "parse_time",
-    "plan_problems",
     "resolve_target",
     "round_sig",
 ]

@@ -116,27 +116,6 @@ def resolve_target(cluster: Cluster, event: FaultEvent) -> ResolvedTarget:
     raise FaultPlanError(f"unhandled fault kind {event.kind}")
 
 
-def plan_problems(cluster: Cluster, plan: FaultPlan) -> List[str]:
-    """Every problem that would make the plan unusable on this cluster.
-
-    Non-raising variant of :func:`resolve_target` over the whole plan,
-    plus the horizon check — what the analysis lint reports.
-    """
-    problems: List[str] = []
-    for event in plan.events:
-        try:
-            resolve_target(cluster, event)
-        except FaultPlanError as exc:
-            problems.append(str(exc))
-        if plan.horizon is not None and event.end > plan.horizon:
-            problems.append(
-                f"{event.kind} fault on {event.target!r} ends at "
-                f"{event.end:.6g} s, past the plan horizon "
-                f"{plan.horizon:.6g} s"
-            )
-    return problems
-
-
 class FaultInjector:
     """Schedules and applies one plan's faults onto a live engine run."""
 

@@ -30,9 +30,7 @@ from repro.analysis import (
     self_check,
     write_baseline,
 )
-from repro.analysis.dimensions.vocabulary import lint_vocabulary_tree
 from repro.analysis.registry import get_pass
-from repro.analysis.source_lints import lint_source_tree
 from repro.core.runner import run_training
 from repro.core.search import model_for_billions
 from repro.errors import ConfigurationError, SimulationError
@@ -480,7 +478,8 @@ class TestLiveness:
 class TestDimVocabulary:
     def _lint(self, tmp_path, source, name="mod.py"):
         (tmp_path / name).write_text(textwrap.dedent(source))
-        return lint_vocabulary_tree(tmp_path)
+        return get_pass("dim-vocabulary").run(
+            AnalysisContext(source_root=tmp_path))
 
     def test_magic_decimal_constant_flagged(self, tmp_path):
         findings = self._lint(tmp_path, "CAPACITY = 40 * 1e9\n")
@@ -536,7 +535,8 @@ class TestDimVocabulary:
 class TestSourceLints:
     def _lint(self, tmp_path, source, name="mod.py"):
         (tmp_path / name).write_text(textwrap.dedent(source))
-        return lint_source_tree(tmp_path)
+        return get_pass("source-hygiene").run(
+            AnalysisContext(source_root=tmp_path))
 
     def test_process_yielding_constant_flagged(self, tmp_path):
         findings = self._lint(
@@ -574,6 +574,51 @@ class TestSourceLints:
         assert filtered.findings == [], [
             f"{f.location}: {f.message}" for f in filtered.findings
         ]
+
+
+# ---------------------------------------------------------------------------
+# The shared source scan: package scopes, one parse per file, bad bytes
+# ---------------------------------------------------------------------------
+
+_WALL_CLOCK_MODULE = "import time\n\ndef stamp():\n    return time.time()\n"
+
+
+class TestSourceScan:
+    def test_passes_read_only_their_packages(self, tmp_path):
+        # det-wall-clock reads the simulation packages, so the same read
+        # outside them (tools/) is not its business.
+        for package in ("sim", "tools"):
+            (tmp_path / package).mkdir()
+            (tmp_path / package / "clock.py").write_text(_WALL_CLOCK_MODULE)
+        report = analyze_source(tmp_path)
+        assert [f.location for f in report.findings
+                if f.code == "DET020"] == ["sim/clock.py:4"]
+
+    def test_each_file_is_parsed_once_per_context(self, tmp_path,
+                                                  monkeypatch):
+        import repro.analysis.context as context_module
+
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "clock.py").write_text(_WALL_CLOCK_MODULE)
+        (tmp_path / "top.py").write_text("X = 1\n")
+        parsed = []
+        real_parse = context_module.parse
+        monkeypatch.setattr(context_module, "parse",
+                            lambda path: parsed.append(path)
+                            or real_parse(path))
+        report = run_passes(AnalysisContext(source_root=tmp_path),
+                            ("source", "dims", "lifecycle"))
+        assert "DET020" in {f.code for f in report.findings}
+        assert sorted(p.name for p in parsed) == ["clock.py", "top.py"]
+
+    def test_file_that_is_not_utf8_is_reported_once(self, tmp_path):
+        (tmp_path / "latin.py").write_bytes(b'NAME = "caf\xe9"\n')
+        (tmp_path / "ok.py").write_text("X = 1\n")
+        report = run_passes(AnalysisContext(source_root=tmp_path),
+                            ("source", "dims", "lifecycle"))
+        assert [(f.code, f.location) for f in report.findings] == [
+            ("SRC000", "latin.py:1")]
+        assert "utf-8" in report.findings[0].message
 
 
 # ---------------------------------------------------------------------------

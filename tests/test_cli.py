@@ -296,6 +296,39 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["passes_run"]) == {"dim-flow", "dim-vocabulary"}
 
+    def test_dims_honors_root(self, tmp_path, capsys):
+        (tmp_path / "mix.py").write_text(
+            "from repro.units import Bytes, Seconds\n"
+            "\n"
+            "def mix(n: Bytes, t: Seconds):\n"
+            "    return n + t\n")
+        code = main(["analyze", "--dims", "--root", str(tmp_path), "--json"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(f["code"], f["location"]) for f in payload["findings"]] \
+            == [("DIM001", "mix.py:4")]
+
+    def test_self_honors_root(self, tmp_path, capsys):
+        (tmp_path / "clock.py").write_text(
+            "import time\n"
+            "\n"
+            "def stamp():\n"
+            "    return time.time()\n")
+        code = main(["analyze", "--self", "--root", str(tmp_path), "--json"])
+        assert code == 1
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert "DET020" in {f["code"] for f in findings}
+        # nothing from the installed tree (its sim/flows.py DET001)
+        assert {f["location"] for f in findings} == {"clock.py:4"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--root", "."],
+        ["analyze", "--sanitize", "--root", "."],
+    ])
+    def test_root_rejected_without_a_source_family(self, argv, capsys):
+        assert main(argv) == 2
+        assert "--root" in capsys.readouterr().err
+
     def test_sanitize_smoke_single_node(self, capsys):
         code = main(["analyze", "--sanitize", "--strategy", "ddp",
                      "--size", "0.7", "--nodes", "1",

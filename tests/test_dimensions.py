@@ -13,7 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_dimensions, code_owners, load_baseline
+from repro.analysis import (
+    AnalysisContext,
+    analyze_dimensions,
+    code_owners,
+    load_baseline,
+)
 from repro.analysis.dimensions import (
     BYTES,
     BYTES_PER_S,
@@ -21,6 +26,7 @@ from repro.analysis.dimensions import (
     TIME,
     UNKNOWN,
     Dim,
+    UnitsProgram,
     analyze_tree,
 )
 from repro.analysis.dimensions.lattice import (
@@ -270,6 +276,108 @@ class TestPropagation:
 
 
 # ---------------------------------------------------------------------------
+# The shared program core: tuple binding, resolution, fixpoint, branches
+# ---------------------------------------------------------------------------
+
+def _analyze_modules(tmp_path, sources):
+    for name, source in sources.items():
+        (tmp_path / name).write_text(textwrap.dedent(source))
+    return analyze_tree(tmp_path)
+
+
+class TestProgramCore:
+    def test_tuple_unpacking_binds_each_element(self, tmp_path):
+        # Each target is bound from its own element's evaluation, however
+        # many expressions the process interpreted before.
+        fixture = "from repro.units import Bytes, Scalar, Seconds\n" + "".join(
+            f"\ndef mix{k}(n: Bytes, t: Seconds) -> Scalar:\n"
+            f"    a, b = n, t\n"
+            f"    total = a + b\n"
+            f"    return 1\n"
+            for k in range(5000))
+        (tmp_path / "mix.py").write_text(fixture)
+        assert _codes(analyze_tree(tmp_path)) == ["DIM001"] * 5000
+
+    @pytest.mark.parametrize("b_returns,flagged", [
+        ("Seconds", False),  # disagree: the call resolves to nothing
+        ("Bytes", True),     # agree: bytes + seconds is flagged
+    ])
+    def test_same_name_resolves_only_when_summaries_agree(
+            self, tmp_path, b_returns, flagged):
+        findings = _analyze_modules(tmp_path, {
+            "a.py": """
+                from repro.units import Bytes
+
+                def helper() -> Bytes:
+                    return 1
+                """,
+            "b.py": f"""
+                from repro.units import Bytes, Seconds
+
+                def helper() -> {b_returns}:
+                    return 1
+                """,
+            "c.py": """
+                from repro.units import Seconds
+
+                def use(t: Seconds):
+                    return helper() + t
+                """,
+        })
+        assert _codes(findings) == (["DIM001"] if flagged else [])
+
+    def test_summaries_reach_callers_two_calls_away(self, tmp_path):
+        # Callers come first in scan order and the leaf's return is
+        # inferred, so mid() learns it only in the fixpoint's second round.
+        findings = _analyze_modules(tmp_path, {
+            "a.py": """
+                from repro.units import Bytes, Seconds
+
+                def top(n: Bytes, t: Seconds):
+                    return mid(n) + t
+                """,
+            "b.py": """
+                def mid(n):
+                    return leaf(n)
+                """,
+            "c.py": """
+                from repro.units import Bytes
+
+                def leaf(n: Bytes):
+                    return n
+                """,
+        })
+        assert [(f.code, f.subject) for f in findings] == [("DIM001", "top")]
+
+    def test_branch_that_returns_does_not_reach_the_join(self, tmp_path):
+        findings = _analyze(tmp_path, """
+            from repro.units import Bytes, Seconds
+
+            def pick(c, n: Bytes, t: Seconds):
+                x = t
+                if c:
+                    x = n
+                    return 0
+                return x + n
+            """)
+        assert _codes(findings) == ["DIM001"]
+
+    def test_else_branch_starts_from_the_state_before_the_if(self, tmp_path):
+        findings = _analyze(tmp_path, """
+            from repro.units import Bytes, Seconds
+
+            def pick(c, n: Bytes, t: Seconds):
+                x = t
+                if c:
+                    x = n
+                else:
+                    x = x + t
+                return 0
+            """)
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # No-false-positive corpus: correct code must stay silent
 # ---------------------------------------------------------------------------
 
@@ -365,15 +473,11 @@ class TestOwnTree:
         # The paper's bandwidth math must actually be inside the checked
         # universe: spot-check that the engine infers real dimensions
         # for the hot paths, rather than silently knowing nothing.
-        from repro.analysis.dimensions.engine import DimensionAnalyzer
-        import repro
-
-        analyzer = DimensionAnalyzer(Path(repro.__file__).parent)
-        analyzer.infer()
-        by_name = analyzer.program.by_name
+        program = UnitsProgram.over(AnalysisContext())
+        by_name = program.by_name
 
         def return_dim(name):
-            dims = {fn.return_dim for fn in by_name[name]}
+            dims = {fn.summary.return_dim for fn in by_name[name]}
             assert len(dims) == 1, f"{name} resolves ambiguously"
             return dims.pop()
 
@@ -381,7 +485,7 @@ class TestOwnTree:
         assert return_dim("gemm_time") == TIME
         assert return_dim("memory_bound_time") == TIME
         assert str(return_dim("bandwidth")) == "bytes/s"
-        attr_dims = analyzer.program.attr_dims
+        attr_dims = program.attr_dims
         assert attr_dims["now"] == TIME
         assert attr_dims["num_bytes"] == BYTES
         assert str(attr_dims["hbm_bandwidth"]) == "bytes/s"

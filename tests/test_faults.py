@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis import AnalysisContext, run_passes
 from repro.core.runner import run_training
 from repro.core.search import model_for_billions
 from repro.errors import FaultPlanError
@@ -15,7 +16,6 @@ from repro.faults import (
     FaultPlan,
     parse_fault_spec,
     parse_time,
-    plan_problems,
     resolve_target,
 )
 from repro.hardware import single_node_cluster
@@ -188,15 +188,27 @@ class TestResolveTarget:
         with pytest.raises(FaultPlanError):
             resolve_target(cluster, self._event(target, kind))
 
-    def test_plan_problems_reports_instead_of_raising(self, cluster):
+    def _fault_findings(self, cluster, plan):
+        report = run_passes(
+            AnalysisContext(cluster=cluster, fault_plan=plan), ("faults",))
+        return sorted((f.code, f.subject) for f in report.findings)
+
+    def test_fault_plan_pass_reports_instead_of_raising(self, cluster):
         plan = FaultPlan.parse(
             ["node9/nic0:down@t=0,dur=1ms", "rank0:slow@t=0,dur=2s"],
             horizon=1.0,
         )
-        problems = plan_problems(cluster, plan)
-        assert len(problems) == 2  # bad target + horizon overrun
-        assert any("node9/nic0" in p for p in problems)
-        assert any("horizon" in p for p in problems)
+        # bad target + horizon overrun
+        assert self._fault_findings(cluster, plan) == [
+            ("FLT001", "node9/nic0"), ("FLT011", "rank0")]
+
+    def test_fault_plan_pass_warns_on_noop_and_long_outage(self, cluster):
+        plan = FaultPlan.parse([
+            "node0/xgmi:degrade@t=0,dur=1,mag=0",
+            "node0/xgmi:down@t=0,dur=1",
+        ])
+        assert self._fault_findings(cluster, plan) == [
+            ("FLT012", "node0/xgmi"), ("FLT013", "node0/xgmi")]
 
 
 # --- injector state machine ---------------------------------------------------

@@ -9,12 +9,14 @@ try/finally, context-manager, ownership-escape, and planner shapes.
 """
 
 import textwrap
-from pathlib import Path
 
-from repro.analysis import analyze_lifecycle, code_owners
+import pytest
+
+from repro.analysis import AnalysisContext, analyze_lifecycle, code_owners
 from repro.analysis.lifecycle import (
     PROTOCOLS,
     STATIC_PROTOCOLS,
+    LifecycleProgram,
     analyze_tree,
 )
 
@@ -250,6 +252,77 @@ class TestNoFalsePositives:
 
 
 # ---------------------------------------------------------------------------
+# The shared program core: resolution, fixpoint, branch exits
+# ---------------------------------------------------------------------------
+
+def _analyze_modules(tmp_path, sources):
+    for name, source in sources.items():
+        (tmp_path / name).write_text(textwrap.dedent(source))
+    return analyze_tree(tmp_path)
+
+
+class TestProgramCore:
+    @pytest.mark.parametrize("b_body,flagged", [
+        ("pass", False),              # disagree: the call resolves to nothing
+        ("ledger.settle(r)", True),   # agree: the second settle is double
+    ])
+    def test_same_name_resolves_only_when_summaries_agree(
+            self, tmp_path, b_body, flagged):
+        findings = _analyze_modules(tmp_path, {
+            "a.py": """
+                def helper(ledger, r):
+                    ledger.settle(r)
+                """,
+            "b.py": f"""
+                def helper(ledger, r):
+                    {b_body}
+                """,
+            "c.py": """
+                def use(ledger, n):
+                    r = ledger.reserve(n)
+                    helper(ledger, r)
+                    ledger.settle(r)
+                """,
+        })
+        assert ("RES003" in _codes(findings)) is flagged
+
+    def test_summaries_reach_callers_two_calls_away(self, tmp_path):
+        # Callers come first in scan order, so outer() learns that inner()
+        # settles its argument only in the fixpoint's second round.
+        findings = _analyze_modules(tmp_path, {
+            "a.py": """
+                def use(ledger, n):
+                    r = ledger.reserve(n)
+                    outer(ledger, r)
+                    ledger.settle(r)
+                """,
+            "b.py": """
+                def outer(ledger, r):
+                    inner(ledger, r)
+                """,
+            "c.py": """
+                def inner(ledger, r):
+                    ledger.settle(r)
+                """,
+        })
+        assert [(f.code, f.subject) for f in findings
+                if f.code == "RES003"] == [("RES003", "use")]
+
+    def test_branch_that_returns_does_not_reach_the_join(self, tmp_path):
+        findings = _analyze(tmp_path, """
+            def guarded(ledger, n, bad):
+                r = ledger.reserve(n)
+                if bad:
+                    ledger.settle(r)
+                    return
+                ledger.settle(r)
+                ledger.settle(r)
+            """)
+        assert [(f.code, f.location) for f in findings] == [
+            ("RES003", "mod.py:8")]
+
+
+# ---------------------------------------------------------------------------
 # The real tree
 # ---------------------------------------------------------------------------
 
@@ -276,15 +349,11 @@ class TestOwnTree:
         # The real acquire/release helpers must be inside the checked
         # universe: spot-check inferred summaries instead of trusting
         # silence.
-        from repro.analysis.lifecycle.engine import LifecycleAnalyzer
-        import repro
-
-        analyzer = LifecycleAnalyzer(Path(repro.__file__).parent)
-        analyzer.infer()
-        by_name = analyzer.program.by_name
+        program = LifecycleProgram.over(AnalysisContext())
+        by_name = program.by_name
         assert "apply_memory_plan" in by_name
         assert "release_memory_plan" in by_name
-        names = {fn.qualname for module in analyzer.program.modules
+        names = {fn.qualname for module in program.modules
                  for fn in module.functions.values()}
         assert any("MemoryPool.lease" in q for q in names)
         assert any("BandwidthLedger.reserving" in q for q in names)
