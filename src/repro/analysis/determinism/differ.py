@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from ...api.build import strategy_cluster
 from ...core.runner import RunMetrics, run_training
 from ...core.search import model_for_billions
 from ...experiments.common import make_strategy
-from ...hardware.cluster import Cluster, ClusterSpec
-from ...hardware.presets import dual_node_cluster, single_node_cluster
+from ...hardware.cluster import Cluster
 from ...parallel.placement import PLACEMENTS
 from ...sim.engine import ReversedTies, SeededTies, TieOrder
 from ...sim.sanitizer import SanitizerReport
@@ -189,20 +189,13 @@ def perturbation_diff(strategy_name: str = "ddp", *,
     """
     placement_cfg = PLACEMENTS[placement]
     model = model_for_billions(size_billions)
-
-    def build_cluster() -> Cluster:
-        if "nvme" in strategy_name:
-            return Cluster(ClusterSpec(num_nodes=nodes,
-                                       node=placement_cfg.node_spec()))
-        return single_node_cluster() if nodes == 1 else dual_node_cluster()
-
     result = DiffResult(
         strategy=strategy_name, size_billions=size_billions,
         nodes=nodes, iterations=iterations, seed=seed,
     )
 
     def run(order: TieOrder) -> Dict[str, float]:
-        cluster = build_cluster()
+        cluster = strategy_cluster(strategy_name, nodes, placement_cfg)
         sanitize = order.name == "fifo" and result.sanitizer is None
         metrics = run_training(
             cluster, make_strategy(strategy_name), model,

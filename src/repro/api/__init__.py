@@ -6,18 +6,14 @@ The one import new code needs for spec-driven simulation::
 
     metrics = run_spec(RunSpec("zero2", size_billions=1.4))
 
-``RunSpec`` consolidates :func:`repro.core.runner.run_training`'s
-keyword sprawl into one frozen, JSON-round-trippable value with a
-documented stable :meth:`~repro.api.spec.RunSpec.cache_key` — the hash
-the campaign result cache (:mod:`repro.campaign`) is keyed on.
-
-``RunSpec`` is one of two workload specs satisfying the
-:class:`~repro.api.workload.Workload` protocol; the other is
-:class:`repro.inference.InferenceSpec` (serving).  Code that wants to
-stay workload-agnostic — campaigns, the cluster daemon, the CLI —
-dispatches through :func:`workload_class`/:func:`spec_from_payload`
-rather than importing concrete spec classes; see DESIGN.md
-("Workloads & the spec API").
+``RunSpec`` names a training run as one frozen, JSON-round-trippable
+value with a documented stable :meth:`~repro.api.spec.Spec.cache_key` —
+the hash the campaign result cache (:mod:`repro.campaign`) is keyed on.
+Its codec is the :class:`~repro.api.spec.Spec` base that every spec
+class shares, serving's :class:`repro.inference.InferenceSpec` and the
+cluster service's :class:`repro.cluster.ClusterScenario` included; see
+DESIGN.md ("Workloads & the spec API").  :mod:`repro.api.build` maps a
+spec's names back to live simulator objects.
 """
 
 from .build import (
@@ -34,23 +30,16 @@ from .build import (
 from .spec import (
     TIE_ORDERS,
     RunSpec,
+    Spec,
     canonical_json,
     default_salt,
     stable_key,
 )
-from .workload import (
-    WORKLOAD_KINDS,
-    Workload,
-    spec_from_payload,
-    workload_class,
-    workload_kind,
-)
 
 __all__ = [
     "RunSpec",
+    "Spec",
     "TIE_ORDERS",
-    "WORKLOAD_KINDS",
-    "Workload",
     "build_cluster",
     "build_fault_plan",
     "build_model",
@@ -62,8 +51,5 @@ __all__ = [
     "canonical_json",
     "default_salt",
     "run_spec",
-    "spec_from_payload",
     "stable_key",
-    "workload_class",
-    "workload_kind",
 ]

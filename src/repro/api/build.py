@@ -2,20 +2,21 @@
 objects and run it.
 
 This is the one place that maps canonical names back to objects:
-strategy names through :data:`repro.experiments.common.ALL_STRATEGIES`,
+strategy names through :func:`repro.experiments.common.make_strategy`,
 placement keys through :data:`repro.parallel.placement.PLACEMENTS`,
 fault spec strings through :meth:`repro.faults.FaultPlan.parse`, and
 tie-order policy names onto the engine's :class:`~repro.sim.engine.
 TieOrder` classes (through :func:`repro.sim.probes.named_tie_order`, the
-mapping every workload shares).  The cluster-preset rule matches the CLI
-and the perturbation differ: NVMe strategies get a cluster wired from the
-placement's node spec; everything else uses the standard single-/dual-
-node presets (and an explicit ``ClusterSpec`` beyond two nodes).
+mapping every workload shares).  It also holds the one cluster-preset
+rule (:func:`preset_cluster`, and :func:`strategy_cluster` for a named
+strategy), which the experiments, the CLI and the perturbation differ
+call without a spec, and the one model-depth rule (:func:`build_model`),
+which serving shares.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..collectives.nccl import RetryPolicy
 from ..core.runner import RunMetrics, run_training
@@ -30,19 +31,15 @@ from ..sim.engine import TieOrder
 from ..sim.probes import named_tie_order
 from .spec import RunSpec
 
+if TYPE_CHECKING:  # serving imports this module for build_model
+    from ..inference.spec import InferenceSpec
+
 
 def build_strategy(spec: RunSpec):
     """The named strategy, freshly constructed."""
-    from ..experiments.common import ALL_STRATEGIES
+    from ..experiments.common import make_strategy
 
-    try:
-        factory = ALL_STRATEGIES[spec.strategy]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown strategy {spec.strategy!r}; "
-            f"known: {sorted(ALL_STRATEGIES)}"
-        ) from None
-    return factory()
+    return make_strategy(spec.strategy)
 
 
 def build_placement(spec: RunSpec) -> PlacementConfig:
@@ -55,20 +52,40 @@ def build_placement(spec: RunSpec) -> PlacementConfig:
         ) from None
 
 
+def preset_cluster(nodes: int,
+                   placement: Optional[PlacementConfig] = None) -> Cluster:
+    """The paper's cluster on ``nodes`` nodes: the one preset rule.
+
+    Given a placement, the nodes are wired from its node spec, which
+    places the drives an NVMe strategy offloads to.  Otherwise one node
+    is the single-node preset, two the dual-node preset, and more an
+    explicit ``ClusterSpec``.
+    """
+    if placement is not None:
+        return Cluster(ClusterSpec(num_nodes=nodes,
+                                   node=placement.node_spec()))
+    if nodes == 1:
+        return single_node_cluster()
+    if nodes == 2:
+        return dual_node_cluster()
+    return Cluster(ClusterSpec(num_nodes=nodes))
+
+
+def strategy_cluster(strategy: str, nodes: int,
+                     placement: PlacementConfig) -> Cluster:
+    """The cluster the named strategy runs on: only an NVMe strategy's
+    nodes are wired from ``placement``."""
+    return preset_cluster(nodes, placement if "nvme" in strategy else None)
+
+
 def build_cluster(spec: RunSpec) -> Cluster:
     """The cluster preset the spec's strategy/nodes/placement imply."""
-    placement = build_placement(spec)
-    if "nvme" in spec.strategy:
-        return Cluster(ClusterSpec(num_nodes=spec.nodes,
-                                   node=placement.node_spec()))
-    if spec.nodes == 1:
-        return single_node_cluster()
-    if spec.nodes == 2:
-        return dual_node_cluster()
-    return Cluster(ClusterSpec(num_nodes=spec.nodes))
+    return strategy_cluster(spec.strategy, spec.nodes, build_placement(spec))
 
 
-def build_model(spec: RunSpec) -> ModelConfig:
+def build_model(spec: Union[RunSpec, InferenceSpec]) -> ModelConfig:
+    """The model a training or serving spec names: ``num_layers`` pins
+    the depth, ``size_billions`` goes through the paper's search."""
     if spec.num_layers is not None:
         return paper_model(spec.num_layers)
     assert spec.size_billions is not None
@@ -122,7 +139,7 @@ def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
     """
     if cluster is None:
         cluster = build_cluster(spec)
-    return run_training(
+    metrics = run_training(
         cluster,
         build_strategy(spec),
         build_model(spec),
@@ -138,5 +155,6 @@ def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
         leak_check=spec.leak_check,
         preflight=spec.preflight,
         fidelity=spec.fidelity,
-        spec=spec,
     )
+    metrics.spec = spec
+    return metrics

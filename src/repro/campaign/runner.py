@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import ConfigurationError
 from .cache import ResultCache
 from .report import CampaignReport, JobResult
-from .spec import CampaignSpec, Job
+from .spec import SPEC_KINDS, CampaignSpec, Job
 
 ProgressFn = Callable[[str], None]
 
@@ -35,16 +35,16 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one job from its JSON-safe form; returns the result payload.
 
     Top-level (picklable) on purpose: this is the function the worker
-    pool imports by name.  Heavy imports stay inside so that spawning a
-    worker only pays for them once it actually runs something.
+    pool imports by name.  The job's kind names its spec class in
+    :data:`~repro.campaign.spec.SPEC_KINDS`; the spec's ``run()`` does
+    the work.
     """
     kind = payload["kind"]
-    spec_dict = payload["spec"]
+    if kind not in SPEC_KINDS:
+        raise ConfigurationError(f"unknown job kind {kind!r}")
+    spec = SPEC_KINDS[kind].from_dict(payload["spec"])  # type: ignore[index, arg-type]
+    result = spec.run()  # type: ignore[attr-defined]
     if kind == "experiment":
-        from ..experiments.common import ExperimentSpec
-        from ..experiments.registry import run_spec
-
-        result = run_spec(ExperimentSpec.from_dict(spec_dict))
         return {
             "experiment_id": result.experiment_id,
             "title": result.title,
@@ -52,25 +52,10 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
             "rendered": result.rendered,
         }
     if kind == "run":
-        from ..api.build import run_spec
-        from ..api.spec import RunSpec
         from ..core.results import metrics_to_dict
 
-        metrics = run_spec(RunSpec.from_dict(spec_dict))
-        return metrics_to_dict(metrics)
-    if kind == "cluster":
-        from ..cluster.scenario import ClusterScenario
-        from ..cluster.service import run_cluster
-
-        run = run_cluster(ClusterScenario.from_dict(spec_dict))
-        return run.report.to_dict()
-    if kind == "inference":
-        from ..inference.service import run_inference
-        from ..inference.spec import InferenceSpec
-
-        run = run_inference(InferenceSpec.from_dict(spec_dict))
-        return run.report.to_dict()
-    raise ConfigurationError(f"unknown job kind {kind!r}")
+        return metrics_to_dict(result)
+    return result.report.to_dict()
 
 
 def _execute_timed(payload: Dict[str, object]) -> Dict[str, object]:

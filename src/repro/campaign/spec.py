@@ -1,17 +1,19 @@
 """Declarative campaign specs and their expansion into jobs.
 
 A :class:`CampaignSpec` names *what* to reproduce — experiment ids plus
-an optional strategy x model-size x node-count sweep — and
-:meth:`CampaignSpec.expand` materializes it into an ordered list of
-:class:`Job`\\ s, each wrapping one canonical spec
+an optional strategy x model-size x node-count sweep, cluster scenarios
+and serving runs — and :meth:`CampaignSpec.expand` materializes it into
+an ordered list of :class:`Job`\\ s, each wrapping one canonical spec
+whose class is the job's kind in :data:`SPEC_KINDS`
 (:class:`~repro.experiments.common.ExperimentSpec`,
 :class:`~repro.api.RunSpec`, :class:`~repro.cluster.scenario.
-ClusterScenario`, or :class:`~repro.inference.InferenceSpec` — any
-:class:`~repro.api.workload.Workload`).  Expansion order is a pure
-function of the
-spec (experiments first, then the sweep in listed order), so a campaign
-enumerates — and reports — identically no matter how many workers
-execute it or in which order they finish.
+ClusterScenario` or :class:`~repro.inference.InferenceSpec`).  A
+``CampaignSpec`` has the :class:`repro.api.spec.Spec` codec, so
+:func:`load_campaign` decodes a ``--spec`` file, nested cluster and
+inference entries included, through ``from_dict``.  Expansion order is a
+pure function of the spec (experiments first, then the sweep in listed
+order), so a campaign enumerates — and reports — identically no matter
+how many workers execute it or in which order they finish.
 
 Jobs are independent: the dependency graph is the trivial DAG, which is
 what makes the worker pool safe.  The one in-repo exception (``fig8``
@@ -22,11 +24,11 @@ invisible at this layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Tuple, Type, Union
 
-from ..api.spec import RunSpec
+from ..api.spec import RunSpec, Spec
 from ..cluster.scenario import ClusterScenario
 from ..errors import ConfigurationError
 from ..experiments.common import ExperimentSpec
@@ -34,14 +36,23 @@ from ..inference.spec import InferenceSpec
 
 JobSpec = Union[ExperimentSpec, RunSpec, ClusterScenario, InferenceSpec]
 
+#: The campaign job kinds: each spec class under its ``KIND``.
+SPEC_KINDS: Dict[str, Type[Spec]] = {
+    cls.KIND: cls
+    for cls in (ExperimentSpec, RunSpec, ClusterScenario, InferenceSpec)
+}
+
 
 @dataclass(frozen=True)
 class Job:
     """One unit of campaign work: a canonical spec plus a stable id."""
 
     job_id: str
-    kind: str  # "experiment" | "run" | "cluster" | "inference"
     spec: JobSpec
+
+    @property
+    def kind(self) -> str:
+        return type(self.spec).KIND
 
     def cache_key(self, *, salt: str = None) -> str:
         return self.spec.cache_key(salt=salt)
@@ -53,7 +64,7 @@ class Job:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Spec):
     """A declarative sweep: experiments plus a training-run grid.
 
     ``experiments`` run through the registry at the quick or ``full``
@@ -73,24 +84,11 @@ class CampaignSpec:
     full: bool = False
     #: cluster-service scenarios to run alongside the training sweep
     clusters: Tuple[ClusterScenario, ...] = ()
-    #: inference serving runs to score alongside (the second Workload)
+    #: inference serving runs to score alongside
     inference: Tuple[InferenceSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for attr in ("experiments", "strategies", "sizes_billions", "nodes"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-        object.__setattr__(self, "clusters", tuple(
-            scenario if isinstance(scenario, ClusterScenario)
-            else ClusterScenario.from_dict(scenario)
-            for scenario in self.clusters
-        ))
-        object.__setattr__(self, "inference", tuple(
-            spec if isinstance(spec, InferenceSpec)
-            else InferenceSpec.from_dict(spec)
-            for spec in self.inference
-        ))
+        super().__post_init__()
         if not self.name:
             raise ConfigurationError("campaign needs a name")
         if (not self.experiments and not self.strategies
@@ -111,8 +109,7 @@ class CampaignSpec:
         jobs: List[Job] = []
         for experiment_id in self.experiments:
             spec = spec_for(experiment_id, quick=not self.full)
-            jobs.append(Job(f"experiment/{experiment_id}", "experiment",
-                            spec))
+            jobs.append(Job(f"experiment/{experiment_id}", spec))
         for strategy in self.strategies:
             for size in self.sizes_billions:
                 for num_nodes in self.nodes:
@@ -124,12 +121,11 @@ class CampaignSpec:
                         iterations=self.iterations,
                         warmup_iterations=self.warmup_iterations,
                     )
-                    jobs.append(Job(f"run/{spec.label}", "run", spec))
+                    jobs.append(Job(f"run/{spec.label}", spec))
         for scenario in self.clusters:
-            jobs.append(Job(f"cluster/{scenario.label}", "cluster",
-                            scenario))
+            jobs.append(Job(f"cluster/{scenario.label}", scenario))
         for spec in self.inference:
-            jobs.append(Job(f"inference/{spec.label}", "inference", spec))
+            jobs.append(Job(f"inference/{spec.label}", spec))
         seen: Dict[str, int] = {}
         for job in jobs:
             seen[job.job_id] = seen.get(job.job_id, 0) + 1
@@ -139,31 +135,6 @@ class CampaignSpec:
                 f"campaign expands to duplicate jobs: {duplicates}"
             )
         return jobs
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "experiments": list(self.experiments),
-            "strategies": list(self.strategies),
-            "sizes_billions": list(self.sizes_billions),
-            "nodes": list(self.nodes),
-            "placement": self.placement,
-            "iterations": self.iterations,
-            "warmup_iterations": self.warmup_iterations,
-            "full": self.full,
-            "clusters": [scenario.to_dict() for scenario in self.clusters],
-            "inference": [spec.to_dict() for spec in self.inference],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown campaign fields {unknown}; known: {sorted(known)}"
-            )
-        return cls(**dict(payload))
 
 
 def load_campaign(path: Union[str, Path]) -> CampaignSpec:
@@ -181,9 +152,4 @@ def load_campaign(path: Union[str, Path]) -> CampaignSpec:
         raise ConfigurationError(
             f"campaign spec {target} is not valid JSON: {error}"
         ) from error
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"campaign spec {target} must be a JSON object, "
-            f"got {type(payload).__name__}"
-        )
     return CampaignSpec.from_dict(payload)

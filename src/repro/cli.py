@@ -46,6 +46,8 @@ from .analysis import (
     write_baseline,
 )
 from .api import RunSpec, run_spec
+from .api.build import preset_cluster, strategy_cluster
+from .cluster.jobs import JOB_WORKLOADS
 from .core.results import metrics_to_dict
 from .core.runner import run_training
 from .core.search import max_model_size, model_for_billions
@@ -54,22 +56,14 @@ from .experiments import EXPERIMENTS, run_experiment
 from .experiments.common import ALL_STRATEGIES, make_strategy
 from .faults import FaultPlan, degradation_report
 from .telemetry.bandwidth import BandwidthMonitor
-from .hardware import Cluster, ClusterSpec, dual_node_cluster, single_node_cluster
+from .hardware import dual_node_cluster
 from .inference import BATCHING_POLICIES, REQUEST_MIXES
 from .hardware.render import render_cluster, render_cluster_json
 from .parallel.placement import PLACEMENTS
+from .sim.fastpath import FIDELITIES
 from .stress import full_stress_suite, latency_sweep
 from .telemetry.report import format_table
 from .units import GB, to_billion
-
-
-def _cluster_for(args: argparse.Namespace) -> Cluster:
-    placement = PLACEMENTS[args.placement]
-    strategy_name = getattr(args, "strategy", "")
-    if "nvme" in strategy_name:
-        return Cluster(ClusterSpec(num_nodes=args.nodes,
-                                   node=placement.node_spec()))
-    return single_node_cluster() if args.nodes == 1 else dual_node_cluster()
 
 
 def _report_instruments(args: argparse.Namespace, leaks, trace,
@@ -367,9 +361,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     strategy = make_strategy(args.strategy)
-    cluster = _cluster_for(args)
-    result = max_model_size(cluster, strategy,
-                            placement=PLACEMENTS[args.placement])
+    placement = PLACEMENTS[args.placement]
+    cluster = strategy_cluster(args.strategy, args.nodes, placement)
+    result = max_model_size(cluster, strategy, placement=placement)
     if args.json:
         print(json.dumps({
             "strategy": strategy.name,
@@ -414,8 +408,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 def _cmd_topology(args: argparse.Namespace) -> int:
     placement = PLACEMENTS[args.placement]
-    cluster = Cluster(ClusterSpec(num_nodes=args.nodes,
-                                  node=placement.node_spec()))
+    cluster = preset_cluster(args.nodes, placement)
     if args.json:
         print(json.dumps(render_cluster_json(cluster), indent=2))
     else:
@@ -484,11 +477,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = analyze_lifecycle(root=args.root)
     else:
         strategy = make_strategy(args.strategy)
-        cluster = _cluster_for(args)
+        placement = PLACEMENTS[args.placement]
+        cluster = strategy_cluster(args.strategy, args.nodes, placement)
         model = model_for_billions(args.size)
         report = analyze_run_config(
             cluster, strategy, model,
-            placement=PLACEMENTS[args.placement],
+            placement=placement,
             tensor_parallel=args.tensor_parallel,
             pipeline_parallel=args.pipeline_parallel,
         )
@@ -542,11 +536,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     model = model_for_billions(args.size)
     placement = PLACEMENTS[args.placement]
 
-    baseline_cluster = _cluster_for(args)
+    baseline_cluster = strategy_cluster(args.strategy, args.nodes, placement)
     baseline = run_training(baseline_cluster, make_strategy(args.strategy),
                             model, iterations=args.iterations,
                             placement=placement)
-    faulted_cluster = _cluster_for(args)
+    faulted_cluster = strategy_cluster(args.strategy, args.nodes, placement)
     faulted = run_training(faulted_cluster, make_strategy(args.strategy),
                            model, iterations=args.iterations,
                            placement=placement, fault_plan=plan)
@@ -600,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="simulate one training (or inference) configuration")
-    run.add_argument("--workload", choices=("train", "inference"),
+    run.add_argument("--workload", choices=JOB_WORKLOADS,
                      default="train",
-                     help="which Workload to run; 'inference' maps "
+                     help="which workload to run; 'inference' maps "
                           "--size/--nodes/--iterations onto an "
                           "InferenceSpec (see `repro serve` for the "
                           "full serving surface)")
@@ -612,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="model size in billions of parameters")
     run.add_argument("--nodes", type=int, default=1, choices=(1, 2))
     run.add_argument("--iterations", type=int, default=4)
-    run.add_argument("--fidelity", choices=("full", "hybrid"),
+    run.add_argument("--fidelity", choices=FIDELITIES,
                      default="full",
                      help="hybrid simulates a steady window and "
                           "extrapolates the remaining iterations "

@@ -1,7 +1,8 @@
 """Job specs, lifecycle states, and the per-tenant job store.
 
 A :class:`JobSpec` is pure serializable data (the cluster analog of
-:class:`~repro.api.RunSpec` fields); a :class:`JobRecord` is the live
+:class:`~repro.api.RunSpec` fields, with the same
+:class:`repro.api.spec.Spec` codec); a :class:`JobRecord` is the live
 mutable state the scheduler owns — lifecycle transitions, queue waits,
 GPU-second accounting, preemption bookkeeping.  The :class:`JobStore`
 assigns sequential job ids, aggregates per-tenant accounts, and tracks
@@ -21,23 +22,20 @@ retained; the restart cost is charged when it next starts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
+from ..api.spec import Spec
 from ..errors import ConfigurationError
 from ..sim.engine import BaseEvent
+from ..sim.fastpath import validate_fidelity
 
-#: Fidelities a job may request (mirrors :data:`repro.api.spec.FIDELITIES`).
-JOB_FIDELITIES = ("full", "hybrid")
-
-#: Workload kinds the shared service schedules (mirrors
-#: :data:`repro.api.workload.WORKLOAD_KINDS`, re-declared as data so
-#: this module stays import-cycle-free like :mod:`repro.api.spec`).
+#: Workload kinds a job (and ``repro run --workload``) may name.
 JOB_WORKLOADS = ("train", "inference")
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Spec):
     """One submitted job, as pure serializable data.
 
     ``workload`` selects the job body: ``"train"`` runs the executor
@@ -77,6 +75,7 @@ class JobSpec:
     max_batch_requests: int = 8
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ConfigurationError("job needs a name")
         if not self.tenant:
@@ -110,26 +109,7 @@ class JobSpec:
             raise ConfigurationError(
                 "need more iterations than warmup iterations"
             )
-        if self.fidelity not in JOB_FIDELITIES:
-            raise ConfigurationError(
-                f"unknown fidelity {self.fidelity!r} "
-                f"(expected one of {JOB_FIDELITIES})"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "JobSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown JobSpec fields {unknown}; known: {sorted(known)}"
-            )
-        if "name" not in payload:
-            raise ConfigurationError("JobSpec payload needs a name")
-        return cls(**dict(payload))  # type: ignore[arg-type]
+        validate_fidelity(self.fidelity)
 
     @property
     def work_units(self) -> float:

@@ -3,24 +3,24 @@
 A :class:`ClusterScenario` pins everything a cluster-service run depends
 on — fabric size, scheduling policy, the arrival profile (seeded
 Poisson parameters or an explicit trace), aging rate, tie order, and
-the observability flags — with the same round-trip and cache-key
-contract as :class:`~repro.api.RunSpec`, so campaigns can sweep and
-cache cluster runs exactly like training runs.
+the observability flags.  Its codec and cache key come from
+:class:`repro.api.spec.Spec` under ``KIND = "cluster"``, so campaigns
+sweep and cache cluster runs exactly like training runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from ..api.spec import TIE_ORDERS, stable_key
+from ..api.spec import TIE_ORDERS, Spec
 from ..errors import ConfigurationError
 from .arrivals import JOB_MIXES, Arrival, poisson_arrivals, trace_arrivals
 from .daemon import POLICIES
 
 
 @dataclass(frozen=True)
-class ClusterScenario:
+class ClusterScenario(Spec):
     """One cluster-service run, as pure serializable data.
 
     ``arrivals`` selects the profile: ``"poisson"`` generates
@@ -28,6 +28,8 @@ class ClusterScenario:
     ``"trace"`` replays ``trace_jobs`` (tuples of JSON-safe job dicts
     with a ``time`` field) verbatim.
     """
+
+    KIND = "cluster"
 
     name: str = "cluster"
     nodes: int = 4
@@ -46,6 +48,7 @@ class ClusterScenario:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ConfigurationError("scenario needs a name")
         if self.nodes < 1:
@@ -81,10 +84,6 @@ class ClusterScenario:
                 f"unknown tie order {self.tie_order!r} "
                 f"(expected one of {TIE_ORDERS})"
             )
-        if not isinstance(self.trace_jobs, tuple):
-            object.__setattr__(self, "trace_jobs", tuple(
-                dict(entry) for entry in self.trace_jobs
-            ))
 
     def expand_arrivals(self) -> List[Arrival]:
         """The scenario's concrete arrival stream, deterministically."""
@@ -93,43 +92,6 @@ class ClusterScenario:
                                     seed=self.arrival_seed, mix=self.mix)
         return trace_arrivals(self.trace_jobs)
 
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name == "trace_jobs":
-                value = [dict(entry) for entry in value]
-            payload[spec_field.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ClusterScenario":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown ClusterScenario fields {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        data = dict(payload)
-        trace_jobs = data.get("trace_jobs")
-        if trace_jobs is not None:
-            data["trace_jobs"] = tuple(dict(entry) for entry in trace_jobs)
-        try:
-            return cls(**data)  # type: ignore[arg-type]
-        except TypeError as error:
-            raise ConfigurationError(
-                f"bad ClusterScenario payload: {error}"
-            ) from None
-
-    def cache_key(self, *, salt: Optional[str] = None) -> str:
-        """Stable content hash (same contract as ``RunSpec.cache_key``)."""
-        return stable_key({"kind": "cluster", "spec": self.to_dict()},
-                          salt=salt)
-
-    def replace(self, **changes: object) -> "ClusterScenario":
-        return replace(self, **changes)  # type: ignore[arg-type]
-
     @property
     def label(self) -> str:
         """A short human-readable identity, used for campaign job ids."""
@@ -137,3 +99,9 @@ class ClusterScenario:
                    if self.arrivals == "poisson"
                    else f"t{len(self.trace_jobs)}")
         return f"{self.name}-{self.policy}-n{self.nodes}-{profile}"
+
+    def run(self):
+        """Simulate this scenario (see :func:`repro.cluster.run_cluster`)."""
+        from .service import run_cluster
+
+        return run_cluster(self)

@@ -170,7 +170,6 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
                  iterations: int = 3,
                  warmup_iterations: int = 1,
                  placement: Optional[PlacementConfig] = None,
-                 swap_volumes: Optional[Dict[int, Raid0Volume]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  tie_order: Optional[TieOrder] = None,
@@ -178,8 +177,7 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
                  trace: bool = False,
                  leak_check: bool = False,
                  preflight: bool = True,
-                 fidelity: str = "full",
-                 spec: Optional["RunSpec"] = None) -> RunMetrics:
+                 fidelity: str = "full") -> RunMetrics:
     """Simulate ``iterations`` optimizer steps and measure everything.
 
     The first ``warmup_iterations`` are excluded from throughput and
@@ -232,13 +230,15 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     detected) silently falls back to full fidelity;
     ``metrics.fastpath`` records what actually happened.
 
-    ``spec`` is the canonical :class:`~repro.api.RunSpec` this call was
-    materialized from, when the caller came through
-    :func:`repro.api.run_spec`; it is stamped into ``metrics.spec`` so
-    serialized results stay traceable (and cacheable) by configuration.
-    New code should prefer constructing a ``RunSpec`` — this function
-    remains the object-level entry point for callers that already hold
-    live cluster/strategy/model instances.
+    An NVMe-offloading plan swaps to the volumes ``placement`` (or the
+    default placement) builds on ``cluster``.
+
+    New code should prefer a :class:`~repro.api.RunSpec` through
+    :func:`repro.api.run_spec`, which stamps the spec into
+    ``metrics.spec``.  This function stays the object-level entry point
+    for callers that hold live objects no spec can name: wrapped or
+    resized strategies, custom pipeline schedules, prebuilt clusters and
+    generated fault plans.
     """
     if training is None:
         training = TrainingConfig()
@@ -268,8 +268,8 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     cluster.reset()
     ctx = StrategyContext(cluster, model, training)
     plan = strategy.memory_plan(ctx)
-    needs_nvme = bool(plan.nvme)
-    if needs_nvme and swap_volumes is None:
+    swap_volumes: Optional[Dict[int, Raid0Volume]] = None
+    if plan.nvme:
         chosen = placement if placement is not None else DEFAULT_PLACEMENT
         swap_volumes = chosen.build_volumes(cluster)
     metrics: Optional[RunMetrics] = None
@@ -305,7 +305,6 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
                     iterations - sim_iterations)
             metrics = _measure(cluster, strategy, model, training, result,
                                warmup_iterations, probes.recorder)
-            metrics.spec = spec
             metrics.fastpath = fastpath_report
             if leak_check:
                 # Return the plan's bytes; what the audit still finds
@@ -317,11 +316,10 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
         metrics = run_training(
             cluster, strategy, model, training=training,
             iterations=iterations, warmup_iterations=warmup_iterations,
-            placement=placement, swap_volumes=swap_volumes,
-            fault_plan=fault_plan, retry_policy=retry_policy,
-            tie_order=tie_order, sanitize=sanitize, trace=trace,
-            leak_check=leak_check,
-            preflight=False, fidelity="full", spec=spec,
+            placement=placement, fault_plan=fault_plan,
+            retry_policy=retry_policy, tie_order=tie_order,
+            sanitize=sanitize, trace=trace, leak_check=leak_check,
+            preflight=False, fidelity="full",
         )
         metrics.fastpath = FastpathReport(
             "hybrid", False, iterations, 0, "steady state not detected")

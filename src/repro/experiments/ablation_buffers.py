@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import List
 
 from .. import calibration
+from ..api.build import preset_cluster
 from ..core.search import max_model_size
 from ..parallel import zero2_cpu_offload
 from ..parallel.strategy import MemoryPlan, StrategyContext
 from ..telemetry.report import format_table
 from ..units import GB, MB
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 
 class _BufferSizedOffload:
@@ -43,7 +44,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     del spec  # the search is analytic and fast
     rows: List[dict] = []
     for buffer_gb in (1, 2, 4, 8, 12, 16):
-        cluster = cluster_for(1)
+        cluster = preset_cluster(1)
         strategy = _BufferSizedOffload(buffer_gb * GB)
         result = max_model_size(cluster, strategy)
         rows.append({

@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..parallel import zero2, zero3
 from ..parallel.schedule import CollectiveStep, IterationSchedule
 from ..parallel.strategy import StrategyContext, TrainingStrategy
 from ..telemetry.report import format_table
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 
 class _BlockingWrapper(TrainingStrategy):
@@ -58,7 +59,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         model = model_for_billions(size)
         for factory in (zero2, zero3):
             for overlap in (True, False):
-                cluster = cluster_for(num_nodes)
+                cluster = preset_cluster(num_nodes)
                 strategy = factory()
                 if not overlap:
                     strategy = _BlockingWrapper(strategy)

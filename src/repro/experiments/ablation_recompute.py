@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size, model_for_billions
 from ..errors import OutOfMemoryError
 from ..model.config import TrainingConfig
 from ..parallel import DdpStrategy, zero2, zero3
 from ..telemetry.report import format_table
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -28,7 +29,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for recompute in (True, False):
         training = TrainingConfig(activation_recompute=recompute)
         for factory in (DdpStrategy, zero2, zero3):
-            cluster = cluster_for(1)
+            cluster = preset_cluster(1)
             strategy = factory()
             search = max_model_size(cluster, strategy, training=training)
             try:

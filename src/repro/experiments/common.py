@@ -10,21 +10,19 @@ the EXPERIMENTS.md generator compares their rows against
 explicit, serializable fields (simulated iterations, stress duration,
 sweep extent), so the registry's ``run_experiment`` and the campaign
 runner (:mod:`repro.campaign`) share one code path and experiment
-results can be cache-keyed exactly like :class:`~repro.api.RunSpec`
-runs.  Modules with non-default profiles pin them as ``QUICK_SPEC`` /
-``FULL_SPEC`` constants next to their ``run``.
+results are cache-keyed exactly like :class:`~repro.api.RunSpec` runs
+(:class:`repro.api.spec.Spec` under ``KIND = "experiment"``).  Modules
+with non-default profiles pin them as ``QUICK_SPEC`` / ``FULL_SPEC``
+constants next to their ``run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List
 
-from ..api.spec import stable_key
+from ..api.spec import Spec
 from ..errors import ConfigurationError
-from ..hardware.cluster import Cluster, ClusterSpec
-from ..hardware.presets import dual_node_cluster, single_node_cluster
-from ..parallel.placement import PlacementConfig
 from ..parallel import (
     DdpStrategy,
     MegatronStrategy,
@@ -41,7 +39,7 @@ from ..parallel.strategy import TrainingStrategy
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """Canonical parameters of one experiment-module invocation.
 
     The experiment analog of :class:`~repro.api.RunSpec`: every knob the
@@ -51,6 +49,8 @@ class ExperimentSpec:
     ``full_sweep`` selects the paper-length sweep extents (message
     sizes, node counts, loss grids) over the CI-sized ones.
     """
+
+    KIND = "experiment"
 
     experiment_id: str
     iterations: int = 3
@@ -65,6 +65,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         from ..sim.fastpath import validate_fidelity
 
+        super().__post_init__()
         if not self.experiment_id:
             raise ConfigurationError("ExperimentSpec needs an experiment id")
         if self.iterations <= self.warmup_iterations:
@@ -91,32 +92,15 @@ class ExperimentSpec:
         profile.update(overrides)
         return cls(experiment_id, **profile)  # type: ignore[arg-type]
 
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown ExperimentSpec fields {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        if "experiment_id" not in payload:
-            raise ConfigurationError(
-                "ExperimentSpec payload needs an experiment_id"
-            )
-        return cls(**dict(payload))  # type: ignore[arg-type]
-
-    def cache_key(self, *, salt: Optional[str] = None) -> str:
-        """Stable content hash (same contract as ``RunSpec.cache_key``)."""
-        return stable_key({"kind": "experiment", "spec": self.to_dict()},
-                          salt=salt)
-
     def for_experiment(self, experiment_id: str) -> "ExperimentSpec":
         """The same profile pointed at another experiment (delegation)."""
-        return replace(self, experiment_id=experiment_id)
+        return self.replace(experiment_id=experiment_id)
+
+    def run(self):
+        """Run this experiment (see :func:`repro.experiments.run_spec`)."""
+        from .registry import run_spec
+
+        return run_spec(self)
 
 
 @dataclass
@@ -160,15 +144,11 @@ ALL_STRATEGIES: Dict[str, Callable[[], TrainingStrategy]] = {
 
 
 def make_strategy(name: str) -> TrainingStrategy:
-    return ALL_STRATEGIES[name]()
-
-
-def cluster_for(num_nodes: int) -> Cluster:
-    return single_node_cluster() if num_nodes == 1 else dual_node_cluster()
-
-
-def placement_cluster(placement: PlacementConfig,
-                      num_nodes: int = 1) -> Cluster:
-    """A cluster wired with a Fig. 14 NVMe placement's node spec."""
-    return Cluster(ClusterSpec(num_nodes=num_nodes,
-                               node=placement.node_spec()))
+    """The named strategy, freshly constructed: the one name lookup."""
+    try:
+        factory = ALL_STRATEGIES[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown strategy {name!r}; known: {sorted(ALL_STRATEGIES)}"
+        ) from None
+    return factory()

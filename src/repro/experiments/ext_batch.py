@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..errors import OutOfMemoryError
@@ -21,12 +22,7 @@ from ..parallel import zero2, zero3_nvme_optimizer
 from ..parallel.placement import PLACEMENTS
 from ..telemetry.report import format_table
 from ..units import GB
-from .common import (
-    ExperimentResult,
-    ExperimentSpec,
-    cluster_for,
-    placement_cluster,
-)
+from .common import ExperimentResult, ExperimentSpec
 
 BATCHES = (4, 8, 16, 32, 64)
 
@@ -44,10 +40,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         model = model_for_billions(size_b)
         for batch in BATCHES:
             training = TrainingConfig(micro_batch_per_gpu=batch)
-            if uses_nvme:
-                cluster = placement_cluster(placement)
-            else:
-                cluster = cluster_for(1)
+            cluster = preset_cluster(1, placement if uses_nvme else None)
             try:
                 metrics = run_training(cluster, factory(), model,
                                        training=training,

@@ -11,6 +11,7 @@ roughly halves the energy bill for the same model.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size, model_for_billions
 from ..model.config import paper_model
@@ -18,7 +19,7 @@ from ..parallel import MegatronStrategy, zero2, zero2_cpu_offload, zero3
 from ..telemetry.energy import estimate_energy
 from ..telemetry.report import format_table
 from . import paper_data
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -27,10 +28,10 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
 
     cases = [
-        ("zero2@1n", cluster_for(1), zero2(), None),
-        ("zero3@2n", cluster_for(2), zero3(), None),
-        ("megatron@2n", cluster_for(2), MegatronStrategy(), None),
-        ("zero2_opt_cpu@1n", cluster_for(1), zero2_cpu_offload(),
+        ("zero2@1n", preset_cluster(1), zero2(), None),
+        ("zero3@2n", preset_cluster(2), zero3(), None),
+        ("megatron@2n", preset_cluster(2), MegatronStrategy(), None),
+        ("zero2_opt_cpu@1n", preset_cluster(1), zero2_cpu_offload(),
          paper_data.CONSOLIDATION_MODEL_B),
     ]
     for label, cluster, strategy, size_b in cases:

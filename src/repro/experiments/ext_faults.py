@@ -15,11 +15,12 @@ are bit-reproducible run to run.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..faults import FaultEvent, FaultKind, FaultPlan
 from ..telemetry.report import format_table
-from .common import ExperimentResult, ExperimentSpec, cluster_for, make_strategy
+from .common import ExperimentResult, ExperimentSpec, make_strategy
 
 #: Fits every swept strategy on the dual-node cluster (DDP's ceiling).
 SWEEP_MODEL_B = 1.4
@@ -57,7 +58,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for name in strategies:
         for loss in losses:
-            cluster = cluster_for(2)
+            cluster = preset_cluster(2)
             metrics = run_training(
                 cluster, make_strategy(name), model,
                 iterations=iterations,

@@ -11,13 +11,14 @@ four — and (b) avoid Megatron-LM's inter-node collapse.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size
 from ..model.config import paper_model
 from ..parallel import MegatronStrategy, zero1, zero2
 from ..parallel.hybrid import hybrid_tp_zero1, hybrid_tp_zero2
 from ..telemetry.report import format_table
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -26,7 +27,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for factory in (MegatronStrategy, zero1, zero2,
                     hybrid_tp_zero1, hybrid_tp_zero2):
-        cluster = cluster_for(2)
+        cluster = preset_cluster(2)
         strategy = factory()
         search = max_model_size(cluster, strategy)
         metrics = run_training(cluster, strategy,

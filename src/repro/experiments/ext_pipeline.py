@@ -12,13 +12,14 @@ curve.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..hardware.link import LinkClass
 from ..parallel import MegatronStrategy, zero3
 from ..parallel.pipeline import pipeline_1f1b
 from ..telemetry.report import format_table
-from .common import ExperimentResult, ExperimentSpec, cluster_for
+from .common import ExperimentResult, ExperimentSpec
 
 COMPARISON_MODEL_B = 5.5  # largest size every contender fits on 2 nodes
 
@@ -31,7 +32,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
 
     # Head-to-head at a fixed model size on two nodes.
     for strategy in (MegatronStrategy(), zero3(), pipeline_1f1b()):
-        cluster = cluster_for(2)
+        cluster = preset_cluster(2)
         metrics = run_training(cluster, strategy, model,
                                iterations=iterations,
                                fidelity=spec.fidelity)
@@ -47,7 +48,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
 
     # Bubble amortization: more micro-batches, smaller bubble.
     for m in (8, 16, 32, 64) if spec.full_sweep else (8, 16, 32):
-        cluster = cluster_for(2)
+        cluster = preset_cluster(2)
         metrics = run_training(cluster, pipeline_1f1b(micro_batches=m),
                                model, iterations=iterations,
                                fidelity=spec.fidelity)

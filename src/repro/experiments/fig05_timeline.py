@@ -9,17 +9,12 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.build import strategy_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
-from ..hardware.presets import single_node_cluster
 from ..parallel.placement import PLACEMENTS
 from . import paper_data
-from .common import (
-    ALL_STRATEGIES,
-    ExperimentResult,
-    ExperimentSpec,
-    placement_cluster,
-)
+from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
 #: Fig. 5's nine configurations, in paper order.
 CONFIGS: List[str] = [
@@ -37,10 +32,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     renders = []
     for name in CONFIGS:
         strategy = ALL_STRATEGIES[name]()
-        if "nvme" in name:
-            cluster = placement_cluster(placement)
-        else:
-            cluster = single_node_cluster()
+        cluster = strategy_cluster(name, 1, placement)
         metrics = run_training(cluster, strategy, model,
                                iterations=spec.iterations,
                                placement=placement,

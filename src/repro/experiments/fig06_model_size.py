@@ -8,10 +8,11 @@ one GPU's memory).
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.search import max_model_size
 from ..telemetry.report import format_table
 from . import paper_data
-from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec, cluster_for
+from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -19,7 +20,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for num_nodes, paper in ((1, paper_data.ACHIEVED_SIZE_SINGLE_NODE_B),
                              (2, paper_data.ACHIEVED_SIZE_DUAL_NODE_B)):
-        cluster = cluster_for(num_nodes)
+        cluster = preset_cluster(num_nodes)
         for name, factory in CORE_STRATEGIES.items():
             result = max_model_size(cluster, factory())
             rows.append({

@@ -8,12 +8,13 @@ node but collapsing to ~25 % of ZeRO's throughput on two.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size
 from ..model.config import paper_model
 from ..telemetry.report import format_table
 from . import paper_data
-from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec, cluster_for
+from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -21,7 +22,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for num_nodes, paper in ((1, paper_data.THROUGHPUT_SINGLE_NODE),
                              (2, paper_data.THROUGHPUT_DUAL_NODE)):
-        cluster = cluster_for(num_nodes)
+        cluster = preset_cluster(num_nodes)
         for name, factory in CORE_STRATEGIES.items():
             strategy = factory()
             search = max_model_size(cluster, strategy)

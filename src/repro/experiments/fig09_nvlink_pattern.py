@@ -8,13 +8,14 @@ Megatron-LM ~3x higher, peaking at 267 GB/s).
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..hardware.link import LinkClass
 from ..telemetry.bandwidth import BandwidthMonitor
 from ..telemetry.report import series_block
 from . import paper_data
-from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec, cluster_for
+from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec
 
 QUICK_SPEC = ExperimentSpec.quick("fig9", iterations=4)
 FULL_SPEC = ExperimentSpec.full("fig9", iterations=12)
@@ -27,7 +28,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     blocks = ["Fig. 9 — NVLink utilization pattern (single node, 1.4 B)"]
     for name, factory in CORE_STRATEGIES.items():
-        cluster = cluster_for(1)
+        cluster = preset_cluster(1)
         metrics = run_training(cluster, factory(), model,
                                iterations=iterations,
                                fidelity=spec.fidelity)

@@ -9,6 +9,7 @@ peak-and-trough bursts.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size
 from ..hardware.link import LinkClass
@@ -16,7 +17,7 @@ from ..model.config import paper_model
 from ..telemetry.bandwidth import BandwidthMonitor
 from ..telemetry.report import series_block
 from . import paper_data
-from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec, cluster_for
+from .common import CORE_STRATEGIES, ExperimentResult, ExperimentSpec
 
 PATTERN_CLASSES = (LinkClass.NVLINK, LinkClass.PCIE_GPU,
                    LinkClass.PCIE_NIC, LinkClass.ROCE)
@@ -31,7 +32,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     blocks = ["Fig. 10 — dual-node interconnect patterns (max model size)"]
     iterations = spec.iterations
     for name, factory in CORE_STRATEGIES.items():
-        cluster = cluster_for(2)
+        cluster = preset_cluster(2)
         strategy = factory()
         search = max_model_size(cluster, strategy)
         metrics = run_training(cluster, strategy,

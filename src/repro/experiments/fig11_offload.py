@@ -9,6 +9,7 @@ capacity.  Reports throughput (Fig. 11-a) and memory composition
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..parallel import MegatronStrategy
@@ -16,13 +17,7 @@ from ..parallel.placement import PLACEMENTS
 from ..telemetry.report import format_table
 from ..units import GB
 from . import paper_data
-from .common import (
-    ALL_STRATEGIES,
-    ExperimentResult,
-    ExperimentSpec,
-    cluster_for,
-    placement_cluster,
-)
+from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -36,7 +31,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     from ..core.search import max_model_size
     from ..model.config import paper_model
 
-    dual = cluster_for(2)
+    dual = preset_cluster(2)
     megatron = MegatronStrategy()
     search = max_model_size(dual, megatron)
     metrics = run_training(dual, megatron, paper_model(search.max_layers),
@@ -46,7 +41,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
 
     # CPU offload on one node.
     for name in ("zero2_opt_cpu", "zero3_opt_cpu_param_cpu"):
-        cluster = cluster_for(1)
+        cluster = preset_cluster(1)
         metrics = run_training(cluster, ALL_STRATEGIES[name](), model,
                                iterations=iterations,
                                fidelity=spec.fidelity)
@@ -56,7 +51,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for placement_key, suffix in (("A", "_1x"), ("B", "_2x")):
         placement = PLACEMENTS[placement_key]
         for base in ("zero3_opt_nvme", "zero3_opt_nvme_param_nvme"):
-            cluster = placement_cluster(placement)
+            cluster = preset_cluster(1, placement)
             metrics = run_training(cluster, ALL_STRATEGIES[base](), model,
                                    iterations=iterations,
                                    placement=placement,

@@ -9,6 +9,7 @@ ZeRO-Infinity.
 
 from __future__ import annotations
 
+from ..api.build import strategy_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..hardware.link import LinkClass
@@ -16,13 +17,7 @@ from ..parallel.placement import PLACEMENTS
 from ..telemetry.bandwidth import BandwidthMonitor
 from ..telemetry.report import series_block
 from . import paper_data
-from .common import (
-    ALL_STRATEGIES,
-    ExperimentResult,
-    ExperimentSpec,
-    cluster_for,
-    placement_cluster,
-)
+from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
 PATTERN_CLASSES = (LinkClass.NVLINK, LinkClass.PCIE_GPU,
                    LinkClass.PCIE_NVME, LinkClass.XGMI, LinkClass.DRAM)
@@ -39,10 +34,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     blocks = ["Fig. 12 — offload bandwidth patterns (11.4 B, single node)"]
     for name in CONFIGS:
-        if "nvme" in name:
-            cluster = placement_cluster(placement)
-        else:
-            cluster = cluster_for(1)
+        cluster = strategy_cluster(name, 1, placement)
         metrics = run_training(cluster, ALL_STRATEGIES[name](), model,
                                iterations=iterations, placement=placement,
                                fidelity=spec.fidelity)

@@ -13,6 +13,7 @@ search ceiling reported alongside.
 
 from __future__ import annotations
 
+from ..api.build import strategy_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size, model_for_billions
 from ..model.config import paper_model
@@ -20,13 +21,7 @@ from ..parallel.placement import PLACEMENTS
 from ..telemetry.report import format_table
 from ..units import GB
 from . import paper_data
-from .common import (
-    ALL_STRATEGIES,
-    ExperimentResult,
-    ExperimentSpec,
-    cluster_for,
-    placement_cluster,
-)
+from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -36,10 +31,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for name, (paper_b, paper_tflops) in paper_data.LARGEST_SINGLE_NODE.items():
         uses_nvme = "nvme" in name
-        if uses_nvme:
-            cluster = placement_cluster(placement)
-        else:
-            cluster = cluster_for(1)
+        cluster = strategy_cluster(name, 1, placement)
         strategy = ALL_STRATEGIES[name]()
         search = max_model_size(cluster, strategy, placement=placement)
         if uses_nvme:

@@ -9,6 +9,7 @@ bandwidth (C vs D, E vs F/G); socket-local volumes win.
 
 from __future__ import annotations
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..hardware.link import LinkClass
@@ -16,7 +17,7 @@ from ..parallel.infinity import zero3_nvme_optimizer_params
 from ..parallel.placement import PLACEMENTS
 from ..telemetry.report import format_table
 from . import paper_data
-from .common import ExperimentResult, ExperimentSpec, placement_cluster
+from .common import ExperimentResult, ExperimentSpec
 
 QUICK_SPEC = ExperimentSpec.quick("fig14_table6", iterations=2)
 FULL_SPEC = ExperimentSpec.full("fig14_table6", iterations=4)
@@ -29,7 +30,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     rows = []
     for key in "ABCDEFG":
         placement = PLACEMENTS[key]
-        cluster = placement_cluster(placement)
+        cluster = preset_cluster(1, placement)
         metrics = run_training(cluster, zero3_nvme_optimizer_params(), model,
                                iterations=iterations, warmup_iterations=1,
                                placement=placement,

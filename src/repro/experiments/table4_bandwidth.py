@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.build import preset_cluster
 from ..core.runner import run_training
 from ..core.search import max_model_size, model_for_billions
 from ..model.config import paper_model
@@ -22,8 +23,6 @@ from .common import (
     CORE_STRATEGIES,
     ExperimentResult,
     ExperimentSpec,
-    cluster_for,
-    placement_cluster,
 )
 
 
@@ -36,7 +35,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     # Sections IV-E1 / IV-E2: core strategies at their max size.
     for num_nodes in (1, 2):
         for name, factory in CORE_STRATEGIES.items():
-            cluster = cluster_for(num_nodes)
+            cluster = preset_cluster(num_nodes)
             strategy = factory()
             search = max_model_size(cluster, strategy)
             metrics = run_training(cluster, strategy,
@@ -48,7 +47,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
 
     # Section V-A: CPU-offload consolidation at 11.4 B.
     for name in ("zero2_opt_cpu", "zero3_opt_cpu_param_cpu"):
-        cluster = cluster_for(1)
+        cluster = preset_cluster(1)
         metrics = run_training(cluster, ALL_STRATEGIES[name](),
                                consolidation_model, iterations=iterations,
                                fidelity=spec.fidelity)
@@ -58,7 +57,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
     for placement_key, suffix in (("A", "1x"), ("B", "2x")):
         placement = PLACEMENTS[placement_key]
         for name in ("zero3_opt_nvme", "zero3_opt_nvme_param_nvme"):
-            cluster = placement_cluster(placement)
+            cluster = preset_cluster(1, placement)
             metrics = run_training(cluster, ALL_STRATEGIES[name](),
                                    consolidation_model,
                                    iterations=iterations,

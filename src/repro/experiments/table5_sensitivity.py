@@ -11,19 +11,14 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.build import strategy_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..errors import OutOfMemoryError
 from ..parallel.placement import PLACEMENTS
 from ..telemetry.report import format_table
 from . import paper_data
-from .common import (
-    ALL_STRATEGIES,
-    ExperimentResult,
-    ExperimentSpec,
-    cluster_for,
-    placement_cluster,
-)
+from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
 
 def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
@@ -38,10 +33,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             step = max(1, len(sizes) // 5)
             sizes = sorted(set(sizes[::step]) | {sizes[0], sizes[-1]})
         for size in sizes:
-            if "nvme" in config:
-                cluster = placement_cluster(placement)
-            else:
-                cluster = cluster_for(1)
+            cluster = strategy_cluster(config, 1, placement)
             strategy = ALL_STRATEGIES[config]()
             try:
                 metrics = run_training(cluster, strategy,

@@ -14,10 +14,11 @@ arrivals.  The public entry points::
     run = run_inference(InferenceSpec(size_billions=1.4, gpus=4))
     print(run.report.ttft_p99_s, run.report.goodput_requests_per_s)
 
-:class:`InferenceSpec` satisfies the :class:`repro.api.workload.
-Workload` protocol, so serving runs slot into campaigns, the result
-cache, the cluster daemon, and ``repro run --workload inference`` /
-``repro serve`` exactly like training runs.
+:class:`InferenceSpec` shares :class:`repro.api.RunSpec`'s codec
+(:class:`repro.api.spec.Spec`) under its own cache-key ``KIND``, so
+serving runs slot into campaigns, the result cache, the cluster daemon,
+and ``repro run --workload inference`` / ``repro serve`` exactly like
+training runs.
 """
 
 from .batching import RequestRecord, ServingScheduler, ServingStats

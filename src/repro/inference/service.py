@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.liveness import check_liveness
+from ..api.build import build_model
 from ..collectives.nccl import NcclCommunicator
-from ..core.search import model_for_billions
 from ..errors import ConfigurationError
 from ..hardware.cluster import Cluster, ClusterSpec
-from ..model.config import ModelConfig, paper_model
 from ..sim.leaksan import LeakReport
 from ..sim.probes import RunProbes, named_tie_order
 from ..trace.model import Trace
@@ -60,17 +59,10 @@ class InferenceRun:
         return self.report.leaks
 
 
-def _model_for(spec: InferenceSpec) -> ModelConfig:
-    if spec.num_layers is not None:
-        return paper_model(spec.num_layers)
-    assert spec.size_billions is not None
-    return model_for_billions(spec.size_billions)
-
-
 def run_inference(spec: InferenceSpec) -> InferenceRun:
     """Simulate one :class:`InferenceSpec` end to end."""
     requests = spec.expand_requests()
-    config = _model_for(spec)
+    config = build_model(spec)
     if config.num_heads % spec.gpus:
         raise ConfigurationError(
             f"tensor parallelism needs gpus to divide num_heads: "

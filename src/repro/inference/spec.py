@@ -1,21 +1,20 @@
 """Canonical serializable inference workload: the :class:`InferenceSpec`.
 
-The serving analog of :class:`repro.api.RunSpec` — and the second
-implementation of the :class:`repro.api.workload.Workload` protocol.
-An ``InferenceSpec`` pins one tensor-parallel serving instance (model
-size, TP degree, node count), its open-loop traffic (seeded Poisson
-parameters or an explicit request trace), the batching policy and
-admission limits, and the latency SLOs the report scores against, with
-the same round-trip and cache-key contract as ``RunSpec``, so
+The serving analog of :class:`repro.api.RunSpec`.  An ``InferenceSpec``
+pins one tensor-parallel serving instance (model size, TP degree, node
+count), its open-loop traffic (seeded Poisson parameters or an explicit
+request trace), the batching policy and admission limits, and the
+latency SLOs the report scores against.  Its codec and cache key come
+from :class:`repro.api.spec.Spec` under ``KIND = "inference"``, so
 campaigns sweep and cache serving runs exactly like training runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..api.spec import TIE_ORDERS, stable_key
+from ..api.spec import TIE_ORDERS, Spec
 from ..errors import ConfigurationError
 from .requests import REQUEST_MIXES, Request, poisson_requests, trace_requests
 
@@ -27,7 +26,7 @@ BATCHING_POLICIES = ("continuous", "static")
 
 
 @dataclass(frozen=True)
-class InferenceSpec:
+class InferenceSpec(Spec):
     """One simulated serving run, as pure serializable data.
 
     Exactly one of ``size_billions`` / ``num_layers`` selects the model
@@ -38,6 +37,8 @@ class InferenceSpec:
     ``num_requests`` seeded arrivals at ``rate_per_second`` from
     ``request_mix``; ``"trace"`` replays ``trace_requests`` verbatim.
     """
+
+    KIND = "inference"
 
     size_billions: Optional[float] = None
     num_layers: Optional[int] = None
@@ -67,6 +68,7 @@ class InferenceSpec:
     leak_check: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (self.size_billions is None) == (self.num_layers is None):
             raise ConfigurationError(
                 "InferenceSpec needs exactly one of size_billions / num_layers"
@@ -118,10 +120,6 @@ class InferenceSpec:
                 f"unknown tie order {self.tie_order!r} "
                 f"(expected one of {TIE_ORDERS})"
             )
-        if not isinstance(self.trace_requests, tuple):
-            object.__setattr__(self, "trace_requests", tuple(
-                dict(entry) for entry in self.trace_requests
-            ))
 
     def expand_requests(self) -> List[Request]:
         """The spec's concrete request stream, deterministically.
@@ -144,53 +142,6 @@ class InferenceSpec:
                     f"{self.max_batch_tokens}; it could never be admitted"
                 )
         return stream
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe dict holding every field."""
-        payload: Dict[str, object] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name == "trace_requests":
-                value = [dict(entry) for entry in value]
-            payload[spec_field.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "InferenceSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown InferenceSpec fields {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        data = dict(payload)
-        entries = data.get("trace_requests")
-        if entries is not None:
-            data["trace_requests"] = tuple(dict(entry) for entry in entries)
-        try:
-            return cls(**data)  # type: ignore[arg-type]
-        except TypeError as error:
-            raise ConfigurationError(
-                f"bad InferenceSpec payload: {error}"
-            ) from None
-
-    def cache_key(self, *, salt: Optional[str] = None) -> str:
-        """Stable content hash (same contract as ``RunSpec.cache_key``)."""
-        return stable_key({"kind": "inference", "spec": self.to_dict()},
-                          salt=salt)
-
-    def replace(self, **changes: object) -> "InferenceSpec":
-        """A copy with ``changes`` applied, re-validated on construction."""
-        known = {spec_field.name for spec_field in fields(self)}
-        unknown = sorted(set(changes) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {type(self).__name__} fields {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        return replace(self, **changes)  # type: ignore[arg-type]
 
     @property
     def label(self) -> str:

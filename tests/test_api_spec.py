@@ -1,5 +1,7 @@
-"""The canonical RunSpec / ExperimentSpec API and its cache-key contract."""
+"""The canonical RunSpec / ExperimentSpec API, the codec every spec
+class shares, and the cache-key contract."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,10 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunSpec, canonical_json, default_salt, run_spec, stable_key
+from repro.api import (
+    RunSpec,
+    Spec,
+    canonical_json,
+    default_salt,
+    run_spec,
+    stable_key,
+)
+from repro.campaign import CampaignSpec
+from repro.cluster import ClusterScenario, JobSpec
 from repro.core.results import load_run_spec, metrics_to_dict
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSpec
+from repro.inference import InferenceSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -145,13 +157,14 @@ class TestRunSpecExecution:
         assert load_run_spec(payload) == spec
 
     def test_run_spec_matches_kwarg_shim(self):
+        from repro.api.build import preset_cluster
         from repro.core.runner import run_training
         from repro.core.search import model_for_billions
-        from repro.experiments.common import cluster_for, make_strategy
+        from repro.experiments.common import make_strategy
 
         spec = RunSpec(strategy="zero2", size_billions=1.4, iterations=3)
         via_spec = run_spec(spec)
-        via_kwargs = run_training(cluster_for(1), make_strategy("zero2"),
+        via_kwargs = run_training(preset_cluster(1), make_strategy("zero2"),
                                   model_for_billions(1.4), iterations=3)
         assert via_spec.tflops == via_kwargs.tflops
         assert via_spec.iteration_time == via_kwargs.iteration_time
@@ -160,3 +173,159 @@ class TestRunSpecExecution:
         spec = RunSpec(strategy="zorro9", size_billions=1.4)
         with pytest.raises(ConfigurationError):
             run_spec(spec)
+
+
+#: One payload per spec class, shaped as outside JSON: lists for tuple
+#: fields, nested specs as objects, and an int in a float field.  Each
+#: golden is the payload's fixed-salt key as computed before the classes
+#: shared a codec: ``cache_key`` where the class has a ``KIND``, else the
+#: hash of ``to_dict()``.  Equal goldens mean ints stay ints.
+GOLDEN_SALT = "workload-golden"
+CODEC_SAMPLES = {
+    RunSpec: (
+        {"strategy": "zero2", "size_billions": 1, "nodes": 2,
+         "faults": ["node0/xgmi:degrade@t=0,dur=1,mag=0.5"],
+         "fault_horizon": 2, "retry_max_retries": 3,
+         "activation_recompute": False},
+        "755f192eb29749dc4fc5e4ec67bbe76cc76e32f0e315ebbc16b5a58df65e7ed6"),
+    InferenceSpec: (
+        {"size_billions": 1, "gpus": 2, "arrivals": "trace",
+         "trace_requests": [{"time": 0, "name": "a", "prompt_tokens": 8,
+                             "output_tokens": 4}],
+         "kv_fraction": 1, "trace": True},
+        "46d65e6f6f8bef9a8222b5bfd2b29a43210851b3924b67c95e0611133d0126af"),
+    ClusterScenario: (
+        {"name": "c", "arrivals": "trace", "rate_per_hour": 600,
+         "trace_jobs": [{"time": 0, "name": "j", "gpus": 2}],
+         "leak_check": True},
+        "e3f190f1ea1ce7172fba12d142c90101cacd61383bd9636605d399985dcd198d"),
+    ExperimentSpec: (
+        {"experiment_id": "fig7", "duration_s": 5, "full_sweep": True},
+        "b18c10545850241d8f911178603dff9dec4b194d5949ccdd4f56d597d1aa5d44"),
+    JobSpec: (
+        {"name": "j", "size_billions": 1, "request_rate_per_s": 3,
+         "workload": "inference"},
+        "daa887c44a74e94f740e395e35bb859d1bef0b64a7c60259a3187b41270e7135"),
+    CampaignSpec: (
+        {"name": "c", "experiments": ["fig1"], "strategies": ["ddp"],
+         "sizes_billions": [1], "nodes": [1, 2], "full": True,
+         "clusters": [{"name": "a", "num_jobs": 2}],
+         "inference": [{"size_billions": 1, "gpus": 2, "num_requests": 4}]},
+        "494f70b955b23695f844dbef92092c73bab96c28091a7c217aab52c897d60f73"),
+}
+CODEC_CLASSES = list(CODEC_SAMPLES)
+
+#: A JSON value of the wrong type for each annotation shape the spec
+#: fields use.  A field annotated otherwise (a PEP 604 union, which
+#: Python 3.9 cannot evaluate, or a new shape) fails the lookup.
+WRONG_JSON = {
+    "bool": "yes",
+    "int": True,                       # a bool is not an int
+    "float": "1.5",                    # a string is not a number
+    "str": 5,
+    "Optional[int]": "1",
+    "Optional[float]": "1.5",
+    "Tuple[str, ...]": "abc",          # a string is not a list
+    "Tuple[int, ...]": ["1"],
+    "Tuple[float, ...]": [True],
+    "Tuple[Dict[str, object], ...]": [5],  # entries must be objects
+    "Tuple[ClusterScenario, ...]": ["a"],
+    "Tuple[InferenceSpec, ...]": [5],
+}
+
+#: A value each class's validation rejects.
+INVALID = {RunSpec: {"nodes": 0}, InferenceSpec: {"gpus": 0},
+           ClusterScenario: {"nodes": 0}, ExperimentSpec: {"duration_s": 0},
+           JobSpec: {"gpus": 0}, CampaignSpec: {"name": ""}}
+
+
+def _fields(predicate=lambda spec_field: True):
+    return [pytest.param(cls, spec_field.name,
+                         id=f"{cls.__name__}.{spec_field.name}")
+            for cls in CODEC_CLASSES
+            for spec_field in dataclasses.fields(cls)
+            if predicate(spec_field)]
+
+
+def _is_tuple(spec_field):
+    return spec_field.type.startswith("Tuple[")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counted(Spec):
+    count: str = "1"
+
+    def __post_init__(self):
+        super().__post_init__()
+        int(self.count)
+
+
+class TestSpecCodec:
+    """The contract of the one codec, for every spec class."""
+
+    @pytest.mark.parametrize("cls", CODEC_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_json_round_trip_keeps_the_golden_key(self, cls):
+        payload, golden = CODEC_SAMPLES[cls]
+        spec = cls.from_dict(payload)
+        text = json.dumps(spec.to_dict())
+        assert cls.from_dict(json.loads(text)) == spec
+        key = (spec.cache_key(salt=GOLDEN_SALT) if hasattr(cls, "KIND")
+               else stable_key(spec.to_dict(), salt=GOLDEN_SALT))
+        assert key == golden
+
+    @pytest.mark.parametrize("cls", CODEC_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_unknown_field_and_non_object_rejected(self, cls):
+        payload, _ = CODEC_SAMPLES[cls]
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown {cls.__name__} fields "
+                                 r"\['warp_factor'\]"):
+            cls.from_dict({**payload, "warp_factor": 9})
+        with pytest.raises(ConfigurationError, match=cls.__name__):
+            cls.from_dict([payload])
+
+    @pytest.mark.parametrize(
+        "cls,name", _fields(lambda f: f.default is dataclasses.MISSING))
+    def test_missing_required_field(self, cls, name):
+        payload = dict(CODEC_SAMPLES[cls][0])
+        del payload[name]
+        with pytest.raises(ConfigurationError,
+                           match=f"{cls.__name__} payload needs '{name}'"):
+            cls.from_dict(payload)
+
+    @pytest.mark.parametrize("cls,name", _fields())
+    def test_wrong_json_type(self, cls, name):
+        shape = {f.name: f.type for f in dataclasses.fields(cls)}[name]
+        payload = {**CODEC_SAMPLES[cls][0], name: WRONG_JSON[shape]}
+        with pytest.raises(ConfigurationError,
+                           match=f"{cls.__name__} field '{name}' expects"):
+            cls.from_dict(payload)
+
+    @pytest.mark.parametrize("cls", CODEC_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_lists_stored_as_tuples(self, cls):
+        spec = cls(**CODEC_SAMPLES[cls][0])
+        for spec_field in filter(_is_tuple, dataclasses.fields(cls)):
+            assert isinstance(getattr(spec, spec_field.name), tuple)
+        assert spec == cls.from_dict(CODEC_SAMPLES[cls][0])
+
+    @pytest.mark.parametrize("cls,name", _fields(_is_tuple))
+    def test_string_for_a_tuple_field_rejected(self, cls, name):
+        with pytest.raises(ConfigurationError, match=f"'{name}' expects"):
+            cls(**{**CODEC_SAMPLES[cls][0], name: "abc"})
+
+    @pytest.mark.parametrize("cls", CODEC_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_replace_rejects_unknown_fields_and_revalidates(self, cls):
+        spec = cls.from_dict(CODEC_SAMPLES[cls][0])
+        with pytest.raises(ConfigurationError, match="warp_factor"):
+            spec.replace(warp_factor=9)
+        with pytest.raises(ConfigurationError):
+            spec.replace(**INVALID[cls])
+
+    def test_construction_errors_become_configuration_errors(self):
+        assert _Counted.from_dict({"count": "2"}).count == "2"
+        with pytest.raises(ConfigurationError,
+                           match="bad _Counted payload: invalid literal"):
+            _Counted.from_dict({"count": "many"})

@@ -272,6 +272,17 @@ class TestCampaignCli:
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
 
+    def test_mistyped_spec_file_names_the_field(self, tmp_path, capsys):
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps(
+            {"name": "typo", "experiments": "fig7"}))
+        code = main(["campaign", "run", "--spec", str(spec_path),
+                     "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "CampaignSpec field 'experiments'" in err
+        assert "Traceback" not in err
+
     def test_bad_cache_dir_renders_clean_error(self, tmp_path, capsys):
         squatter = tmp_path / "file"
         squatter.write_text("")

@@ -102,6 +102,21 @@ class TestCluster:
         assert out.exists()
 
 
+    @pytest.mark.parametrize("job,message", [
+        ({"strategy": "zero4"}, "unknown strategy 'zero4'"),
+        ({"gpus": "two"}, "JobSpec field 'gpus' expects an integer"),
+    ])
+    def test_bad_trace_job_is_one_error_line(self, tmp_path, capsys, job,
+                                             message):
+        arrivals = tmp_path / "arrivals.json"
+        arrivals.write_text(json.dumps([{"time": 0, "name": "a", **job}]))
+        code = main(["cluster", "run", "--arrivals", str(arrivals)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
+
 class TestTrace:
     @pytest.fixture()
     def trace_file(self, tmp_path, capsys):

@@ -446,6 +446,24 @@ class TestPerturbationDiffer:
         assert "DET120" not in [f.code for f in report.findings]
         json.dumps(result.to_dict())  # artifact shape is serializable
 
+    def test_three_nodes_diff_on_three_nodes(self, monkeypatch):
+        from repro.analysis.determinism import differ
+
+        compared = []
+
+        def recording(metrics, cluster):
+            fields = headline_fields(metrics, cluster)
+            compared.append(fields)
+            return fields
+
+        monkeypatch.setattr(differ, "headline_fields", recording)
+        result = perturbation_diff("ddp", size_billions=0.7, nodes=3,
+                                   iterations=2)
+        assert result.nodes == 3 and len(compared) == 3
+        for fields in compared:
+            assert any(key.startswith("ledger[node2/") for key in fields)
+        assert result.diffs == []
+
     def test_confirmed_race_becomes_det120_error(self):
         result = perturbation_diff("ddp", size_billions=0.7, nodes=1,
                                    iterations=2, seed=7)

@@ -6,12 +6,11 @@ degradation must invalidate the collective-cost memo's topology keying.
 import pytest
 
 from repro.api.spec import RunSpec
-from repro.api.spec import FIDELITIES as SPEC_FIDELITIES
 from repro.campaign import ResultCache
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSpec
 from repro.hardware import dual_node_cluster
-from repro.sim.fastpath import FIDELITIES, collective_cost_key
+from repro.sim.fastpath import collective_cost_key
 
 
 BASE_RUN = dict(strategy="zero2", num_layers=6, nodes=1,
@@ -19,11 +18,6 @@ BASE_RUN = dict(strategy="zero2", num_layers=6, nodes=1,
 
 
 class TestFidelityValidation:
-    def test_spec_fidelities_mirror_fastpath(self):
-        # spec.py re-declares the tuple to stay cycle-free; keep them
-        # in lockstep.
-        assert SPEC_FIDELITIES == FIDELITIES
-
     def test_run_spec_rejects_unknown_fidelity(self):
         with pytest.raises(ConfigurationError):
             RunSpec(fidelity="psychic", **BASE_RUN)

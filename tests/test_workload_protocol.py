@@ -1,32 +1,37 @@
-"""The Workload protocol: one spec contract, two implementations.
+"""The spec contract across kinds.
 
-Training (:class:`repro.api.RunSpec`) and serving
-(:class:`repro.inference.InferenceSpec`) satisfy the same structural
-protocol — round-trippable dicts, salted cache keys, human labels, a
-``run()`` entry point — which is what lets campaigns, the result cache,
-and the cluster daemon treat them uniformly.  These tests pin the
-contract itself, cross-implementation.
+Training (:class:`repro.api.RunSpec`), serving
+(:class:`repro.inference.InferenceSpec`), cluster scenarios and
+experiments share one codec (:class:`repro.api.spec.Spec`), key the
+campaign result cache under their ``KIND``, and are dispatched by
+campaigns through one ``{KIND: class}`` table
+(:data:`repro.campaign.spec.SPEC_KINDS`).  These tests pin that table,
+round trips, fixed-salt keys and labels across kinds, and campaigns
+that mix kinds.
 """
 
 import pytest
 
 from repro.api import RunSpec
-from repro.api.workload import (
-    WORKLOAD_KINDS,
-    Workload,
-    spec_from_payload,
-    workload_class,
-    workload_kind,
-)
 from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign.runner import execute_job
+from repro.campaign.spec import SPEC_KINDS, Job
+from repro.cluster import ClusterScenario
 from repro.errors import ConfigurationError
+from repro.experiments.common import ExperimentSpec
 from repro.inference import InferenceSpec
+
+KINDS = ("train", "inference")
 
 
 def _spec_for(kind):
     if kind == "train":
         return RunSpec(strategy="zero2", size_billions=0.7, iterations=3)
-    return InferenceSpec(size_billions=0.7, gpus=2, num_requests=8)
+    if kind == "inference":
+        return InferenceSpec(size_billions=0.7, gpus=2, num_requests=8)
+    if kind == "experiment":
+        return ExperimentSpec("fig7", iterations=4, fidelity="hybrid")
+    return ClusterScenario(name="golden", policy="sjf", num_jobs=6)
 
 
 #: Fixed-salt cache keys: these must NEVER change for an unchanged spec
@@ -39,6 +44,10 @@ GOLDEN_KEYS = {
              "5759fcbe2da312d569fc8f3bbbdf194e",
     "inference": "59cfdac75cfc462c605d51ff533afbe2"
                  "7bb514eb5f6f3b5d37ec79b3cbae015b",
+    "experiment": "1110191e7c0ba9cfe41e3e7d99e8abee"
+                  "7526367c140974abb44b1857cceb7222",
+    "cluster": "48db042bf3b9a756e6e7951c348fc1d8"
+               "2ced57c049ad24b4e9e967049e9a96a4",
 }
 GOLDEN_LABELS = {
     "train": "zero2-0.7b-n1-B",
@@ -48,65 +57,62 @@ GOLDEN_LABELS = {
 
 class TestProtocol:
     def test_kinds(self):
-        assert WORKLOAD_KINDS == ("train", "inference")
+        assert tuple(SPEC_KINDS) == ("experiment", "run", "cluster",
+                                     "inference")
 
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_specs_satisfy_protocol(self, kind):
         spec = _spec_for(kind)
-        assert isinstance(spec, Workload)
-        assert workload_kind(spec) == kind
-        assert type(spec) is workload_class(kind)
+        assert SPEC_KINDS[type(spec).KIND] is type(spec)
+        assert Job("job", spec).kind == type(spec).KIND
+        assert callable(spec.run) and spec.label
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="workload"):
-            workload_class("batch")
-        with pytest.raises(ConfigurationError, match="workload"):
-            spec_from_payload("batch", {})
-
-    def test_unregistered_spec_type_rejected(self):
-        with pytest.raises(ConfigurationError, match="not a registered"):
-            workload_kind(object())
+        with pytest.raises(ConfigurationError,
+                           match="unknown job kind 'batch'"):
+            execute_job({"kind": "batch", "spec": {}})
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_to_dict_from_dict_is_identity(self, kind):
         spec = _spec_for(kind)
         assert type(spec).from_dict(spec.to_dict()) == spec
 
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_spec_from_payload_dispatches(self, kind):
-        spec = _spec_for(kind)
-        assert spec_from_payload(kind, spec.to_dict()) == spec
+        payload = Job("job", _spec_for(kind)).to_payload()
+        spec = SPEC_KINDS[payload["kind"]].from_dict(payload["spec"])
+        assert spec == _spec_for(kind)
 
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_unknown_payload_fields_rejected(self, kind):
         spec = _spec_for(kind)
         payload = dict(spec.to_dict())
         payload["not_a_field"] = 1
         with pytest.raises(ConfigurationError, match="not_a_field"):
-            spec_from_payload(kind, payload)
+            type(spec).from_dict(payload)
 
 
 class TestCacheKeys:
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", GOLDEN_KEYS)
     def test_fixed_salt_golden(self, kind):
         """Keyed payloads are stable across releases (cache contract)."""
         spec = _spec_for(kind)
         assert spec.cache_key(salt=GOLDEN_SALT) == GOLDEN_KEYS[kind]
 
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", GOLDEN_LABELS)
     def test_label_golden(self, kind):
         assert _spec_for(kind).label == GOLDEN_LABELS[kind]
 
     def test_kinds_never_collide(self):
-        """A train and an inference spec can never share a cache slot,
-        even if their field dicts were to coincide."""
+        """Specs of two kinds can never share a cache slot, even if
+        their field dicts were to coincide."""
         keys = {kind: _spec_for(kind).cache_key(salt=GOLDEN_SALT)
-                for kind in WORKLOAD_KINDS}
+                for kind in GOLDEN_KEYS}
         assert len(set(keys.values())) == len(keys)
 
-    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_key_tracks_fields(self, kind):
         spec = _spec_for(kind)
         changed = (spec.replace(iterations=spec.iterations + 1)
