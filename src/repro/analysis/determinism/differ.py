@@ -8,10 +8,10 @@ reruns the same configuration under legal tie-order permutations
 (:class:`~repro.sim.engine.ReversedTies` and a seeded shuffle,
 :class:`~repro.sim.engine.SeededTies`) and field-diffs the headline
 metrics: iteration times, TFLOP/s, and every link ledger's record count
-and byte total, each rounded to :data:`SIG_FIGS` significant figures
-(the golden-trace harness's tolerance).  Any divergence is a confirmed
-schedule race, reported as an ERROR (``DET120``); bit-equal results
-refute the suspects for this configuration.
+and byte total, compared by the one field rule
+(:func:`repro.compare.diff_fields`, floats at six significant figures).
+Any divergence is a confirmed schedule race, reported as an ERROR
+(``DET120``); equal results refute the suspects for this configuration.
 
 Not imported from ``repro.analysis.__init__``: this module needs
 :func:`repro.core.runner.run_training`, which itself imports the
@@ -20,11 +20,11 @@ analysis package for its pre-run hook.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ...api.build import strategy_cluster
+from ...compare import MISSING, diff_fields, round_sig  # noqa: F401  (bench imports round_sig here)
 from ...core.runner import RunMetrics, run_training
 from ...core.search import model_for_billions
 from ...experiments.common import make_strategy
@@ -35,27 +35,15 @@ from ...sim.sanitizer import SanitizerReport
 from ..findings import Finding, Report
 from .dynamic import DIFFER_PASS, SANITIZER_PASS, divergence_finding, sanitizer_findings
 
-#: Significant figures headline fields are rounded to before comparison
-#: — the same tolerance the golden-trace harness uses, so a divergence
-#: here is one the regression suite would also see.
-SIG_FIGS = 6
-
-
-def round_sig(value: float, digits: int = SIG_FIGS) -> float:
-    """``value`` rounded to ``digits`` significant figures."""
-    if value == 0 or not math.isfinite(value):
-        return value
-    magnitude = int(math.floor(math.log10(abs(value))))
-    return round(value, digits - 1 - magnitude)
-
 
 @dataclass(frozen=True)
 class FieldDiff:
-    """One headline field that changed under a tie-order perturbation."""
+    """One headline field that changed under a tie-order perturbation
+    (values unrounded; NaN for a side that lacks the field)."""
 
     field: str
-    baseline: float
-    perturbed: float
+    baseline: object
+    perturbed: object
     order: str
 
     def to_dict(self) -> Dict[str, object]:
@@ -79,22 +67,18 @@ def diff_headline_runs(
     out so tests can drive it with a bare engine instead of a full
     training run.
     """
-    baseline = {k: round_sig(v) for k, v in run_fn(TieOrder()).items()}
+    baseline = run_fn(TieOrder())
     diffs: List[FieldDiff] = []
     orders: List[str] = []
     for order in (ReversedTies(), SeededTies(seed)):
         orders.append(order.name)
-        perturbed = {k: round_sig(v) for k, v in run_fn(order).items()}
-        for key in sorted(baseline.keys() | perturbed.keys()):
-            before = baseline.get(key)
-            after = perturbed.get(key)
-            if before != after:
-                diffs.append(FieldDiff(
-                    field=key,
-                    baseline=float("nan") if before is None else before,
-                    perturbed=float("nan") if after is None else after,
-                    order=order.name,
-                ))
+        for key, before, after in diff_fields(baseline, run_fn(order)):
+            diffs.append(FieldDiff(
+                field=key,
+                baseline=float("nan") if before is MISSING else before,
+                perturbed=float("nan") if after is MISSING else after,
+                order=order.name,
+            ))
     return diffs, orders
 
 
@@ -109,13 +93,11 @@ def headline_fields(metrics: RunMetrics, cluster: Cluster
     for index, seconds in enumerate(metrics.execution.iteration_times):
         fields[f"iteration[{index}]_s"] = seconds
     for link in cluster.topology.links:
-        records = list(link.ledger)
-        if not records:
+        ledger = link.ledger
+        if not len(ledger):
             continue
-        fields[f"ledger[{link.name}].records"] = float(len(records))
-        fields[f"ledger[{link.name}].bytes"] = float(
-            sum(record.num_bytes for record in records)
-        )
+        fields[f"ledger[{link.name}].records"] = float(len(ledger))
+        fields[f"ledger[{link.name}].bytes"] = float(ledger.total_bytes)
     return fields
 
 

@@ -6,8 +6,9 @@ expansion order, regardless of worker completion order.
 
 :func:`diff_reports` is the campaign analog of the determinism differ's
 perturbation check: two reports of the same campaign (e.g. one serial,
-one with four workers) are flattened to scalar fields and compared at
-the differ's significant-figure tolerance.  An empty diff certifies the
+one with four workers) flatten every job, whatever its kind, by the one
+headline rule and compare the flats by the one field rule
+(:func:`repro.compare.diff_fields`).  An empty diff certifies the
 worker pool changed nothing but the wall clock.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
 
+from ..compare import diff_fields
 from ..core.results import headline_from_payload
 
 #: Layout version of a saved campaign report.
@@ -101,31 +103,18 @@ class CampaignReport:
 
 def flatten_job(job: JobResult) -> Dict[str, object]:
     """Scalar ``{field: value}`` pairs of one job's payload."""
-    if job.kind == "run":
-        return headline_from_payload(job.payload)
-    flat: Dict[str, object] = {}
-    rows = job.payload.get("rows", [])
-    for index, row in enumerate(rows):
-        for key in sorted(row):
-            flat[f"rows[{index}].{key}"] = row[key]
-    return flat
+    return headline_from_payload(job.payload)
 
 
 def diff_reports(a: CampaignReport, b: CampaignReport
                  ) -> List[Dict[str, object]]:
     """Field-level differences between two runs of the same campaign.
 
-    Floats are rounded to the determinism differ's significant-figure
-    tolerance before comparison, so any reported difference is one the
-    golden-trace harness would also see.  Empty list == field-identical.
+    Floats agree to six significant figures, every other value exactly;
+    entries carry the unrounded values, and
+    :data:`repro.compare.MISSING` for a field one side lacks.  Empty
+    list == field-identical.
     """
-    from ..analysis.determinism.differ import round_sig
-
-    def rounded(value: object) -> object:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return value
-        return round_sig(float(value))
-
     diffs: List[Dict[str, object]] = []
     jobs_a = {job.job_id: job for job in a.jobs}
     jobs_b = {job.job_id: job for job in b.jobs}
@@ -136,12 +125,8 @@ def diff_reports(a: CampaignReport, b: CampaignReport
                           "a": job_id in jobs_a, "b": job_id in jobs_b,
                           "note": f"only in {present!r}"})
             continue
-        flat_a = {k: rounded(v)
-                  for k, v in flatten_job(jobs_a[job_id]).items()}
-        flat_b = {k: rounded(v)
-                  for k, v in flatten_job(jobs_b[job_id]).items()}
-        for key in sorted(set(flat_a) | set(flat_b)):
-            if flat_a.get(key) != flat_b.get(key):
-                diffs.append({"job_id": job_id, "field": key,
-                              "a": flat_a.get(key), "b": flat_b.get(key)})
+        for key, value_a, value_b in diff_fields(
+                flatten_job(jobs_a[job_id]), flatten_job(jobs_b[job_id])):
+            diffs.append({"job_id": job_id, "field": key,
+                          "a": value_a, "b": value_b})
     return diffs

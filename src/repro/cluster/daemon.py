@@ -41,14 +41,14 @@ no wall clock, no process-global RNG (the ``CLU0xx`` lints pin this).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..parallel.strategy import MemoryPlan
 from ..sim.engine import BaseEvent, Engine
 from ..units import GB
 from .jobs import JobRecord, JobStore
-from .views import ClusterView, NodeAllocation
+from .views import ClusterView, NodeAllocation, pool_demand
 
 #: Scheduling policies ``repro cluster run --policy`` accepts.
 POLICIES = ("fifo", "sjf", "memory-aware")
@@ -181,19 +181,10 @@ class SchedulerDaemon:
     def _fits_memory(self, record: JobRecord,
                      allocation: Tuple[NodeAllocation, ...]) -> bool:
         """Would the job's plan fit every pool this allocation touches?"""
-        plan = self._demand(record)
         view = ClusterView(self.cluster, allocation)
-        needed: Dict[int, float] = {}
-        pools: Dict[int, Any] = {}
-        for rank in range(view.num_gpus):
-            for pool, amount in ((view.gpu(rank).memory, plan.gpu_total),
-                                 (view.dram_for_rank(rank).memory,
-                                  plan.cpu_total)):
-                pools[id(pool)] = pool
-                needed[id(pool)] = needed.get(id(pool), 0.0) + amount
         return all(
-            pools[key].free_bytes + _EPSILON_BYTES >= amount
-            for key, amount in needed.items()
+            pool.free_bytes + _EPSILON_BYTES >= amount
+            for pool, amount in pool_demand(view, self._demand(record))
         )
 
     # -- allocation bookkeeping ------------------------------------------------

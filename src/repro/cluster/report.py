@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.results import SCHEMA_VERSION, headline_from_payload
+from ..core.results import SCHEMA_VERSION, numeric_headline
 from ..sim.leaksan import LeakReport
 from .jobs import JobStore
 
@@ -81,19 +81,8 @@ class ClusterReport:
         }
 
     def headline(self) -> Dict[str, float]:
-        """Flat *numeric* fields for the perturbation differ.
-
-        Strings (scenario/policy/kind) are spec identity, not
-        measurement, and the differ's significant-figure rounding is
-        numeric-only; ``leaks`` is provenance.
-        """
-        payload = self.to_dict()
-        payload.pop("leaks", None)
-        return {
-            key: float(value)
-            for key, value in headline_from_payload(payload).items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
+        """Flat numeric fields for the perturbation differ."""
+        return numeric_headline(self.to_dict())
 
 
 def build_report(scenario_name: str, policy: str, *,

@@ -57,7 +57,7 @@ from .daemon import SchedulerDaemon, checkpoint_seconds
 from .jobs import JobRecord, JobSpec, JobStore
 from .report import ClusterReport, build_report
 from .scenario import ClusterScenario
-from .views import ClusterView, probe_view
+from .views import ClusterView, pool_demand, probe_view
 
 
 @dataclass
@@ -205,22 +205,13 @@ class _ClusterService:
         """
         for spec in specs:
             view = probe_view(self.cluster, spec.gpus)  # shape check
-            plan = self.plan_for(spec)
-            needed: Dict[int, float] = {}
-            capacity: Dict[int, float] = {}
-            for rank in range(view.num_gpus):
-                for pool, amount in (
-                        (view.gpu(rank).memory, plan.gpu_total),
-                        (view.dram_for_rank(rank).memory, plan.cpu_total)):
-                    capacity[id(pool)] = pool.capacity_bytes
-                    needed[id(pool)] = needed.get(id(pool), 0.0) + amount
-            for key, amount in needed.items():
-                if amount > capacity[key] + 1e-6:
+            for pool, amount in pool_demand(view, self.plan_for(spec)):
+                if amount > pool.capacity_bytes + 1e-6:
                     raise ConfigurationError(
                         f"job {spec.name!r} ({spec.strategy}, "
                         f"{spec.size_billions}B on {spec.gpus} GPUs) can "
                         f"never fit: needs {amount / GIB:.1f} GiB of a "
-                        f"{capacity[key] / GIB:.1f} GiB pool"
+                        f"{pool.capacity_bytes / GIB:.1f} GiB pool"
                     )
 
     # -- arrival callback ------------------------------------------------------

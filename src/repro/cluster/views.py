@@ -23,11 +23,13 @@ adjacency assumptions and is rejected at validation time.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, TopologyError
 from ..hardware.cluster import Cluster
+from ..hardware.devices import MemoryPool
 from ..hardware.node import Node
+from ..parallel.strategy import MemoryPlan
 
 #: One allocated node: (node index in the shared cluster, GPU indices
 #: on that node, in ascending order).
@@ -133,6 +135,21 @@ class ClusterView:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ClusterView({self.num_gpus} GPUs over "
                 f"{self.num_nodes} node(s): {self.allocation})")
+
+
+def pool_demand(view: ClusterView, plan: MemoryPlan
+                ) -> List[Tuple[MemoryPool, float]]:
+    """``(pool, bytes)`` for each memory pool the view's ranks use: every
+    rank asks its GPU for ``plan.gpu_total`` and its socket's DRAM for
+    ``plan.cpu_total``, summed in rank order over ranks sharing a pool."""
+    demand: Dict[int, Tuple[MemoryPool, float]] = {}
+    for rank in range(view.num_gpus):
+        for pool, amount in ((view.gpu(rank).memory, plan.gpu_total),
+                             (view.dram_for_rank(rank).memory,
+                              plan.cpu_total)):
+            _, summed = demand.get(id(pool), (pool, 0.0))
+            demand[id(pool)] = (pool, summed + amount)
+    return list(demand.values())
 
 
 def probe_view(cluster: Cluster, gpus: int) -> ClusterView:

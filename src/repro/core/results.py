@@ -15,8 +15,9 @@ it reproduces the payload field for field.
 Schema v3 adds ``payload["fastpath"]`` — the
 :class:`~repro.sim.fastpath.FastpathReport` describing what the hybrid
 fast path did (``None`` for plain full-fidelity runs).  The field is
-*provenance*, not measurement: :func:`headline_from_payload` skips it so
-hybrid and full results of the same steady workload flatten to the same
+*provenance*, not measurement: :func:`headline_from_payload` skips it
+(with the spec and the leak audit, :data:`PROVENANCE_KEYS`) so hybrid
+and full results of the same steady workload flatten to the same
 headline, which is exactly what the differential tests assert.
 """
 
@@ -123,27 +124,41 @@ def compare_runs(runs: List[Dict[str, object]],
     return sorted(runs, key=lambda r: r[metric], reverse=True)
 
 
+#: Provenance (how a result was obtained, not what it measured): no
+#: headline includes these payload keys.
+PROVENANCE_KEYS = frozenset({"schema_version", "spec", "fastpath", "leaks"})
+
+
 def headline_from_payload(payload: Dict[str, object],
                           prefix: str = "") -> Dict[str, object]:
-    """Flatten a results payload into scalar ``{field: value}`` pairs.
-
-    The campaign runner's field-identity check (serial vs. parallel
-    execution) compares these flats with the perturbation differ's
-    significant-figure rounding; nested dicts flatten with dotted keys.
+    """Flatten a results payload of any kind into scalar ``{field:
+    value}`` pairs: nested dicts as ``name.key``, list items as
+    ``name[i]``, dict items of a list as ``name[i].key``.
     """
     flat: Dict[str, object] = {}
-    # "fastpath" is provenance (how the result was obtained), not a
-    # measurement: skipping it keeps hybrid and full headlines comparable.
-    skip = {"schema_version", "spec", "fastpath"}
     for key, value in payload.items():
-        if key in skip:
+        if key in PROVENANCE_KEYS:
             continue
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(headline_from_payload(value, prefix=f"{name}."))
         elif isinstance(value, list):
             for index, item in enumerate(value):
-                flat[f"{name}[{index}]"] = item
+                if isinstance(item, dict):
+                    flat.update(headline_from_payload(
+                        item, prefix=f"{name}[{index}]."))
+                else:
+                    flat[f"{name}[{index}]"] = item
         else:
             flat[name] = value
     return flat
+
+
+def numeric_headline(payload: Dict[str, object]) -> Dict[str, float]:
+    """The headline's numeric fields as floats (strings are spec
+    identity, not measurement)."""
+    return {
+        key: float(value)
+        for key, value in headline_from_payload(payload).items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }

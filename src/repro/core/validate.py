@@ -22,14 +22,9 @@ from typing import Dict
 from ..errors import SimulationError
 from ..hardware.cluster import Cluster
 from ..hardware.link import LinkClass
+from ..sim.sanitizer import ledger_capacity_violations
 from ..telemetry.timeline import Lane, Timeline
-from ..units import GB
 from .runner import RunMetrics
-
-#: Ledger rates may exceed a link's per-direction capacity by this factor
-#: before the capacity check fails — covers rounding in flow splits and
-#: the coarse one-record host-background charges.
-_RATE_TOLERANCE = 1.05
 
 
 @dataclass
@@ -119,26 +114,9 @@ def _check_ledgers(cluster: Cluster, metrics: RunMetrics,
                 bad_records += 1
     report.record("ledger_records_in_window", bad_records == 0,
                   f"{bad_records} out-of-window records")
-    # No record may imply a rate above what its link could physically
-    # carry in one direction *at the time* (small tolerance for rounding
-    # in flow splits).  Capacity is time-varying under fault injection:
-    # the bound is the highest capacity in effect anywhere in the
-    # record's interval, which is exact because the injector settles the
-    # network at every capacity change point.
-    over_rate = []
-    for link in cluster.topology.links:
-        for record in link.ledger:
-            duration = record.end - record.start
-            if duration <= 1e-9:
-                continue
-            capacity = link.max_capacity_over(record.start, record.end)
-            rate = record.num_bytes / duration
-            if rate > capacity * _RATE_TOLERANCE:
-                over_rate.append(
-                    f"{link.name}: {rate / GB:.1f} GB/s vs "
-                    f"{capacity / GB:.1f} GB/s in "
-                    f"[{record.start:.4f}, {record.end:.4f}]"
-                )
+    # No record may imply a rate above what its link could carry in one
+    # direction at the time (the schedule sanitizer's audit).
+    over_rate = ledger_capacity_violations(cluster)
     report.record(
         "ledger_within_link_capacity", not over_rate,
         f"{len(over_rate)} over-rate records: {over_rate[:3]}",

@@ -20,7 +20,7 @@ from .injector import (
     resolve_target,
 )
 from .plan import FaultPlan, parse_fault_spec, parse_time
-from .report import degradation_report, round_sig
+from .report import degradation_report
 
 __all__ = [
     "LINK_KINDS",
@@ -33,5 +33,4 @@ __all__ = [
     "parse_fault_spec",
     "parse_time",
     "resolve_target",
-    "round_sig",
 ]

@@ -11,9 +11,9 @@ across harmless floating-point reorderings.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..compare import round_sig
 from ..hardware.link import LinkClass
 from ..telemetry.bandwidth import BandwidthMonitor
 from .plan import FaultPlan
@@ -30,13 +30,6 @@ REPORT_SIG_FIGS = 9
 WINDOW_GAP_TOLERANCE = 1e-3
 
 
-def round_sig(value: float, digits: int = REPORT_SIG_FIGS) -> float:
-    """Round to ``digits`` significant figures (0 and non-finite pass)."""
-    if value == 0 or not math.isfinite(value):
-        return value
-    return round(value, digits - 1 - int(math.floor(math.log10(abs(value)))))
-
-
 def _coalesce(intervals, gap: float = WINDOW_GAP_TOLERANCE) -> List[tuple]:
     out: List[tuple] = []
     for start, end in intervals:
@@ -47,11 +40,15 @@ def _coalesce(intervals, gap: float = WINDOW_GAP_TOLERANCE) -> List[tuple]:
     return out
 
 
+def _rounded(value: float) -> float:
+    return round_sig(value, REPORT_SIG_FIGS)
+
+
 def _metrics_summary(metrics: "RunMetrics") -> Dict[str, float]:
     return {
-        "iteration_time_s": round_sig(metrics.iteration_time),
-        "tflops_per_gpu": round_sig(metrics.tflops),
-        "total_time_s": round_sig(metrics.execution.total_time),
+        "iteration_time_s": _rounded(metrics.iteration_time),
+        "tflops_per_gpu": _rounded(metrics.tflops),
+        "total_time_s": _rounded(metrics.execution.total_time),
     }
 
 
@@ -76,8 +73,8 @@ def degradation_report(baseline: "RunMetrics", faulted: "RunMetrics",
         "faults": [event.to_dict() for event in plan.events],
         "baseline": _metrics_summary(baseline),
         "faulted": _metrics_summary(faulted),
-        "slowdown": round_sig(slowdown),
-        "throughput_retained": round_sig(
+        "slowdown": _rounded(slowdown),
+        "throughput_retained": _rounded(
             faulted.tflops / baseline.tflops if baseline.tflops > 0 else 0.0
         ),
     }
@@ -87,7 +84,7 @@ def degradation_report(baseline: "RunMetrics", faulted: "RunMetrics",
             merged = _coalesce(monitor.degraded_windows(link_class))
             if merged:
                 windows[str(link_class)] = [
-                    [round_sig(s), round_sig(e)] for s, e in merged
+                    [_rounded(s), _rounded(e)] for s, e in merged
                 ]
         report["degraded_windows"] = windows
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..cluster.report import percentile
-from ..core.results import SCHEMA_VERSION, headline_from_payload
+from ..core.results import SCHEMA_VERSION, numeric_headline
 from ..sim.leaksan import LeakReport
 from .batching import RequestRecord, ServingStats
 
@@ -88,18 +88,8 @@ class InferenceReport:
         return payload
 
     def headline(self) -> Dict[str, float]:
-        """Flat *numeric* fields for the perturbation differ.
-
-        Strings are spec identity, not measurement; ``leaks`` is
-        provenance — same shape as the cluster report's headline.
-        """
-        payload = self.to_dict()
-        payload.pop("leaks", None)
-        return {
-            key: float(value)
-            for key, value in headline_from_payload(payload).items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
+        """Flat numeric fields for the perturbation differ."""
+        return numeric_headline(self.to_dict())
 
 
 def build_report(spec_label: str, batching: str, *,

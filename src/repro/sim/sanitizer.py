@@ -35,13 +35,34 @@ from .engine import Engine
 
 #: Ledger rates may exceed the capacity-in-effect by this factor before
 #: the audit flags them — covers rounding in flow splits and the coarse
-#: one-record host-background charges (same tolerance the run validator
-#: uses, see ``repro.core.validate``).
+#: one-record host-background charges.
 RATE_TOLERANCE = 1.05
 
 #: Keep at most this many concrete conflict samples; beyond it only the
 #: counters grow, so a chatty run cannot bloat the report.
 MAX_RECORDED_CONFLICTS = 32
+
+
+def ledger_capacity_violations(cluster: Any) -> List[str]:
+    """One line per ledger record that double-books its link: its average
+    rate exceeds the highest capacity in effect in its interval (time-varying
+    under faults) times :data:`RATE_TOLERANCE`.  Records of 1 ns or less are
+    skipped.  The sanitizer's audit and the run validator both use this."""
+    violations: List[str] = []
+    for link in cluster.topology.links:
+        for record in link.ledger:
+            width = record.end - record.start
+            if width <= 1e-9:
+                continue
+            ceiling = link.max_capacity_over(record.start, record.end)
+            rate = record.num_bytes / width
+            if rate > ceiling * RATE_TOLERANCE:
+                violations.append(
+                    f"{link.name}: {rate:.6g} B/s over "
+                    f"[{record.start:.6g}, {record.end:.6g}] exceeds "
+                    f"capacity-in-effect {ceiling:.6g} B/s"
+                )
+    return violations
 
 
 def _callback_label(callback: Callable[..., Any]) -> str:
@@ -169,31 +190,12 @@ class ScheduleSanitizer:
             ))
 
     # -- post-run ------------------------------------------------------------
-    def audit_ledgers(self, cluster: Any) -> None:
-        """Assert no ledger interval double-books a link.
-
-        Each record's average rate must stay within the highest capacity
-        in effect anywhere in its interval (time-varying under fault
-        injection), with the standard rounding tolerance.
-        """
-        for link in cluster.topology.links:
-            for record in link.ledger:
-                width = record.end - record.start
-                if width <= 1e-9:
-                    continue
-                ceiling = link.max_capacity_over(record.start, record.end)
-                rate = record.num_bytes / width
-                if rate > ceiling * RATE_TOLERANCE:
-                    self.report.capacity_violations.append(
-                        f"{link.name}: {rate:.6g} B/s over "
-                        f"[{record.start:.6g}, {record.end:.6g}] exceeds "
-                        f"capacity-in-effect {ceiling:.6g} B/s"
-                    )
-
     def finalize(self, cluster: Any = None) -> SanitizerReport:
-        """Close the trailing tie group and return the report."""
+        """Close the trailing tie group, audit the cluster's ledgers if
+        given (``DET110``), and return the report."""
         self._close_group()
         self._group_stamp = None
         if cluster is not None:
-            self.audit_ledgers(cluster)
+            self.report.capacity_violations.extend(
+                ledger_capacity_violations(cluster))
         return self.report

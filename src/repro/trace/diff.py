@@ -4,31 +4,19 @@
 (span counts and busy seconds per lane/kind, flow and collective
 totals, per-link bytes, counter integrals, fault counts) — the compact
 artifact the golden harness snapshots.  :func:`diff_traces` compares two
-summaries after rounding floats to :data:`SIG_FIGS` significant figures
-(the same tolerance the determinism differ uses), reporting keys that
-appeared, vanished, or changed.
+summaries by the one field rule (:func:`repro.compare.diff_fields`, the
+determinism differ's), reporting keys that appeared, vanished, or
+changed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..compare import MISSING, diff_fields
 from .model import Lane, Trace
 from .query import busy_time_by_kind
-
-#: Significant figures kept when comparing float fields (matches the
-#: perturbation differ's tolerance; see repro.analysis.determinism).
-SIG_FIGS = 6
-
-
-def round_sig(value: float, sig_figs: int = SIG_FIGS) -> float:
-    """Round to significant figures (0/NaN/inf pass through)."""
-    if value == 0 or not math.isfinite(value):
-        return value
-    magnitude = math.floor(math.log10(abs(value)))
-    return round(value, sig_figs - 1 - magnitude)
 
 
 def summarize(trace: Trace) -> Dict[str, object]:
@@ -95,27 +83,14 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-def _normalize(value: object, sig_figs: int) -> object:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return round_sig(value, sig_figs)
-    return value
-
-
-def diff_traces(a: Trace, b: Trace, *, sig_figs: int = SIG_FIGS) -> TraceDiff:
+def diff_traces(a: Trace, b: Trace) -> TraceDiff:
     """Compare two traces via their summaries (floats rounded)."""
-    summary_a = summarize(a)
-    summary_b = summarize(b)
     diff = TraceDiff()
-    for key in sorted(set(summary_a) | set(summary_b)):
-        if key not in summary_a:
+    for key, old, new in diff_fields(summarize(a), summarize(b)):
+        if old is MISSING:
             diff.added.append(key)
-        elif key not in summary_b:
+        elif new is MISSING:
             diff.removed.append(key)
         else:
-            old = _normalize(summary_a[key], sig_figs)
-            new = _normalize(summary_b[key], sig_figs)
-            if old != new:
-                diff.changed[key] = (summary_a[key], summary_b[key])
+            diff.changed[key] = (old, new)
     return diff

@@ -54,23 +54,12 @@ class TestRunSpecValidation:
 
 
 class TestRoundTrip:
-    def test_to_dict_from_dict_identity(self):
-        spec = RunSpec(strategy="zero3", size_billions=6.0, nodes=2,
-                       iterations=5, faults=("switch0:down@t=1ms,dur=1ms",),
-                       tie_order="seeded", tie_seed=11)
-        assert RunSpec.from_dict(spec.to_dict()) == spec
-
     def test_from_dict_rejects_unknown_fields(self):
         payload = RunSpec(strategy="ddp", size_billions=1.4).to_dict()
         payload["warp_factor"] = 9
         with pytest.raises(ConfigurationError) as err:
             RunSpec.from_dict(payload)
         assert "warp_factor" in str(err.value)
-
-    def test_json_round_trip(self):
-        spec = RunSpec(strategy="zero2", size_billions=1.4, sanitize=True)
-        reloaded = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert reloaded == spec
 
     def test_experiment_spec_round_trip(self):
         spec = ExperimentSpec.full("fig7", iterations=12)
@@ -215,6 +204,26 @@ CODEC_SAMPLES = {
 }
 CODEC_CLASSES = list(CODEC_SAMPLES)
 
+#: More specs that must survive a JSON round trip unchanged, each a
+#: shape the samples above do not reach.
+ROUND_TRIPS = [
+    pytest.param(RunSpec(strategy="zero3", size_billions=6.0, nodes=2,
+                         iterations=5, faults=("switch0:down@t=1ms,dur=1ms",),
+                         tie_order="seeded", tie_seed=11),
+                 id="RunSpec-seeded-ties-with-faults"),
+    pytest.param(RunSpec(strategy="zero2", size_billions=1.4, sanitize=True),
+                 id="RunSpec-sanitized"),
+    pytest.param(InferenceSpec(size_billions=0.7, gpus=2, num_requests=8),
+                 id="InferenceSpec-poisson"),
+    pytest.param(JobSpec(name="j", tenant="t", strategy="zero2", gpus=8,
+                         priority=2, fidelity="hybrid"),
+                 id="JobSpec-hybrid-priority"),
+    pytest.param(CampaignSpec(name="small", experiments=("fig1", "table1"),
+                              strategies=("ddp",), sizes_billions=(0.7,),
+                              nodes=(1,), iterations=2),
+                 id="CampaignSpec-experiments-and-sweep"),
+]
+
 #: A JSON value of the wrong type for each annotation shape the spec
 #: fields use.  A field annotated otherwise (a PEP 604 union, which
 #: Python 3.9 cannot evaluate, or a new shape) fails the lookup.
@@ -273,6 +282,12 @@ class TestSpecCodec:
         key = (spec.cache_key(salt=GOLDEN_SALT) if hasattr(cls, "KIND")
                else stable_key(spec.to_dict(), salt=GOLDEN_SALT))
         assert key == golden
+
+    @pytest.mark.parametrize("spec", ROUND_TRIPS)
+    def test_more_specs_round_trip(self, spec):
+        cls = type(spec)
+        assert cls.from_dict(spec.to_dict()) == spec
+        assert cls.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     @pytest.mark.parametrize("cls", CODEC_CLASSES,
                              ids=lambda cls: cls.__name__)

@@ -8,7 +8,9 @@ from repro.analysis.registry import code_owners
 from repro.api import RunSpec
 from repro.campaign import (
     CACHE_CODES,
+    CampaignReport,
     CampaignSpec,
+    JobResult,
     ResultCache,
     diff_reports,
     execute_job,
@@ -63,11 +65,6 @@ class TestCampaignSpec:
     def test_strategies_without_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             CampaignSpec(strategies=("ddp",))
-
-    def test_round_trip(self):
-        assert CampaignSpec.from_dict(SMALL.to_dict()) == SMALL
-        with pytest.raises(ConfigurationError):
-            CampaignSpec.from_dict({"experiments": ["fig1"], "turbo": True})
 
     def test_load_campaign_errors_are_configuration_errors(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -239,6 +236,62 @@ class TestRunCampaign:
         assert report.job("experiment/fig1").cached is False
         with pytest.raises(KeyError):
             report.job("experiment/fig99")
+
+
+def _one_job_report(name, kind, payload):
+    job = JobResult(job_id=f"{kind}/x", kind=kind, key="k", cached=False,
+                    elapsed_s=0.0, payload=payload)
+    return CampaignReport(name=name, workers=1, jobs=[job])
+
+
+def _diff_one_field(kind, payload, field, value):
+    """diff_reports over two one-job reports whose payloads differ only
+    in the dotted ``field`` being ``value``."""
+    changed = json.loads(json.dumps(payload))
+    *parents, leaf = field.split(".")
+    target = changed
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    return diff_reports(_one_job_report("a", kind, payload),
+                        _one_job_report("b", kind, changed))
+
+
+# Hand-written payloads of each kind, so the certificate tests run no
+# simulation.
+CLUSTER_PAYLOAD = {
+    "schema_version": 3, "kind": "cluster", "policy": "fifo",
+    "total_time_s": 120.5, "jobs_completed": 3,
+    "tenants": {"research": {"gpu_seconds": 41.25, "jobs_completed": 2}},
+    "leaks": None}
+SERVING_PAYLOAD = {
+    "schema_version": 3, "kind": "inference", "batching": "continuous",
+    "ttft_p50_s": 0.0125, "ttft_p99_s": 0.0375, "requests_completed": 4,
+    "leaks": None}
+TRAINING_PAYLOAD = {
+    "schema_version": 3, "strategy": "ddp", "spec": None, "fastpath": None,
+    "leaks": None, "model_parameters": 700000000, "tflops": 123.456789,
+    "iteration_times": [0.5, 0.5]}
+
+
+class TestDiffReportsEveryKind:
+    @pytest.mark.parametrize("kind,payload,field,before,after", [
+        ("cluster", CLUSTER_PAYLOAD, "tenants.research.gpu_seconds",
+         41.25, 82.5),
+        ("inference", SERVING_PAYLOAD, "ttft_p99_s", 0.0375, 0.075),
+        # 6-significant-figure rounding would hide this one.
+        ("run", TRAINING_PAYLOAD, "model_parameters", 700000000, 700000001),
+    ], ids=["cluster-nested", "serving", "training-integer"])
+    def test_changed_field_reported(self, kind, payload, field, before,
+                                    after):
+        assert _diff_one_field(kind, payload, field, after) == [
+            {"job_id": f"{kind}/x", "field": field, "a": before, "b": after}]
+
+    def test_floats_at_six_figures_and_provenance_not_compared(self):
+        assert _diff_one_field("run", TRAINING_PAYLOAD,
+                               "tflops", 123.4568) == []
+        assert _diff_one_field("run", TRAINING_PAYLOAD, "spec",
+                               {"strategy": "zero2"}) == []
 
 
 class TestCampaignCli:

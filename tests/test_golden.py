@@ -12,17 +12,18 @@ After an *intentional* change, refresh the snapshots with::
 
     PYTHONPATH=src python -m pytest tests/test_golden.py --update-golden
 
-Floats are rounded to :data:`SIG_FIGS` significant figures on both sides
+Floats are rounded by the package's one comparison rule
+(:func:`repro.compare.round_sig`, 6 significant figures) on both sides
 of the comparison, absorbing harmless last-ulp reorderings while still
 catching any drift a reader of the paper's tables would notice.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
 
+from repro.compare import round_sig
 from repro.experiments.registry import run_experiment
 from repro.trace.diff import summarize
 
@@ -31,14 +32,6 @@ DIFF_DIR = GOLDEN_DIR / "diffs"
 
 #: Experiments whose quick-mode rows are pinned.
 EXPERIMENT_IDS = ("fig5", "fig6", "fig7", "fig9", "fig10", "fig11")
-
-SIG_FIGS = 6
-
-
-def round_sig(value, digits=SIG_FIGS):
-    if value == 0 or not math.isfinite(value):
-        return value
-    return round(value, digits - 1 - int(math.floor(math.log10(abs(value)))))
 
 
 def sanitize(value):

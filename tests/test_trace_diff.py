@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.compare import round_sig
 from repro.runtime.kernels import KernelKind
-from repro.trace.diff import diff_traces, round_sig, summarize
+from repro.trace.diff import diff_traces, summarize
 from repro.trace.model import FlowSpan, Lane, LinkAccount, Span, Trace
 
 
