@@ -20,6 +20,7 @@ from repro.parallel import (
     zero3_nvme_optimizer_params,
 )
 from repro.telemetry.report import format_table
+from repro.trace import render_rank
 
 
 def describe(label, metrics):
@@ -76,10 +77,9 @@ def main() -> None:
           f"{infinity.billions_of_parameters / reference.billions_of_parameters:.1f}x size")
     print()
     print("Where the time goes under NVMe offload (rank 0):")
-    timeline = infinity.execution.timeline
     start = infinity.measurement_window[0]
-    print(timeline.render(0, width=100,
-                          window=(start, start + infinity.iteration_time)))
+    print(render_rank(infinity.execution.spans, 0, width=100,
+                      window=(start, start + infinity.iteration_time)))
     print("  (N = NVMe swap traffic, C = CPU Adam, . = idle GPU)")
 
 

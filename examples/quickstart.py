@@ -13,6 +13,7 @@ from repro import model_for_billions
 from repro.core import run_training
 from repro.hardware import single_node_cluster
 from repro.parallel import zero2
+from repro.trace import render_rank
 
 
 def main() -> None:
@@ -42,10 +43,9 @@ def main() -> None:
     print()
     print("one iteration, rank 0 (G=GEMM R=all-reduce A=all-gather "
           "O=optimizer .=idle):")
-    timeline = metrics.execution.timeline
     start = metrics.measurement_window[0]
-    print(timeline.render(0, width=100,
-                          window=(start, start + metrics.iteration_time)))
+    print(render_rank(metrics.execution.spans, 0, width=100,
+                      window=(start, start + metrics.iteration_time)))
 
 
 if __name__ == "__main__":

@@ -116,11 +116,6 @@ OFFLOAD_FIXED_OVERHEAD_S = 0.060
 #: Fig. 13-a).
 OFFLOAD_GPU_BUFFER_BYTES = 4.0 * GB
 
-#: Host-DRAM staging for ZeRO-Infinity *parameter* offload beyond the
-#: optimizer staging: pinned fp16 parameter slabs for the aio layer
-#: (calibrated to Fig. 11-b's 488 GB host usage at 11.4 B parameters).
-NVME_PARAM_HOST_STAGING_BYTES_PER_PARAM = 17.0
-
 #: Fraction of the socket's streaming DRAM bandwidth DeepSpeed's AVX CPU
 #: Adam attains while two ranks share one socket.  Well below 1: the
 #: paper observes the offload engine is NUMA-unaware ("the offloading

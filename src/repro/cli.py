@@ -41,13 +41,11 @@ from .analysis import (
     apply_baseline,
     code_owners,
     load_baseline,
-    render_json,
     render_text,
     write_baseline,
 )
 from .api import RunSpec, run_spec
 from .api.build import preset_cluster, strategy_cluster
-from .cluster.jobs import JOB_WORKLOADS
 from .core.results import metrics_to_dict
 from .core.runner import run_training
 from .core.search import max_model_size, model_for_billions
@@ -89,8 +87,26 @@ def _report_instruments(args: argparse.Namespace, leaks, trace,
               file=sys.stderr)
 
 
-def _serve_and_render(spec, args: argparse.Namespace) -> int:
-    """Run one InferenceSpec and render its serving report."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .inference import InferenceSpec
+
+    spec = InferenceSpec(
+        size_billions=args.size,
+        gpus=args.gpus,
+        nodes=args.nodes,
+        rate_per_second=args.rate,
+        num_requests=args.requests,
+        arrival_seed=args.seed,
+        request_mix=args.mix,
+        batching=args.batching,
+        max_batch_tokens=args.max_batch_tokens,
+        max_batch_requests=args.max_batch_requests,
+        kv_fraction=args.kv_fraction,
+        slo_ttft_s=args.slo_ttft,
+        slo_tpot_s=args.slo_tpot,
+        trace=args.trace is not None,
+        leak_check=args.leak_check,
+    )
     run = spec.run()
     report = run.report
     _report_instruments(args, report.leaks, run.trace, "serving trace")
@@ -125,44 +141,7 @@ def _serve_and_render(spec, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .inference import InferenceSpec
-
-    spec = InferenceSpec(
-        size_billions=args.size,
-        gpus=args.gpus,
-        nodes=args.nodes,
-        rate_per_second=args.rate,
-        num_requests=args.requests,
-        arrival_seed=args.seed,
-        request_mix=args.mix,
-        batching=args.batching,
-        max_batch_tokens=args.max_batch_tokens,
-        max_batch_requests=args.max_batch_requests,
-        kv_fraction=args.kv_fraction,
-        slo_ttft_s=args.slo_ttft,
-        slo_tpot_s=args.slo_tpot,
-        trace=args.trace is not None,
-        leak_check=args.leak_check,
-    )
-    return _serve_and_render(spec, args)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.workload == "inference":
-        # The workload-polymorphic path: the same flags select an
-        # InferenceSpec (iterations becomes the request count); the
-        # full serving surface lives under `repro serve`.
-        from .inference import InferenceSpec
-
-        spec = InferenceSpec(
-            size_billions=args.size,
-            nodes=args.nodes,
-            num_requests=args.iterations,
-            trace=args.trace is not None,
-            leak_check=args.leak_check,
-        )
-        return _serve_and_render(spec, args)
     spec = RunSpec(
         strategy=args.strategy,
         size_billions=args.size,
@@ -593,13 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
-        "run", help="simulate one training (or inference) configuration")
-    run.add_argument("--workload", choices=JOB_WORKLOADS,
-                     default="train",
-                     help="which workload to run; 'inference' maps "
-                          "--size/--nodes/--iterations onto an "
-                          "InferenceSpec (see `repro serve` for the "
-                          "full serving surface)")
+        "run", help="simulate one training configuration")
     run.add_argument("--strategy", choices=sorted(ALL_STRATEGIES),
                      default="zero2")
     run.add_argument("--size", type=float, default=1.4,

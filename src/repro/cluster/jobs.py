@@ -30,7 +30,7 @@ from ..errors import ConfigurationError
 from ..sim.engine import BaseEvent
 from ..sim.fastpath import validate_fidelity
 
-#: Workload kinds a job (and ``repro run --workload``) may name.
+#: Workload kinds a job may name.
 JOB_WORKLOADS = ("train", "inference")
 
 
@@ -166,7 +166,7 @@ class JobRecord:
     preempt_event: Optional[BaseEvent] = None
     #: memoized per-pool memory demand (filled by the daemon's prober)
     memory_demand: Optional[float] = None
-    #: the job's timeline spans mapped to global ranks (cluster trace)
+    #: the job's rank-lane spans mapped to global ranks (cluster trace)
     spans: List[object] = field(default_factory=list)
 
     def transition(self, new_state: JobState) -> None:

@@ -435,7 +435,7 @@ class _ClusterService:
             Span(view.global_rank(span.rank), span.lane, span.kind,
                  f"{record.job_id}:{span.name}", span.start, span.end,
                  synthetic=span.synthetic)
-            for span in executor.timeline.spans
+            for span in executor.spans
         )
 
 

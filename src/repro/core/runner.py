@@ -223,8 +223,8 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     caller passes another; nothing else sets it.  ``"hybrid"``
     simulates ``warmup + 2`` iterations on
     the DES and, once the measured iterations are confirmed periodic,
-    extrapolates the remaining ones analytically — ledgers, timeline,
-    trace spans, and iteration times all extended consistently (see
+    extrapolates the remaining ones analytically — ledgers, rank-lane
+    and trace spans, and iteration times all extended consistently (see
     :mod:`repro.sim.fastpath`).  A hybrid request that cannot be
     honoured (fault plan present, too few iterations, steady state not
     detected) silently falls back to full fidelity;
@@ -349,7 +349,7 @@ def _measure(cluster: Cluster, strategy: TrainingStrategy,
     built_trace = (
         build_trace(
             cluster, result.total_time,
-            spans=result.timeline.spans,
+            spans=result.spans,
             recorder=recorder,
             faults=result.fault_events,
             counters=("device_mem", "host_mem"),

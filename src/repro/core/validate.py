@@ -17,13 +17,14 @@ developing new strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from ..errors import SimulationError
 from ..hardware.cluster import Cluster
 from ..hardware.link import LinkClass
 from ..sim.sanitizer import ledger_capacity_violations
-from ..telemetry.timeline import Lane, Timeline
+from ..trace.model import Lane, Span
+from ..trace.query import filter_spans, span_bounds
 from .runner import RunMetrics
 
 
@@ -55,15 +56,15 @@ class ValidationReport:
 def validate_run(cluster: Cluster, metrics: RunMetrics) -> ValidationReport:
     """Validate one completed run against its own telemetry."""
     report = ValidationReport()
-    _check_timeline(metrics.execution.timeline, metrics, report)
+    _check_timeline(metrics.execution.spans, metrics, report)
     _check_memory(cluster, report)
     _check_ledgers(cluster, metrics, report)
     return report
 
 
-def _check_timeline(timeline: Timeline, metrics: RunMetrics,
+def _check_timeline(spans: List[Span], metrics: RunMetrics,
                     report: ValidationReport) -> None:
-    span_start, span_end = timeline.span
+    span_start, span_end = span_bounds(spans)
     report.record(
         "timeline_within_run",
         span_start >= 0 and span_end <= metrics.execution.total_time + 1e-9,
@@ -74,7 +75,7 @@ def _check_timeline(timeline: Timeline, metrics: RunMetrics,
     # in-order stream).
     overlaps = 0
     for rank in range(metrics.num_gpus):
-        records = sorted(timeline.records(rank=rank, lane=Lane.COMPUTE),
+        records = sorted(filter_spans(spans, rank=rank, lane=Lane.COMPUTE),
                          key=lambda r: r.start)
         for previous, current in zip(records, records[1:]):
             if current.start < previous.end - 1e-9:

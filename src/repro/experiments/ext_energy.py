@@ -43,7 +43,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
         metrics = run_training(cluster, strategy, model,
                                iterations=iterations,
                                fidelity=spec.fidelity)
-        report = estimate_energy(cluster, metrics.execution.timeline,
+        report = estimate_energy(cluster, metrics.execution.spans,
                                  metrics.measurement_window)
         rows.append({
             "config": label,

@@ -19,6 +19,7 @@ from ..hardware.link import LinkClass
 from ..parallel import MegatronStrategy, zero3
 from ..parallel.pipeline import pipeline_1f1b
 from ..telemetry.report import format_table
+from ..trace.query import compute_busy_fraction
 from .common import ExperimentResult, ExperimentSpec
 
 COMPARISON_MODEL_B = 5.5  # largest size every contender fits on 2 nodes
@@ -43,7 +44,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             "tflops": metrics.tflops,
             "roce_avg_gbps": metrics.bandwidth[LinkClass.ROCE].average_gbps,
             "busy_fraction":
-                metrics.execution.timeline.compute_busy_fraction(0),
+                compute_busy_fraction(metrics.execution.spans, 0),
         })
 
     # Bubble amortization: more micro-batches, smaller bubble.
@@ -59,7 +60,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             "tflops": metrics.tflops,
             "roce_avg_gbps": metrics.bandwidth[LinkClass.ROCE].average_gbps,
             "busy_fraction":
-                metrics.execution.timeline.compute_busy_fraction(0),
+                compute_busy_fraction(metrics.execution.spans, 0),
         })
 
     rendered = format_table(

@@ -13,6 +13,8 @@ from ..api.build import strategy_cluster
 from ..core.runner import run_training
 from ..core.search import model_for_billions
 from ..parallel.placement import PLACEMENTS
+from ..trace.ascii import render_rank
+from ..trace.query import communication_time, compute_busy_fraction
 from . import paper_data
 from .common import ALL_STRATEGIES, ExperimentResult, ExperimentSpec
 
@@ -37,14 +39,14 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
                                iterations=spec.iterations,
                                placement=placement,
                                fidelity=spec.fidelity)
-        timeline = metrics.execution.timeline
-        busy = timeline.compute_busy_fraction(0)
+        spans = metrics.execution.spans
+        busy = compute_busy_fraction(spans, 0)
         rows.append({
             "config": name,
             "iteration_s": metrics.iteration_time,
             "paper_iteration_s": paper_data.ITERATION_TIME_1P4B_S[name],
             "compute_busy_fraction": busy,
-            "communication_s": timeline.communication_time(0)
+            "communication_s": communication_time(spans, 0)
             / max(1, len(metrics.execution.iteration_times)),
         })
         window_start = metrics.measurement_window[0]
@@ -54,7 +56,7 @@ def run(spec: ExperimentSpec | None = None) -> ExperimentResult:
             f"{metrics.iteration_time * 1e3:.0f} ms "
             f"(paper {paper_data.ITERATION_TIME_1P4B_S[name] * 1e3:.0f} ms), "
             f"GPU busy {busy * 100:.0f}%\n"
-            + timeline.render(0, width=96, window=window)
+            + render_rank(spans, 0, width=96, window=window)
         )
     legend = ("glyphs: G=GEMM e=elementwise O=optimizer R=all-reduce "
               "r=reduce A=all-gather s=send/recv H=host-transfer N=NVMe "

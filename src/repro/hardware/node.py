@@ -202,9 +202,6 @@ class Node:
         """Drives available for ZeRO-Infinity swap (everything but the OS drive)."""
         return self.nvme_drives[1:]
 
-    def gpu_name(self, index: int) -> str:
-        return self.gpus[index].name
-
     def dram_name(self, socket: int) -> str:
         return self.drams[socket].name
 

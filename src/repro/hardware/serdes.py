@@ -95,9 +95,6 @@ class SerdesContentionModel:
             return 0
         return serdes_joints(route)
 
-    def is_contended(self, route: Sequence[Link]) -> bool:
-        return self.contended_joints(route) > 0
-
     def derate(self, route: Sequence[Link],
                profile: TrafficProfile = TrafficProfile.SUSTAINED) -> float:
         """Bandwidth multiplier in (0, 1] for ``route`` under ``profile``."""

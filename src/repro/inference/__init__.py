@@ -16,9 +16,8 @@ arrivals.  The public entry points::
 
 :class:`InferenceSpec` shares :class:`repro.api.RunSpec`'s codec
 (:class:`repro.api.spec.Spec`) under its own cache-key ``KIND``, so
-serving runs slot into campaigns, the result cache, the cluster daemon,
-and ``repro run --workload inference`` / ``repro serve`` exactly like
-training runs.
+serving runs slot into campaigns, the result cache and the cluster
+daemon exactly like training runs; ``repro serve`` is the CLI.
 """
 
 from .batching import RequestRecord, ServingScheduler, ServingStats

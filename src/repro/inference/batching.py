@@ -136,7 +136,6 @@ class ServingScheduler:
         self._active: List[RequestRecord] = []
         self._prefill: List[RequestRecord] = []
         self._wakeup = engine.event()
-        self._expected = 0
         #: records of the current :meth:`serve` pass not yet finished
         self._unfinished = 0
 
@@ -146,10 +145,6 @@ class ServingScheduler:
         self._waiting.append(record)
         if not self._wakeup.triggered:
             self._wakeup.succeed()
-
-    def expect(self, count: int) -> None:
-        """Tell the loop how many submissions to wait for in total."""
-        self._expected = count
 
     # -- admission -------------------------------------------------------------
     def _batch_tokens(self) -> int:
@@ -264,7 +259,6 @@ class ServingScheduler:
         stop, every live KV reservation is released before returning.
         """
         engine = self.engine
-        self.expect(len(records))
         self._unfinished = sum(1 for record in records if not record.done)
 
         def stopped() -> bool:

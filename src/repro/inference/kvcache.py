@@ -63,15 +63,8 @@ class KvCache:
 
     # -- accounting ------------------------------------------------------------
     @property
-    def reserved_per_rank(self) -> float:
-        return self._reserved_per_rank
-
-    @property
     def resident_requests(self) -> List[str]:
         return sorted(self._tokens)
-
-    def tokens_reserved(self, owner: str) -> int:
-        return self._tokens.get(owner, 0)
 
     def bytes_for_tokens(self, tokens: int) -> float:
         """Per-rank reservation a ``tokens``-long context costs."""

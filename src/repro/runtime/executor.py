@@ -10,8 +10,10 @@ One simulated process per GPU rank interprets the strategy's
   xGMI, DRAM, and NVMe ledgers fill in automatically;
 * CPU optimizer work charges the socket's DRAM channels.
 
-The run produces iteration times, a Fig.-5-style :class:`Timeline`, and
-fully populated per-link bandwidth ledgers — everything the paper's
+The run produces iteration times, the Fig.-5-style rank-lane spans (a
+plain list of :class:`~repro.trace.model.Span` that
+:mod:`repro.trace.query` and :mod:`repro.trace.ascii` read), and fully
+populated per-link bandwidth ledgers — everything the paper's
 experiments need in a single pass.
 
 The executor builds and wires no instruments.  A run that wants a tie
@@ -54,7 +56,7 @@ from ..sim.engine import BaseEvent, Engine
 from ..sim.flows import FlowNetwork
 from ..sim.leaksan import LeakReport
 from ..sim.sanitizer import SanitizerReport
-from ..telemetry.timeline import Lane, Timeline
+from ..trace.model import Lane, Span
 from .kernels import KernelKind, straggler_multiplier
 
 
@@ -63,7 +65,8 @@ class ExecutionResult:
     """Everything one simulated training run produced."""
 
     iteration_times: List[float]
-    timeline: Timeline
+    #: every rank-lane span the run recorded, in recording order
+    spans: List[Span]
     total_time: float
     #: populated only for sanitized runs
     #: (``run_training(..., sanitize=True)``); the runner fills it in
@@ -135,11 +138,11 @@ class _CollectiveGate:
 
     def _finish(self, started_at: float) -> None:
         now = self.executor.engine.now
+        spans = self.executor.spans
+        name = str(self.op.kind)
         for rank in self.group:
-            self.executor.timeline.record(
-                rank, Lane.COMMUNICATION, self.kernel, str(self.op.kind),
-                started_at, now,
-            )
+            spans.append(Span(rank, Lane.COMMUNICATION, self.kernel, name,
+                              started_at, now))
         sink = self.executor.collective_sink
         if sink is not None:
             sink.collective_phase(
@@ -179,7 +182,7 @@ class Executor:
         self.swap_volumes = swap_volumes or {}
         self.engine = engine if engine is not None else Engine()
         self.network = network if network is not None else FlowNetwork(self.engine)
-        self.timeline = Timeline()
+        self.spans: List[Span] = []
         self.flow_tag = flow_tag
         # Append-only (no engine interaction), so a sink cannot change
         # the schedule; when absent the gate's hook is one None check.
@@ -249,7 +252,7 @@ class Executor:
         # not stretch total_time and dilute the bandwidth statistics.
         return ExecutionResult(
             iteration_times=iteration_times,
-            timeline=self.timeline,
+            spans=self.spans,
             total_time=self.engine.now - started_at,
         )
 
@@ -281,13 +284,13 @@ class Executor:
                         step.kind, self.faults.compute_multiplier(rank)
                     )
                 yield self.engine.timeout(duration)
-                self.timeline.record(rank, Lane.COMPUTE, step.kind, step.name,
-                                     start, self.engine.now)
+                self.spans.append(Span(rank, Lane.COMPUTE, step.kind,
+                                       step.name, start, self.engine.now))
             elif isinstance(step, IdleStep):
                 start = self.engine.now
                 yield self.engine.timeout(step.duration)
-                self.timeline.record(rank, Lane.COMPUTE, KernelKind.IDLE,
-                                     step.name, start, self.engine.now)
+                self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
+                                       step.name, start, self.engine.now))
             elif isinstance(step, CollectiveStep):
                 event = self._join_collective(rank, iteration, step)
                 self._keyed_events[(rank, self._iter_key(iteration, step.key))] = event
@@ -327,8 +330,8 @@ class Executor:
                         if Location.NVME in (step.src, step.dst)
                         else KernelKind.HOST_TRANSFER
                     )
-                    self.timeline.record(rank, Lane.HOST_IO, kind, step.name,
-                                         start, self.engine.now)
+                    self.spans.append(Span(rank, Lane.HOST_IO, kind,
+                                           step.name, start, self.engine.now))
                     self._record_idle(rank, start, step.name)
                 else:
                     pending.extend(events)
@@ -352,8 +355,8 @@ class Executor:
     def _record_idle(self, rank: int, start: float, name: str) -> None:
         now = self.engine.now
         if now > start:
-            self.timeline.record(rank, Lane.COMPUTE, KernelKind.IDLE,
-                                 f"wait:{name}", start, now)
+            self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
+                                   f"wait:{name}", start, now))
 
     def _join_collective(self, rank: int, iteration: int,
                          step: CollectiveStep) -> BaseEvent:
@@ -441,10 +444,10 @@ class Executor:
 
     def _record_cpu_work(self, rank: int, step: CpuWorkStep,
                          start: float, end: float) -> None:
-        self.timeline.record(rank, Lane.HOST_IO, KernelKind.CPU_OPTIMIZER,
-                             step.name, start, end)
-        self.timeline.record(rank, Lane.COMPUTE, KernelKind.IDLE,
-                             f"wait:{step.name}", start, end)
+        self.spans.append(Span(rank, Lane.HOST_IO, KernelKind.CPU_OPTIMIZER,
+                               step.name, start, end))
+        self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
+                               f"wait:{step.name}", start, end))
         # Charge the streamed optimizer bytes to the socket's DRAM channels.
         node = self.cluster.node_of_rank(rank)
         socket = self.cluster.gpu(rank).socket_index or 0

@@ -24,7 +24,7 @@ consistent without special cases:
   (:meth:`~repro.hardware.link.BandwidthLedger.replicate_shifted`), so
   extrapolating never materializes the shifted records unless a
   consumer walks them;
-* timeline spans and, when tracing, flow/collective spans are
+* rank-lane spans and, when tracing, flow/collective spans are
   replicated with ``synthetic=True`` so trace consumers can tell
   simulated activity from extrapolated activity;
 * ``iteration_times`` / ``total_time`` extend by ``period`` per
@@ -36,8 +36,9 @@ consistent without special cases:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from ...trace.model import Span
 from ...units import Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,10 +101,14 @@ def extrapolate_execution(cluster: "Cluster", result: "ExecutionResult",
                     if record.start >= template_start - eps]
         link.ledger.replicate_shifted(template, period, extra)
 
-    span_template = [span for span in result.timeline.spans
+    span_template = [span for span in result.spans
                      if span.start >= template_start - eps]
     for k in range(1, extra + 1):
-        result.timeline.extend_shifted(span_template, k * period)
+        shift = k * period
+        for s in span_template:
+            result.spans.append(Span(s.rank, s.lane, s.kind, s.name,
+                                     s.start + shift, s.end + shift,
+                                     synthetic=True))
 
     if recorder is not None:
         _replicate_trace_spans(recorder, template_start - eps, period, extra)

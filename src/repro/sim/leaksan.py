@@ -34,7 +34,7 @@ Finding codes (claimed here, listed in the ``RES0xx`` catalog of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.findings import Finding, Severity
 from ..analysis.registry import claim_codes

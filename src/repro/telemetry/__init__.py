@@ -1,10 +1,9 @@
-"""Measurement layer: bandwidth counters, timelines, memory, throughput."""
+"""Measurement layer: bandwidth counters, energy, memory, throughput."""
 
 from .bandwidth import DEFAULT_SAMPLE_PERIOD, BandwidthMonitor, BandwidthStats
 from .energy import EnergyReport, PowerModel, estimate_energy
 from .flops_profiler import FlopsProfiler, ThroughputReport
 from .memory import MemoryReport, snapshot
-from .timeline import GLYPHS, Lane, Timeline
 from .report import (
     BANDWIDTH_HEADERS,
     bandwidth_row,
@@ -22,11 +21,8 @@ __all__ = [
     "PowerModel",
     "estimate_energy",
     "FlopsProfiler",
-    "GLYPHS",
-    "Lane",
     "MemoryReport",
     "ThroughputReport",
-    "Timeline",
     "bandwidth_row",
     "format_table",
     "series_block",

@@ -8,7 +8,7 @@ already produces, so every strategy can be compared on energy per
 iteration and TFLOP per joule.
 
 Power model: each device draws ``idle + (peak - idle) x utilization``.
-GPU utilization is the compute lane's busy fraction from the timeline;
+GPU utilization is the compute lane's busy fraction from the run's spans;
 CPU utilization blends a base with the CPU-optimizer duty cycle; DRAM,
 NVMe, and NIC power follow their bandwidth duty cycles from the link
 ledgers.  Figures are datasheet-typical for the paper's parts (A100 SXM4
@@ -19,14 +19,15 @@ ConnectX-6 ~25 W, SN3700 switch amortized per port).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..hardware.cluster import Cluster
 from ..hardware.link import LinkClass
 from ..runtime.kernels import KernelKind
+from ..trace.model import Lane, Span
+from ..trace.query import filter_spans
 from .bandwidth import BandwidthMonitor
-from .timeline import Lane, Timeline
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class EnergyReport:
         return tflops / (self.average_power_watts / 1e3)
 
 
-def estimate_energy(cluster: Cluster, timeline: Timeline,
+def estimate_energy(cluster: Cluster, spans: List[Span],
                     window: Tuple[float, float], *,
                     model: PowerModel = PowerModel()) -> EnergyReport:
     """Average cluster power over ``window`` from simulated telemetry."""
@@ -85,13 +86,13 @@ def estimate_energy(cluster: Cluster, timeline: Timeline,
     # GPUs: busy fraction of the compute lane.
     gpu_watts = 0.0
     for rank in range(cluster.num_gpus):
-        busy = _busy_fraction(timeline, rank, window)
+        busy = _busy_fraction(spans, rank, window)
         gpu_watts += model.blend(model.gpu_idle, model.gpu_peak, busy)
     components["gpu"] = gpu_watts
 
     # CPUs: base load plus the CPU-optimizer duty cycle.
     cpu_watts = 0.0
-    adam_duty = _adam_duty_cycle(timeline, window)
+    adam_duty = _adam_duty_cycle(spans, window)
     for node in cluster.nodes:
         for _cpu in node.cpus:
             cpu_watts += model.blend(model.cpu_idle, model.cpu_peak,
@@ -142,11 +143,11 @@ def estimate_energy(cluster: Cluster, timeline: Timeline,
                         by_component=components)
 
 
-def _busy_fraction(timeline: Timeline, rank: int,
+def _busy_fraction(spans: List[Span], rank: int,
                    window: Tuple[float, float]) -> float:
     start, end = window
     busy = 0.0
-    for record in timeline.records(rank=rank, lane=Lane.COMPUTE):
+    for record in filter_spans(spans, rank=rank, lane=Lane.COMPUTE):
         if record.kind is KernelKind.IDLE:
             continue
         overlap = min(record.end, end) - max(record.start, start)
@@ -155,12 +156,12 @@ def _busy_fraction(timeline: Timeline, rank: int,
     return busy / (end - start)
 
 
-def _adam_duty_cycle(timeline: Timeline,
+def _adam_duty_cycle(spans: List[Span],
                      window: Tuple[float, float]) -> float:
     start, end = window
     busy = 0.0
-    records = timeline.records(lane=Lane.HOST_IO,
-                               kind=KernelKind.CPU_OPTIMIZER)
+    records = filter_spans(spans, lane=Lane.HOST_IO,
+                           kind=KernelKind.CPU_OPTIMIZER)
     ranks = {r.rank for r in records} or {0}
     for record in records:
         overlap = min(record.end, end) - max(record.start, start)

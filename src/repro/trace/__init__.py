@@ -10,10 +10,10 @@ number.  This package turns one simulated run into an inspectable trace:
 * :mod:`~repro.trace.recorder` — the opt-in :class:`TraceRecorder`
   threaded through the flow network and executor (zero-cost when
   absent, schedule-invariant when present) plus :func:`build_trace`;
-* :mod:`~repro.trace.ascii` — the Fig.-5 ASCII lane renderer (the
-  :class:`~repro.telemetry.timeline.Timeline` facade consumes it);
-* :mod:`~repro.trace.query` — busy/idle/overlap fractions, span
-  filtering, per-link byte accounting;
+* :mod:`~repro.trace.ascii` — the Fig.-5 ASCII lane renderer;
+* :mod:`~repro.trace.query` — span filtering and busy/idle/overlap
+  fractions over any span list (a trace's, or a run's
+  ``ExecutionResult.spans``);
 * :mod:`~repro.trace.export` — Chrome Trace Event JSON (Perfetto /
   ``chrome://tracing`` loadable) with the native schema embedded, and a
   schema validator;
@@ -27,7 +27,7 @@ CLI front ends: ``repro run --trace out.json`` and ``repro trace
 diff/summary/check``.
 """
 
-from .ascii import GLYPHS, legend_text, render_rank
+from .ascii import GLYPHS, render_rank
 from .diff import TraceDiff, diff_traces, summarize
 from .export import (
     CHROME_COLORS,
@@ -54,10 +54,8 @@ from .query import (
     communication_time,
     compute_busy_fraction,
     filter_spans,
-    flow_bytes_by_link,
     idle_fraction,
     overlap_fraction,
-    per_link_bytes,
     span_bounds,
 )
 from .recorder import DEFAULT_COUNTER_SAMPLES, TraceRecorder, build_trace
@@ -89,13 +87,10 @@ __all__ = [
     "compute_busy_fraction",
     "diff_traces",
     "filter_spans",
-    "flow_bytes_by_link",
     "idle_fraction",
-    "legend_text",
     "load_document",
     "load_trace",
     "overlap_fraction",
-    "per_link_bytes",
     "reconcile_findings",
     "reconcile_report",
     "render_rank",

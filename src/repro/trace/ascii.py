@@ -1,9 +1,9 @@
 """Fig.-5-style ASCII lane rendering over trace spans.
 
-This is the single implementation of the at-a-glance timeline rendering;
-:class:`~repro.telemetry.timeline.Timeline` delegates here.  The binning
-algorithm is unchanged from the original renderer on purpose — the
-golden harness pins its output byte-for-byte.
+This is the single implementation of the at-a-glance timeline rendering:
+Fig. 5, the examples and the golden harness all call :func:`render_rank`
+on a run's spans.  The binning algorithm is unchanged from the original
+renderer on purpose — the golden harness pins its output byte-for-byte.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def render_rank(spans: Iterable[Span], rank: int, *, width: int = 100,
 
     Each lane is a row of ``width`` characters; the dominant kernel kind
     within each time bin picks the glyph.  ``window`` defaults to the
-    overall span bounds of *all* the given spans (all ranks), matching
-    the historical Timeline behaviour so side-by-side rank renders share
-    a time axis.
+    overall span bounds of *all* the given spans (all ranks), so
+    side-by-side rank renders share a time axis.
     """
     if width < 1:
         raise ConfigurationError("width must be positive")
@@ -86,9 +85,3 @@ def render_rank(spans: Iterable[Span], rank: int, *, width: int = 100,
             chars.append(GLYPHS.get(kind, "?"))
         rows.append(f"{lane.name.lower():>13} |{''.join(chars)}|")
     return "\n".join(rows)
-
-
-def legend_text() -> str:
-    return "  ".join(
-        f"{glyph}={kind.value}" for kind, glyph in GLYPHS.items()
-    )

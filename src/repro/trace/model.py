@@ -5,9 +5,8 @@ the single source of truth for time-domain data.  It holds:
 
 * :class:`Span` — one interval of activity on one rank's lane (a kernel,
   a collective the rank waited in, a host/NVMe transfer, idle time).
-  This is the same record the executor has always written into the
-  Fig.-5 timeline; :class:`~repro.telemetry.timeline.Timeline` is now a
-  facade over a list of these.
+  The executor appends one per step to ``ExecutionResult.spans``, the
+  list Fig. 5's renderer and the query functions read.
 * :class:`CollectiveSpan` — one collective *phase*: the rendezvous-to-
   completion window of one keyed collective on one communicator group,
   tagged with the group's ranks and payload.

@@ -1,10 +1,11 @@
-"""Trace query API: filtering, busy/idle/overlap fractions, byte accounting.
+"""Trace query API: span filtering and busy/idle/overlap fractions.
 
-All functions are pure views over span lists / a :class:`Trace`; nothing
-here mutates the trace.  The busy/idle semantics intentionally match the
-historical :class:`~repro.telemetry.timeline.Timeline` queries (idle
-spans are excluded from busy time; fractions are clamped to 1.0 against
-the all-rank wall clock).
+All functions are pure views over span lists — a trace's ``spans`` or a
+run's ``ExecutionResult.spans``; nothing here mutates them.  Idle spans
+are excluded from busy time, and fractions are clamped to 1.0 against
+the all-rank wall clock.  Per-link byte totals are
+:class:`~repro.trace.model.Trace` methods (``per_link_bytes``,
+``flow_bytes_by_link``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..hardware.link import merge_intervals
 from ..runtime.kernels import KernelKind
-from .model import Lane, Span, Trace
+from .model import Lane, Span
 
 
 def filter_spans(spans: Iterable[Span], *, rank: Optional[int] = None,
@@ -77,17 +79,7 @@ def idle_fraction(spans: Iterable[Span], rank: int) -> float:
 
 def _merged_busy_intervals(spans: Iterable[Span]) -> List[Tuple[float, float]]:
     """Union of the given spans' intervals as sorted disjoint windows."""
-    intervals = sorted(
-        (s.start, s.end) for s in spans if s.end > s.start
-    )
-    merged: List[Tuple[float, float]] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            last_lo, last_hi = merged[-1]
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return merge_intervals((s.start, s.end) for s in spans if s.end > s.start)
 
 
 def overlap_fraction(spans: Iterable[Span], rank: int,
@@ -123,13 +115,3 @@ def overlap_fraction(spans: Iterable[Span], rank: int,
         else:
             j += 1
     return min(1.0, overlap / total_b)
-
-
-def per_link_bytes(trace: Trace) -> Dict[str, float]:
-    """Total bytes over each link, from the trace's link accounts."""
-    return trace.per_link_bytes()
-
-
-def flow_bytes_by_link(trace: Trace) -> Dict[str, float]:
-    """Bytes each link carried for flow traffic, from the flow spans."""
-    return trace.flow_bytes_by_link()

@@ -11,7 +11,7 @@ loop over nothing.
 
 Everything else a trace holds is *derived after the run ends* by
 :func:`build_trace`, for training, cluster and serving runs alike:
-rank-lane spans from the run's timeline, fault windows from the
+rank-lane spans from the run's span list, fault windows from the
 injector's materialized plan, link accounts and counter tracks from the
 bandwidth ledgers (sampled on a :data:`DEFAULT_COUNTER_SAMPLES`-bin
 grid), and per-rank memory from the pools.  Post-run derivation keeps

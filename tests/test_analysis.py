@@ -31,14 +31,23 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.registry import get_pass
+from repro.api.build import preset_cluster
 from repro.core.runner import run_training
 from repro.core.search import model_for_billions
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import ALL_STRATEGIES, make_strategy
 from repro.hardware import Cluster, ClusterSpec, dual_node_cluster, single_node_cluster
-from repro.hardware.link import LinkClass
+from repro.hardware.link import Link, LinkClass
+from repro.model.config import paper_model
 from repro.model.states import OffloadTarget, ZeroStage
-from repro.parallel import DdpStrategy, zero2, zero3
+from repro.parallel import (
+    DdpStrategy,
+    MegatronStrategy,
+    PipelineParallelStrategy,
+    TrainingStrategy,
+    zero2,
+    zero3,
+)
 from repro.parallel.placement import PLACEMENTS
 from repro.parallel.zero import ZeroStrategy
 from repro.sim.engine import Engine
@@ -347,6 +356,100 @@ class TestAnalyzeRunConfig:
         assert "CFG042" in [f.code for f in report.errors]
 
 
+def _fired(report):
+    return {(f.code, f.severity) for f in report.findings}
+
+
+def _doubling(base, label):
+    """``base`` with one model state doubled in every rank's plan."""
+    class Doubled(base):
+        def memory_plan(self, ctx):
+            plan = super().memory_plan(ctx)
+            plan.gpu[label] *= 2
+            return plan
+    return Doubled
+
+
+class Unmodeled(TrainingStrategy):
+    """A strategy outside the five partition-accounting models."""
+
+    name = "unmodeled"
+
+    def __init__(self):
+        self._ddp = DdpStrategy()
+        super().__init__(self._ddp.calibration)
+
+    def data_parallel_degree(self, ctx):
+        return self._ddp.data_parallel_degree(ctx)
+
+    def memory_plan(self, ctx):
+        return self._ddp.memory_plan(ctx)
+
+    def build_schedule(self, ctx):
+        return self._ddp.build_schedule(ctx)
+
+
+class TestPlantedConfigCodes:
+    """Each code plants the configuration it guards and fires alone,
+    or with the codes that configuration must also trip."""
+
+    def test_parallel_degrees(self):
+        # CFG005: two layers cannot fill four pipeline stages.
+        report = analyze_run_config(preset_cluster(1),
+                                    PipelineParallelStrategy(),
+                                    paper_model(2))
+        assert ("CFG005", Severity.ERROR) in _fired(report)
+        assert {f.code for f in report.findings} == {"CFG005", "CFG040"}
+
+    @pytest.mark.parametrize("code, severity, strategy", [
+        ("CFG011", Severity.ERROR,
+         lambda: _doubling(ZeroStrategy, "parameters")(ZeroStage.OPTIMIZER)),
+        ("CFG012", Severity.ERROR,
+         lambda: _doubling(ZeroStrategy, "gradients")(ZeroStage.OPTIMIZER)),
+        ("CFG013", Severity.ERROR,
+         lambda: _doubling(DdpStrategy, "parameters")()),
+        ("CFG019", Severity.INFO, Unmodeled),
+    ], ids=["CFG011", "CFG012", "CFG013", "CFG019"])
+    def test_zero_partition_accounting(self, code, severity, strategy):
+        report = analyze_run_config(preset_cluster(1), strategy(),
+                                    model_for_billions(0.7))
+        assert (code, severity) in _fired(report)
+        assert {f.code for f in report.findings} == {code}
+
+    @pytest.mark.parametrize("code, strategy, size, placement, wired, also", [
+        # Placements E-G ask for more scratch drives than the stock
+        # node has, so no swap volume can be built (CFG021 says why).
+        ("CFG033", "zero3_opt_nvme", 1.4, "E", False, {"CFG021"}),
+        ("CFG033", "zero3_opt_nvme", 1.4, "F", False, {"CFG021"}),
+        ("CFG033", "zero3_opt_nvme", 1.4, "G", False, {"CFG021"}),
+        # On its own placement's node, 1000 B parameters overflow HBM,
+        # DRAM and the swap drives alike.
+        ("CFG034", "zero3_opt_nvme_param_nvme", 1000, "B", True,
+         {"CFG030", "CFG031"}),
+    ], ids=["CFG033-E", "CFG033-F", "CFG033-G", "CFG034"])
+    def test_memory_capacity(self, code, strategy, size, placement, wired,
+                             also):
+        placement = PLACEMENTS[placement]
+        cluster = preset_cluster(1, placement if wired else None)
+        report = analyze_run_config(cluster, make_strategy(strategy),
+                                    model_for_billions(size),
+                                    placement=placement)
+        assert (code, Severity.ERROR) in _fired(report)
+        assert {f.code for f in report.findings} == {code} | also
+
+    @pytest.mark.parametrize("code, strategy, layers", [
+        # Five layers split unevenly over four Megatron stages.
+        ("CFG040", MegatronStrategy, 5),
+        # Two micro-batches cannot keep four stages busy.
+        ("CFG041", lambda: PipelineParallelStrategy(micro_batches=2), 8),
+    ], ids=["CFG040", "CFG041"])
+    def test_pipeline_divisibility(self, code, strategy, layers):
+        report = analyze_run_config(preset_cluster(1), strategy(),
+                                    paper_model(layers))
+        assert (code, Severity.WARNING) in _fired(report)
+        assert {f.code for f in report.findings} == {code}
+
+
 class TestTopologyLints:
     def test_presets_are_clean(self):
         for cluster in (single_node_cluster(), dual_node_cluster()):
@@ -390,6 +493,43 @@ class TestTopologyLints:
         link.spec = dataclasses.replace(link.spec, duplex=False)
         report = run_passes(AnalysisContext(cluster=cluster), ("topology",))
         assert "TOPO001" in [f.code for f in report.errors]
+
+
+def _stray_link(cluster, link_class, endpoint_a, endpoint_b):
+    """Wire one extra ``link_class`` link between two existing devices."""
+    topology = cluster.topology
+    spec = topology.links_of_class(link_class)[0].spec
+    topology.add_link(Link("stray", spec, endpoint_a, endpoint_b))
+
+
+class TestPlantedTopologyCodes:
+    """Each code plants the miswiring it guards, and it fires alone."""
+
+    def test_link_symmetry(self):
+        # TOPO002: Topology.add_link accepts a self-loop.
+        cluster = preset_cluster(1)
+        gpu = cluster.nodes[0].gpus[0].name
+        _stray_link(cluster, LinkClass.NVLINK, gpu, gpu)
+        report = run_passes(AnalysisContext(cluster=cluster), ("topology",))
+        assert _fired(report) == {("TOPO002", Severity.ERROR)}
+
+    @pytest.mark.parametrize("code, link_class, ends", [
+        # A PCIe-GPU link from a socket-0 GPU to the socket-1 CPU.
+        ("TOPO030", LinkClass.PCIE_GPU,
+         lambda nodes: (nodes[0].gpus[0], nodes[0].cpus[1])),
+        # An xGMI link between the CPUs of two nodes.
+        ("TOPO031", LinkClass.XGMI,
+         lambda nodes: (nodes[0].cpus[0], nodes[1].cpus[0])),
+        # An NVLink between GPUs of two nodes.
+        ("TOPO032", LinkClass.NVLINK,
+         lambda nodes: (nodes[0].gpus[0], nodes[1].gpus[0])),
+    ], ids=["TOPO030", "TOPO031", "TOPO032"])
+    def test_numa_affinity(self, code, link_class, ends):
+        cluster = preset_cluster(2)
+        a, b = ends(cluster.nodes)
+        _stray_link(cluster, link_class, a.name, b.name)
+        report = run_passes(AnalysisContext(cluster=cluster), ("topology",))
+        assert _fired(report) == {(code, Severity.ERROR)}
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TestSubpackageSurfaces:
     @pytest.mark.parametrize("module_name", [
         "repro.hardware", "repro.sim", "repro.model", "repro.collectives",
         "repro.parallel", "repro.runtime", "repro.telemetry", "repro.stress",
-        "repro.workloads", "repro.core", "repro.experiments",
+        "repro.core", "repro.experiments",
     ])
     def test_all_exports_resolve(self, module_name):
         import importlib

@@ -14,7 +14,6 @@ from repro.errors import OutOfMemoryError
 from repro.hardware import single_node_cluster
 from repro.model import paper_model, total_parameters
 from repro.parallel import DdpStrategy, zero3
-from repro.model.config import TrainingConfig
 
 
 @pytest.fixture()

@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.hardware import dual_node_cluster, single_node_cluster
 from repro.hardware.link import LinkClass
 from repro.runtime.kernels import KernelKind
-from repro.telemetry.timeline import Lane
 from repro.parallel import (
     DdpStrategy,
     MegatronStrategy,
@@ -19,6 +18,8 @@ from repro.parallel import (
     zero3,
     zero3_nvme_optimizer,
 )
+from repro.trace.model import Lane, Span
+from repro.trace.query import filter_spans
 
 
 @pytest.mark.parametrize("factory", [
@@ -97,18 +98,18 @@ class TestFailurePaths:
 
     def test_timeline_beyond_total_time(self, run):
         cluster, metrics = run
-        timeline = metrics.execution.timeline
         total = metrics.execution.total_time
-        timeline.record(0, Lane.COMPUTE, KernelKind.GEMM, "late",
-                        total + 1.0, total + 2.0)
+        metrics.execution.spans.append(
+            Span(0, Lane.COMPUTE, KernelKind.GEMM, "late",
+                 total + 1.0, total + 2.0))
         assert "timeline_within_run" in self._failed(cluster, metrics)
 
     def test_overlapping_compute_records(self, run):
         cluster, metrics = run
-        timeline = metrics.execution.timeline
-        first = next(iter(timeline.records(rank=0, lane=Lane.COMPUTE)))
-        timeline.record(0, Lane.COMPUTE, KernelKind.GEMM, "overlap",
-                        first.start, first.end)
+        spans = metrics.execution.spans
+        first = filter_spans(spans, rank=0, lane=Lane.COMPUTE)[0]
+        spans.append(Span(0, Lane.COMPUTE, KernelKind.GEMM, "overlap",
+                          first.start, first.end))
         assert "compute_lane_serial" in self._failed(cluster, metrics)
 
     def test_iteration_times_must_sum_to_total(self, run):

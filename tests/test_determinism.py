@@ -4,8 +4,6 @@ and the perturbation differ."""
 import json
 import textwrap
 
-import pytest
-
 from repro.analysis import analyze_source
 from repro.analysis.determinism import sanitizer_findings
 from repro.analysis.determinism.differ import (

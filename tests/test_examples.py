@@ -29,13 +29,6 @@ def test_quickstart_runs():
     assert "NVLink" in result.stdout
 
 
-def test_train_language_model_runs():
-    result = run_example("train_language_model.py", "--articles", "400",
-                         "--epochs", "1")
-    assert result.returncode == 0, result.stderr
-    assert "tokens/s" in result.stdout
-
-
 def test_compare_strategies_single_node():
     result = run_example("compare_strategies.py", "--nodes", "1",
                          "--iterations", "2", timeout=400)
@@ -54,7 +47,6 @@ def test_reproduce_paper_single_artifact():
     "nvme_placement_tuning.py",
     "reproduce_paper.py",
     "compare_strategies.py",
-    "train_language_model.py",
 ])
 def test_help_texts(name):
     if name == "consolidate_to_one_node.py":

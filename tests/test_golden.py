@@ -117,9 +117,9 @@ def test_golden_metrics(experiment_id, request):
 def test_fig5_ascii_render_byte_identical(request):
     """The Fig. 5 rendering is pinned byte-for-byte, not just metric-wise.
 
-    The ASCII renderer moved from ``repro.telemetry.timeline`` into
-    ``repro.trace.ascii``; this snapshot proves the refactor (and any
-    future one) changes nothing in the output.
+    This snapshot proves a refactor of the ASCII renderer
+    (``repro.trace.ascii.render_rank``) or of the spans it reads changes
+    nothing in the output.
     """
     rendered = run_experiment("fig5", quick=True).rendered
     path = GOLDEN_DIR / "fig5_render.txt"

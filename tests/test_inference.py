@@ -23,7 +23,7 @@ from repro.inference import (
 )
 from repro.model.config import paper_model
 from repro.sim.engine import ReversedTies, SeededTies
-from repro.trace import DEFAULT_COUNTER_SAMPLES, flow_bytes_by_link
+from repro.trace import DEFAULT_COUNTER_SAMPLES
 
 
 def _tie_name(order):
@@ -257,7 +257,7 @@ class TestService:
         # track, and flows never claim more bytes than it shows.
         accounts = {account.name: account for account in trace.links}
         tracks = {track.name: track for track in trace.counters}
-        for link, num_bytes in flow_bytes_by_link(trace).items():
+        for link, num_bytes in trace.flow_bytes_by_link().items():
             assert link in accounts
             assert (len(tracks[f"link:{link}"].values)
                     == DEFAULT_COUNTER_SAMPLES)

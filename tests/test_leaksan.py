@@ -16,7 +16,6 @@ from repro.api import RunSpec, build_cluster, run_spec
 from repro.core.runner import run_training
 from repro.errors import ConfigurationError, OutOfMemoryError, SimulationError
 from repro.hardware import single_node_cluster
-from repro.hardware.devices import MemoryPool
 from repro.hardware.link import BandwidthLedger
 from repro.model import paper_model
 from repro.parallel import DdpStrategy, zero2

@@ -11,6 +11,7 @@ from repro.model import TrainingConfig, paper_model
 from repro.parallel import MegatronStrategy, pipeline_1f1b
 from repro.parallel.schedule import CollectiveStep
 from repro.parallel.strategy import StrategyContext
+from repro.trace.query import compute_busy_fraction
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ class TestExecution:
         cluster = single_node_cluster()
         metrics = run_training(cluster, pipeline_1f1b(),
                                model_for_billions(1.4), iterations=3)
-        busy = metrics.execution.timeline.compute_busy_fraction(0)
+        busy = compute_busy_fraction(metrics.execution.spans, 0)
         # The fill/drain bubble emerges: busy strictly between 30 and 95 %.
         assert 0.3 < busy < 0.95
 

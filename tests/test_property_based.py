@@ -24,8 +24,6 @@ from repro.model.states import (
 from repro.parallel import zero2
 from repro.parallel.schedule import layer_chunks
 from repro.sim.engine import Engine
-from repro.workloads.dataset import LmDataset
-from repro.workloads.tokenizer import Tokenizer
 
 
 # --- bandwidth ledger ---------------------------------------------------------
@@ -151,20 +149,6 @@ def test_engine_fires_in_time_order(delays):
     assert engine.now == pytest.approx(max(delays))
 
 
-# --- workloads -----------------------------------------------------------------------
-@given(
-    tokens=st.lists(st.integers(0, 1000), min_size=20, max_size=400),
-    seq=st.integers(2, 20),
-)
-@settings(max_examples=50, deadline=None)
-def test_dataset_windows_cover_prefix_exactly(tokens, seq):
-    if len(tokens) < seq:
-        tokens = tokens * (seq // len(tokens) + 1)
-    ds = LmDataset(tokens, seq)
-    flattened = [int(x) for i in range(len(ds)) for x in ds[i]]
-    assert flattened == list(tokens[:len(ds) * seq])
-
-
 # --- fault injection --------------------------------------------------------
 _FAULT_WINDOW = (0.05, 1.05)  # covers most of the 0.7B/2-iteration run
 
@@ -243,15 +227,3 @@ def test_degraded_window_bounds_ledger_rates(loss):
             checked += 1
             assert record.num_bytes / span <= degraded_capacity * 1.05
     assert checked > 0  # the fault window did see traffic
-
-
-@given(words=st.lists(
-    st.text(alphabet="abcdefgh", min_size=1, max_size=8),
-    min_size=1, max_size=40,
-))
-@settings(max_examples=50, deadline=None)
-def test_tokenizer_roundtrip_on_trained_words(words):
-    text = " ".join(words)
-    tokenizer = Tokenizer.train([text], vocab_size=4096)
-    decoded = tokenizer.decode(tokenizer.encode(text))
-    assert decoded.split() == text.lower().split()

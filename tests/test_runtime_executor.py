@@ -21,7 +21,8 @@ from repro.parallel.schedule import (
 )
 from repro.runtime.executor import Executor
 from repro.runtime.kernels import KernelKind
-from repro.telemetry.timeline import Lane
+from repro.trace.model import Lane
+from repro.trace.query import filter_spans
 
 
 @pytest.fixture()
@@ -52,7 +53,7 @@ class TestBasics:
     def test_idle_recorded(self, cluster):
         sched = schedule_of([IdleStep(0.2, "bubble")])
         result = Executor(cluster, sched).run(1)
-        idles = result.timeline.records(rank=0, kind=KernelKind.IDLE)
+        idles = filter_spans(result.spans, rank=0, kind=KernelKind.IDLE)
         assert idles and idles[0].duration == pytest.approx(0.2)
 
     def test_zero_iterations_rejected(self, cluster):
@@ -69,7 +70,7 @@ class TestCollectives:
             CollectiveStep("ar", "dp", CollectiveKind.ALL_REDUCE, 4e9),
         ])
         result = Executor(cluster, sched).run(1)
-        comm = result.timeline.records(rank=0, lane=Lane.COMMUNICATION)
+        comm = filter_spans(result.spans, rank=0, lane=Lane.COMMUNICATION)
         assert len(comm) == 1
         assert result.iteration_times[0] > 0.1
 
@@ -116,8 +117,8 @@ class TestCollectives:
         ])
         result = Executor(cluster, sched).run(1)
         for rank in range(4):
-            assert result.timeline.records(rank=rank,
-                                           lane=Lane.COMMUNICATION)
+            assert filter_spans(result.spans, rank=rank,
+                                lane=Lane.COMMUNICATION)
 
 
 class TestHostTransfers:
@@ -173,8 +174,8 @@ class TestCpuWork:
         assert result.iteration_times[0] > 0.1
         dram = cluster.topology.links_of_class(LinkClass.DRAM)
         assert sum(l.ledger.total_bytes for l in dram) > 0
-        host_records = result.timeline.records(rank=0, lane=Lane.HOST_IO,
-                                               kind=KernelKind.CPU_OPTIMIZER)
+        host_records = filter_spans(result.spans, rank=0, lane=Lane.HOST_IO,
+                                    kind=KernelKind.CPU_OPTIMIZER)
         assert len(host_records) == 1
 
     def test_socket_sharing_slows_cpu_adam(self, cluster):
@@ -182,7 +183,8 @@ class TestCpuWork:
         # would still pay the sharing factor of its socket population.
         sched_all = schedule_of([CpuWorkStep("adam", 1e9)])
         result = Executor(cluster, sched_all).run(1)
-        records = result.timeline.records(rank=0, kind=KernelKind.CPU_OPTIMIZER)
+        records = filter_spans(result.spans, rank=0,
+                               kind=KernelKind.CPU_OPTIMIZER)
         from repro import calibration
         from repro.hardware.cpu import cpu_adam_step_time
         base = cpu_adam_step_time(1e9, cluster.nodes[0].spec.cpu)

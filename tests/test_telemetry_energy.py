@@ -34,7 +34,7 @@ class TestPowerModel:
 class TestEstimate:
     def test_report_structure(self, metrics):
         cluster, m = metrics
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         assert report.average_power_watts > 0
         assert set(report.by_component) >= {"gpu", "cpu", "dram", "nvme",
@@ -45,13 +45,13 @@ class TestEstimate:
     def test_node_power_magnitude(self, metrics):
         """A busy 4x A100 node draws roughly 1-3 kW."""
         cluster, m = metrics
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         assert 800 < report.average_power_watts < 3000
 
     def test_gpu_dominates_when_compute_bound(self, metrics):
         cluster, m = metrics
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         assert report.by_component["gpu"] == max(
             report.by_component.values())
@@ -60,30 +60,30 @@ class TestEstimate:
         cluster = single_node_cluster()
         m = run_training(cluster, zero2_cpu_offload(),
                          model_for_billions(1.4), iterations=3)
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         cluster2 = single_node_cluster()
         m2 = run_training(cluster2, zero2(), model_for_billions(1.4),
                           iterations=3)
-        baseline = estimate_energy(cluster2, m2.execution.timeline,
+        baseline = estimate_energy(cluster2, m2.execution.spans,
                                    m2.measurement_window)
         assert (report.by_component["cpu"] / report.by_component["gpu"]
                 > baseline.by_component["cpu"] / baseline.by_component["gpu"])
 
     def test_tflops_per_kilowatt(self, metrics):
         cluster, m = metrics
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         assert report.tflops_per_kilowatt(m.tflops) > 0
 
     def test_bad_window_rejected(self, metrics):
         cluster, m = metrics
         with pytest.raises(ConfigurationError):
-            estimate_energy(cluster, m.execution.timeline, (1.0, 1.0))
+            estimate_energy(cluster, m.execution.spans, (1.0, 1.0))
 
     def test_energy_per_iteration(self, metrics):
         cluster, m = metrics
-        report = estimate_energy(cluster, m.execution.timeline,
+        report = estimate_energy(cluster, m.execution.spans,
                                  m.measurement_window)
         per_iter = report.energy_per_iteration(m.iteration_time)
         assert per_iter == pytest.approx(

@@ -16,7 +16,12 @@ from repro.experiments.common import make_strategy
 from repro.faults.plan import FaultPlan
 from repro.hardware.presets import dual_node_cluster
 from repro.sim.engine import ReversedTies
-from repro.trace import reconcile_findings, to_chrome, validate_chrome_trace
+from repro.trace import (
+    reconcile_findings,
+    render_rank,
+    to_chrome,
+    validate_chrome_trace,
+)
 
 
 def run_once(trace, tie_order=None):
@@ -47,8 +52,9 @@ class TestTracingInvariance:
         _, traced_metrics = traced_ddp
         _, metrics = run_once(trace=False)
         window = (0.0, traced_metrics.execution.total_time)
-        assert traced_metrics.execution.timeline.render(0, window=window) \
-            == metrics.execution.timeline.render(0, window=window)
+        assert render_rank(traced_metrics.execution.spans, 0,
+                           window=window) \
+            == render_rank(metrics.execution.spans, 0, window=window)
 
     def test_trace_present_only_when_requested(self, traced_ddp):
         _, traced_metrics = traced_ddp

@@ -1,8 +1,11 @@
-"""Trace query API: filters, busy/idle/overlap fractions."""
+"""Trace query API (filters, busy/idle/overlap fractions) and the
+Fig.-5 ASCII render over the same spans."""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runtime.kernels import KernelKind
+from repro.trace.ascii import GLYPHS, render_rank
 from repro.trace.model import Lane, Span
 from repro.trace.query import (
     busy_time_by_kind,
@@ -51,6 +54,7 @@ class TestFractions:
 
     def test_idle_fraction_is_complement(self, spans):
         assert idle_fraction(spans, 0) == pytest.approx(0.2)
+        assert idle_fraction(spans, 1) == pytest.approx(0.0)
 
     def test_communication_time(self, spans):
         assert communication_time(spans, 0) == pytest.approx(0.4)
@@ -65,6 +69,12 @@ class TestOverlap:
         # Communication 0.4-0.8; compute busy 0.0-0.5 and 0.7-1.0
         # (the 0.5-0.7 idle span does not count): overlap 0.2 of 0.4.
         assert overlap_fraction(spans, 0) == pytest.approx(0.5)
+        # Ending exactly where compute resumes (0.7) hides only 0.4-0.5.
+        touching = spans[:3] + [
+            Span(0, Lane.COMMUNICATION, KernelKind.NCCL_ALL_REDUCE, "ar",
+                 0.4, 0.7),
+        ]
+        assert overlap_fraction(touching, 0) == pytest.approx(1 / 3)
 
     def test_fully_hidden(self):
         spans = [
@@ -94,3 +104,27 @@ class TestOverlap:
                  0.25, 0.75),
         ]
         assert overlap_fraction(spans, 0) == pytest.approx(1.0)
+
+
+class TestRendering:
+    def test_render_shape(self, spans):
+        out = render_rank(spans, 0, width=20)
+        lines = out.splitlines()
+        assert len(lines) == 3  # one per lane
+        assert all("|" in line for line in lines)
+
+    def test_render_glyphs(self, spans):
+        out = render_rank(spans, 0, width=10)
+        compute_line = out.splitlines()[0]
+        assert GLYPHS[KernelKind.GEMM] in compute_line
+        assert GLYPHS[KernelKind.OPTIMIZER] in compute_line
+
+    def test_render_window(self, spans):
+        out = render_rank(spans, 0, width=10, window=(0.0, 0.5))
+        compute_line = out.splitlines()[0]
+        # Pure GEMM inside this window.
+        assert GLYPHS[KernelKind.OPTIMIZER] not in compute_line
+
+    def test_render_rejects_bad_width(self, spans):
+        with pytest.raises(ConfigurationError):
+            render_rank(spans, 0, width=0)
