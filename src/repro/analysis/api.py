@@ -124,8 +124,8 @@ def analyze_lifecycle(root: Union[str, Path, None] = None) -> Report:
 
     Covers the interprocedural acquire/release typestate analysis
     (``RES001``-``RES006``, ``RES010``); no cluster is involved.  The
-    runtime complement (``RES007``-``RES009``) comes from
-    :class:`repro.sim.leaksan.LeakSanitizer` under ``leak_check=True``.
+    runtime complement (``RES007``, ``RES009``) comes from
+    :func:`repro.sim.leaksan.audit_leaks` under ``leak_check=True``.
     """
     tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
     ctx = AnalysisContext(source_root=tree_root)

@@ -9,13 +9,12 @@ runtime counterpart lives in :mod:`repro.sim.leaksan`.
 """
 
 from .engine import LifecycleProgram, LifecycleSummary, analyze_tree
-from .protocols import PROTOCOLS, STATIC_PROTOCOLS, Protocol
+from .protocols import PROTOCOLS, Protocol
 
 __all__ = [
     "LifecycleProgram",
     "LifecycleSummary",
     "analyze_tree",
     "PROTOCOLS",
-    "STATIC_PROTOCOLS",
     "Protocol",
 ]

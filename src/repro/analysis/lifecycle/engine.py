@@ -10,7 +10,7 @@ resource lifecycles:
    summary* (:class:`LifecycleSummary`): which parameter positions it
    releases, which it escapes (stores/returns/containers), and whether
    it returns a freshly acquired handle.  Summaries are iterated to a
-   fixpoint so a helper that forwards its argument to ``ledger.settle``
+   fixpoint so a helper that forwards its argument to ``cache.unlock``
    counts as a release in every caller; same-named definitions resolve
    only when their summaries agree.
 2. **Checking** — re-interpret every function body with findings
@@ -27,7 +27,7 @@ The interpreter is flow-sensitive (branches analyzed separately and
 joined; a branch ending in raise/return/continue/break is audited where
 it leaves and does not reach the code after it) and alias-aware: the
 environment maps variable names to handle *identities*, with states held
-in a side table, so ``r2 = r1; settle(r2); settle(r1)`` is recognized as
+in a side table, so ``r2 = r1; unlock(r2); unlock(r1)`` is recognized as
 a double release of one handle.  It is deliberately conservative — the
 escape lattice (owned → borrowed → escaped) silences anything whose
 ownership provably or plausibly moved elsewhere, and a state that
@@ -52,9 +52,9 @@ from .protocols import (
     ACQUIRE_METHODS,
     CONSTRUCTORS,
     CONTEXT_METHODS,
+    PROTOCOLS,
     RELEASE_METHODS,
     SAFE_TOKEN_SINKS,
-    STATIC_PROTOCOLS,
     Protocol,
 )
 
@@ -88,7 +88,7 @@ class Handle:
     protocol: Protocol
     state: str
     line: int = 0
-    #: dotted receiver path of the acquire (``self.ledger``)
+    #: dotted receiver path of the acquire (``self.cache``)
     receiver: str = ""
     #: label-shape handles: the literal label
     label: str = ""
@@ -193,7 +193,7 @@ class _Interpreter(Walker):
             return
         root = handle.receiver.split(".", 1)[0]
         if root in self._local_receivers:
-            return  # the pool/ledger itself dies with this function
+            return  # the pool/cache itself dies with this function
         if handle.protocol.shape == "label" and \
                 handle.protocol.name not in self._released_protocols:
             # A function that allocates labels and never frees any is a
@@ -608,7 +608,7 @@ class _Interpreter(Walker):
 
     def _fresh_from_summary(self, resolved: Function, node: ast.Call,
                             receiver: str, states: States) -> int:
-        protocol = next((p for p in STATIC_PROTOCOLS
+        protocol = next((p for p in PROTOCOLS
                          if p.name == resolved.summary.returns_fresh), None)
         if protocol is None:  # pragma: no cover - summary invariant
             return _NOT_HANDLE
@@ -629,7 +629,7 @@ class _Interpreter(Walker):
         the conservative choice that avoids false leak reports.
         ``arg_ids`` carries the already-evaluated handle id per
         positional argument, so handles born inline in an argument
-        expression (``sink.push(ledger.reserve(n))``) are covered too."""
+        expression (``sink.push(cache.lock(key))``) are covered too."""
         for index, arg in enumerate(node.args):
             if isinstance(arg, ast.Name):
                 hid = env.get(arg.id)
@@ -699,7 +699,7 @@ class _Interpreter(Walker):
         self.emit(
             Severity.ERROR, "RES004",
             f"{name!r} is used after its release on line "
-            f"{handle.released_line}; a settled/freed handle is dead",
+            f"{handle.released_line}; an unlocked/freed handle is dead",
             line,
         )
 
@@ -736,7 +736,7 @@ class _Interpreter(Walker):
                        arg_id: Optional[int], env: Env,
                        states: States) -> None:
         if not isinstance(arg, ast.Name):
-            # releasing a fresh sub-expression (``settle(make())``) or a
+            # releasing a fresh sub-expression (``unlock(make())``) or a
             # stored attribute: close the inline handle if we made one
             if arg_id is not None and arg_id != _NOT_HANDLE and \
                     arg_id in states and states[arg_id].state == ACQUIRED:

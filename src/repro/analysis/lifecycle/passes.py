@@ -9,8 +9,8 @@ code          severity  meaning
                         raise and the release is not exception-guarded
                         (leak on the exception path; use try/finally or
                         the protocol's context manager)
-``RES003``    ERROR     double release (second ``free``/``settle``/
-                        ``unlock`` of the same handle)
+``RES003``    ERROR     double release (second ``free``/``unlock`` of
+                        the same handle)
 ``RES004``    ERROR     use of a handle after its release
 ``RES005``    ERROR     release of a handle that was provably never
                         acquired (wrong token type, unacquired label on a
@@ -22,11 +22,10 @@ code          severity  meaning
                         never be released without it
 ============  ========  ====================================================
 
-``RES007``-``RES009`` belong to the runtime half of the subsystem (the
-:class:`~repro.sim.leaksan.LeakSanitizer` claims them via
-:func:`~repro.analysis.registry.claim_codes`): ``RES007`` outstanding
-pool/ledger balance at teardown, ``RES008`` runtime protocol error
-observed under instrumentation, ``RES009`` cross-validation — a static
+``RES007`` and ``RES009`` belong to the runtime half of the subsystem
+(:mod:`repro.sim.leaksan` claims them via
+:func:`~repro.analysis.registry.claim_codes`): ``RES007`` a pool label
+or flow still held at teardown, ``RES009`` cross-validation — a static
 RES finding matched (or contradicted) by an observed runtime leak.
 
 The pass reads :data:`~repro.analysis.lifecycle.engine.
@@ -53,8 +52,8 @@ RES_CODES = ("RES001", "RES002", "RES003", "RES004", "RES005", "RES006",
 @register_pass(
     "res-typestate", family="lifecycle", cheap=False,
     description="interprocedural acquire/release typestate analysis over "
-                "the paired-resource protocols (memory pool, bandwidth "
-                "ledger, cache lock)",
+                "the paired-resource protocols (memory pool, cache "
+                "lock)",
     codes=RES_CODES,
 )
 def res_typestate(ctx: AnalysisContext) -> Iterator[Finding]:

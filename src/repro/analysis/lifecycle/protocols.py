@@ -2,15 +2,15 @@
 
 A *protocol* is a paired acquire/release API whose balance must close to
 zero: every acquire must be matched by exactly one release, or the
-simulator's steady-state accounting drifts (leaked ledger reservations
-inflate outstanding bytes; leaked pool labels distort the memory
-telemetry; an unreleased cache lock wedges every later writer).
+simulator's steady-state accounting drifts (leaked pool labels distort
+the memory telemetry; an unreleased cache lock wedges every later
+writer).
 
 Two handle *shapes* exist:
 
 * ``token`` — the acquire call **returns** the handle
-  (``r = ledger.reserve(n)``) and the release call **consumes** it
-  (``ledger.settle(r)``).  Identity is the value, so the typestate
+  (``lock = cache.lock(key)``) and the release call **consumes** it
+  (``cache.unlock(lock)``).  Identity is the value, so the typestate
   engine follows the variable binding through assignments, calls,
   branches, and generator ``yield``\\ s.
 * ``label`` — the acquire call **names** the handle with its first
@@ -21,20 +21,14 @@ Two handle *shapes* exist:
   guesses).
 
 Each protocol may also declare *context acquires* — ``with``-statement
-helpers (``pool.lease``, ``ledger.reserving``, ``cache.locked``) that
-release structurally on block exit, so handles they produce are correct
-by construction and never flagged.
+helpers (``pool.lease``, ``cache.locked``) that release structurally on
+block exit, so handles they produce are correct by construction and
+never flagged.
 
-Two further paired protocols are **runtime-tracked only** (entries with
-``static=False``): the flow-network register/epoch pair
-(``FlowNetwork._flows`` insert on activation, removal in
-``_reallocate``) and the trace span open/close pair
-(``TraceRecorder.flow_opened``/``flow_closed`` +
-``drain_open_flows``).  Their handles are born inside the engine's
-event callbacks, where static per-function reasoning has no leverage;
-the runtime :class:`~repro.sim.leaksan.LeakSanitizer` audits them
-instead (open flows and undrained spans at teardown), and the
-cross-validation report joins both views.
+Pool labels are also audited at run time: a leak-checked run reports
+every label still holding bytes at teardown
+(:func:`repro.sim.leaksan.audit_leaks`), and the cross-validation report
+joins both views.
 """
 
 from __future__ import annotations
@@ -44,8 +38,9 @@ from typing import Dict, Mapping, Tuple
 
 #: positional-argument count window ``(min, max)`` a call must fall in
 #: for the method name to be treated as a protocol verb.  This is what
-#: keeps ``FlowNetwork.settle()`` (zero args — a time-accounting flush)
-#: from colliding with ``BandwidthLedger.settle(reservation)``.
+#: keeps a zero-argument ``unlock()`` (the standard library's
+#: ``mailbox.Mailbox.unlock``) from colliding with
+#: ``ResultCache.unlock(lock)``.
 Arity = Tuple[int, int]
 
 
@@ -71,8 +66,6 @@ class Protocol:
     #: (``pool.free(label, missing_ok=True)`` is documented idempotent
     #: teardown, not a double-free)
     lenient_keywords: Tuple[str, ...] = ()
-    #: False for protocols audited by the runtime leak sanitizer only
-    static: bool = True
     #: human description for reports and docs
     description: str = ""
 
@@ -90,16 +83,6 @@ PROTOCOLS: Tuple[Protocol, ...] = (
                     "(hardware/devices.py)",
     ),
     Protocol(
-        name="ledger-reservation",
-        shape="token",
-        acquires={"reserve": (1, 1)},
-        releases={"settle": (1, 1), "cancel": (1, 1)},
-        context_acquires=("reserving",),
-        constructors=("BandwidthLedger",),
-        description="BandwidthLedger reserve/settle byte claims "
-                    "(hardware/link.py)",
-    ),
-    Protocol(
         name="cache-lock",
         shape="token",
         acquires={"lock": (1, 1)},
@@ -109,38 +92,12 @@ PROTOCOLS: Tuple[Protocol, ...] = (
         description="ResultCache advisory object locks "
                     "(campaign/cache.py)",
     ),
-    Protocol(
-        name="flow-epoch",
-        shape="token",
-        acquires={},
-        releases={},
-        static=False,
-        description="FlowNetwork flow registration: activated flows must "
-                    "leave _flows via _reallocate (sim/flows.py); "
-                    "runtime-audited as open flows at teardown",
-    ),
-    Protocol(
-        name="trace-span",
-        shape="token",
-        acquires={},
-        releases={},
-        static=False,
-        description="TraceRecorder span open/close: flow_opened must "
-                    "pair with flow_closed or drain_open_flows "
-                    "(trace/recorder.py); runtime-audited as undrained "
-                    "spans at teardown",
-    ),
-)
-
-#: the statically-enforced subset
-STATIC_PROTOCOLS: Tuple[Protocol, ...] = tuple(
-    p for p in PROTOCOLS if p.static
 )
 
 
 def _index(attr: str) -> Dict[str, Protocol]:
     table: Dict[str, Protocol] = {}
-    for protocol in STATIC_PROTOCOLS:
+    for protocol in PROTOCOLS:
         for method in getattr(protocol, attr):
             if method in table:  # pragma: no cover - table invariant
                 raise ValueError(
@@ -158,7 +115,7 @@ CONTEXT_METHODS: Dict[str, Protocol] = _index("context_acquires")
 #: constructor class name -> protocol (local-receiver detection)
 CONSTRUCTORS: Dict[str, Protocol] = {
     cls: protocol
-    for protocol in STATIC_PROTOCOLS
+    for protocol in PROTOCOLS
     for cls in protocol.constructors
 }
 

@@ -15,7 +15,7 @@ Finding`s, tagged with a family and a cost class:
   byte/second/bandwidth unit algebra across the simulator;
 * family ``lifecycle`` — the interprocedural resource-lifecycle
   typestate analysis (``RES0xx``): acquire/release protocol conformance
-  for memory pools, bandwidth ledgers, and cache locks.
+  for memory pools and cache locks.
 
 ``cheap`` passes are safe to run on *every* simulation (the
 :func:`repro.core.runner.run_training` hook runs them); expensive or

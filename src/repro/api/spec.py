@@ -321,8 +321,8 @@ class RunSpec(Spec):
     tie_seed: int = 7
     sanitize: bool = False
     trace: bool = False
-    #: attach the runtime leak sanitizer (:mod:`repro.sim.leaksan`) and
-    #: audit pools/ledgers/flows for outstanding balance at teardown
+    #: audit pool labels and active flows for outstanding balance at
+    #: teardown (:mod:`repro.sim.leaksan`)
     leak_check: bool = False
     preflight: bool = True
     #: simulation fidelity: "full" runs every iteration on the DES;

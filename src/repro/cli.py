@@ -71,11 +71,8 @@ def _report_instruments(args: argparse.Namespace, leaks, trace,
     if args.leak_check:
         assert leaks is not None
         leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({leaks.pools_audited} pools, "
-              f"{leaks.ledgers_audited} ledgers, "
-              f"{leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
+        print(f"leak sanitizer: clean ({leaks.pools_audited} pools "
+              f"audited)", file=sys.stderr)
     if args.trace is not None:
         from .trace import write_trace
         assert trace is not None

@@ -12,11 +12,11 @@ as a process among the job bodies.  Each granted job runs the existing
 :class:`~repro.cluster.views.ClusterView`, with ``flow_tag=f"{job}/"``
 so every flow in the shared ledgers and trace is attributable.
 
-Ledger ownership: the run's probes attach the recorder and the leak
-sanitizer to the shared network and pools and detach them when the run
-ends; the service wires no hooks by hand.  Job bodies only charge and
-release their own job-prefixed memory-plan labels through the existing
-:func:`~repro.core.runner.apply_memory_plan` /
+Ledger ownership: the run's probes attach the recorder to the shared
+network, detach it when the run ends and audit the pools and network
+for leaks; the service wires no hooks by hand.  Job bodies only charge
+and release their own job-prefixed memory-plan labels through the
+existing :func:`~repro.core.runner.apply_memory_plan` /
 :func:`~repro.core.runner.release_memory_plan` walkers, so the
 byte-conservation audit covers the whole multi-job run.  The trace is
 assembled by the one :func:`~repro.trace.recorder.build_trace`.

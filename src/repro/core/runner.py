@@ -204,13 +204,12 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     ``metrics.trace``.  Tracing is schedule-invariant: every headline
     metric and ledger value is identical with it on or off.
 
-    ``leak_check=True`` attaches the runtime
-    :class:`~repro.sim.leaksan.LeakSanitizer`: every pool allocation is
-    observed, every flow is shadowed with per-link ledger reservations,
-    and after teardown returns the memory plan's bytes the sanitizer
-    audits pools/ledgers/flows/spans for outstanding balance.  The
-    report lands in ``metrics.leaks``; a conserving run reports
-    ``clean``.  Like tracing, the instrumentation is schedule-invariant.
+    ``leak_check=True`` audits the run at teardown
+    (:func:`~repro.sim.leaksan.audit_leaks`): after teardown returns the
+    memory plan's bytes, every pool label still holding bytes and every
+    flow still active is a leak.  The report lands in ``metrics.leaks``;
+    a conserving run reports ``clean``.  The audit only reads, so the
+    run is identical with it on or off.
 
     Unless ``preflight=False``, the cheap static-analysis passes run
     first and any error-severity finding aborts the run before the DES
@@ -275,8 +274,6 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     metrics: Optional[RunMetrics] = None
     with RunProbes(cluster, tie_order=tie_order, sanitize=sanitize,
                    trace=trace, leak_check=leak_check) as probes:
-        # The leak sanitizer observes the pools before the plan charges
-        # them.
         apply_memory_plan(cluster, plan, swap_volumes)
         executor = Executor(
             cluster, strategy.build_schedule(ctx),

@@ -44,9 +44,6 @@ class MemoryPool:
         self.capacity_bytes = float(capacity_bytes)
         self.owner = owner
         self._allocations: Dict[str, float] = {}
-        #: optional lifecycle observer (:class:`repro.sim.leaksan.
-        #: LeakSanitizer`); ``None`` keeps every hook a single check
-        self.observer = None
 
     @property
     def used_bytes(self) -> float:
@@ -71,8 +68,6 @@ class MemoryPool:
                 available_bytes=self.free_bytes,
             )
         self._allocations[label] = self._allocations.get(label, 0.0) + num_bytes
-        if self.observer is not None:
-            self.observer.pool_allocated(self, label, num_bytes)
 
     def free(self, label: str, *, missing_ok: bool = False) -> float:
         """Release every byte held under ``label``; returns the amount.
@@ -90,18 +85,13 @@ class MemoryPool:
         if label not in self._allocations:
             if missing_ok:
                 return 0.0
-            if self.observer is not None:
-                self.observer.pool_free_missing(self, label)
             raise ConfigurationError(
                 f"{self.owner or 'memory pool'}: free of unknown label "
                 f"{label!r}; live labels: {sorted(self._allocations)} "
                 f"(double-free or never allocated; pass missing_ok=True "
                 f"for idempotent teardown)"
             )
-        amount = self._allocations.pop(label)
-        if self.observer is not None:
-            self.observer.pool_freed(self, label, amount)
-        return amount
+        return self._allocations.pop(label)
 
     @contextmanager
     def lease(self, label: str, num_bytes: float) -> Iterator["MemoryPool"]:

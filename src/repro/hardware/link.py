@@ -15,9 +15,8 @@ from __future__ import annotations
 import enum
 import itertools
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..units import GB, Bytes, BytesPerSecond, Seconds
@@ -123,26 +122,6 @@ class TransferRecord:
         return self.num_bytes / self.duration
 
 
-@dataclass(frozen=True)
-class Reservation:
-    """A claim against a ledger for bytes that *will* be charged.
-
-    Returned by :meth:`BandwidthLedger.reserve` and consumed exactly once
-    by :meth:`BandwidthLedger.settle` (normal completion) or
-    :meth:`BandwidthLedger.cancel` (abort).  Reservations are pure
-    accounting — they never affect recorded transfers or sampling — but
-    they give the leak sanitizer (:mod:`repro.sim.leaksan`) and the
-    lifecycle analysis (``RES0xx``) a closed acquire/release protocol:
-    every reservation a job opens must be settled or cancelled, or the
-    ledger's :attr:`~BandwidthLedger.outstanding_bytes` stays non-zero at
-    teardown.
-    """
-
-    reservation_id: int
-    num_bytes: Bytes
-    owner: str = ""
-
-
 class _Columns:
     """Transfer records stored field by field, in record order.
 
@@ -196,18 +175,10 @@ class BandwidthLedger:
     average/90th/peak statistics and time-series plots.  Records live in
     columns (:class:`_Columns`); iteration hands out
     :class:`TransferRecord` views built on the fly.
-
-    Ledgers additionally carry a reservation table (see
-    :class:`Reservation`): opt-in byte claims with a strict
-    reserve/settle lifecycle, used by the runtime leak sanitizer to
-    prove that per-job accounting closes to zero.
     """
 
     def __init__(self) -> None:
         self._columns = _Columns()
-        #: open reservations by id; strictly balanced reserve/settle
-        self._reservations: Dict[int, Reservation] = {}
-        self._reservation_ids = itertools.count()
         #: lazy replication blocks ``(template, period, count)`` appended
         #: by :meth:`replicate_shifted`: the k-th copy (k = 1..count) of
         #: each template record is shifted by ``k * period``.  Blocks are
@@ -275,80 +246,6 @@ class BandwidthLedger:
     def clear(self) -> None:
         self._columns = _Columns()
         self._replicas.clear()
-        self._reservations.clear()
-
-    # -- reservations ------------------------------------------------------
-    def reserve(self, num_bytes: Bytes, *, owner: str = "") -> Reservation:
-        """Open a claim for ``num_bytes`` of future transfer accounting.
-
-        The returned token must be passed to exactly one of
-        :meth:`settle` or :meth:`cancel`; anything else is a leak the
-        sanitizer reports at teardown.  Reservations do not gate
-        :meth:`record` — they are ownership bookkeeping, not admission
-        control — so attaching them cannot change simulated physics.
-        """
-        if num_bytes < 0:
-            raise ConfigurationError("cannot reserve a negative byte count")
-        reservation = Reservation(next(self._reservation_ids),
-                                  float(num_bytes), owner)
-        self._reservations[reservation.reservation_id] = reservation
-        return reservation
-
-    def settle(self, reservation: Reservation) -> None:
-        """Close ``reservation`` after its bytes were charged.
-
-        Raises :class:`~repro.errors.ConfigurationError` if the token is
-        unknown to this ledger or was already settled/cancelled (the
-        runtime analog of the static ``RES003`` double-release finding).
-        """
-        self._close_reservation(reservation, verb="settle")
-
-    def cancel(self, reservation: Reservation) -> None:
-        """Close ``reservation`` without its bytes having moved.
-
-        Same strictness as :meth:`settle`; the two verbs exist so
-        callers can distinguish completion from abort on exception
-        paths.
-        """
-        self._close_reservation(reservation, verb="cancel")
-
-    def _close_reservation(self, reservation: Reservation, *,
-                           verb: str) -> None:
-        if not isinstance(reservation, Reservation):
-            raise ConfigurationError(
-                f"cannot {verb} {reservation!r}: not a Reservation token"
-            )
-        if reservation.reservation_id not in self._reservations:
-            raise ConfigurationError(
-                f"cannot {verb} reservation #{reservation.reservation_id} "
-                f"({reservation.owner or 'unowned'}): unknown to this "
-                f"ledger or already settled/cancelled"
-            )
-        del self._reservations[reservation.reservation_id]
-
-    @property
-    def outstanding_bytes(self) -> Bytes:
-        """Bytes claimed by reservations not yet settled or cancelled."""
-        return sum(r.num_bytes for r in self._reservations.values())
-
-    @property
-    def outstanding_reservations(self) -> int:
-        return len(self._reservations)
-
-    def open_reservations(self) -> List[Reservation]:
-        """The open reservations, ordered by id (for leak reports)."""
-        return [self._reservations[rid]
-                for rid in sorted(self._reservations)]
-
-    @contextmanager
-    def reserving(self, num_bytes: Bytes, *,
-                  owner: str = "") -> Iterator[Reservation]:
-        """Scope-guarded reservation: settled on exit, even on error."""
-        reservation = self.reserve(num_bytes, owner=owner)
-        try:
-            yield reservation
-        finally:
-            self.settle(reservation)
 
     def degraded_intervals(self) -> List[Tuple[float, float]]:
         """Merged ``(start, end)`` windows covered by degraded records."""

@@ -15,12 +15,11 @@ as training collectives — over two nodes, prefill all-reduces cross
 the switch exactly like a Megatron forward's.
 
 Instruments attach as in every other run: the probes hook the recorder
-and the leak sanitizer into the network and pools and remove them when
-the run ends, and the one :func:`~repro.trace.recorder.build_trace`
-assembles the serving trace.  Weights, the KV budget's slack, and every
-per-request KV reservation are named pool labels, so ``leak_check=True``
-audits the whole serving run for byte conservation (zero leaked KV
-bytes on a clean exit).
+into the network and remove it when the run ends, and the one
+:func:`~repro.trace.recorder.build_trace` assembles the serving trace.
+Weights, the KV budget's slack, and every per-request KV reservation
+are named pool labels, so ``leak_check=True`` audits the whole serving
+run for byte conservation (zero leaked KV bytes on a clean exit).
 """
 
 from __future__ import annotations

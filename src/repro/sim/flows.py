@@ -300,8 +300,8 @@ class FlowNetwork:
         self._generation = 0
         self.completed_flows = 0
         self.total_bytes_moved = 0.0
-        #: instruments told of every flow's start (``flow_opened(flow)``)
-        #: and finish (``flow_closed(flow, now)``), in order; set by
+        #: instruments told of every flow's finish
+        #: (``flow_closed(flow, now)``), in order; set by
         #: :class:`repro.sim.probes.RunProbes`.  Their hooks only do
         #: bookkeeping — they never schedule events or touch engine
         #: state — so attaching one cannot perturb the simulated schedule.
@@ -379,13 +379,8 @@ class FlowNetwork:
         self._reallocate(dict.fromkeys(self._members))
 
     # -- internals -----------------------------------------------------------------
-    def _start(self, flow: Flow) -> None:
-        flow.started_at = self.engine.now
-        for observer in self.observers:
-            observer.flow_opened(flow)
-
     def _add(self, flow: Flow, touched: Dict[PoolKey, None]) -> None:
-        flow.since = self.engine.now
+        flow.started_at = flow.since = self.engine.now
         flow.refresh_capacity()
         _insert_by_id(self._flows, flow)
         for key in flow.route.pool_keys:
@@ -393,7 +388,6 @@ class FlowNetwork:
             touched[key] = None
 
     def _activate_one(self, flow: Flow) -> None:
-        self._start(flow)
         self.engine.note_touch("flows:allocator")
         touched: Dict[PoolKey, None] = {}
         self._add(flow, touched)
@@ -412,7 +406,6 @@ class FlowNetwork:
         self.engine.note_touch("flows:allocator")
         touched: Dict[PoolKey, None] = {}
         for (flow,) in batch:
-            self._start(flow)
             self._add(flow, touched)
         self._reallocate(touched)
 

@@ -12,14 +12,14 @@ builds
   one ``sanitizer`` slot when asked (event folding stops exactly when a
   callback observer is attached);
 * the :class:`~repro.sim.flows.FlowNetwork`, whose ``observers`` tuple
-  gets the :class:`~repro.trace.recorder.TraceRecorder` and the
-  :class:`~repro.sim.leaksan.LeakSanitizer` when asked;
-* the leak sanitizer's observer on every memory pool of the cluster.
+  gets the :class:`~repro.trace.recorder.TraceRecorder` when asked.
 
-:meth:`RunProbes.close` finalizes the sanitizers and returns their
-reports.  Leaving the ``with`` block removes every hook the probes set,
-on error paths too, so a later run on the same cluster cannot write into
-an earlier run's report.  Every instrument only appends to its own
+:meth:`RunProbes.close` finalizes the schedule sanitizer and, for a
+leak-checked run, audits the pools and the network for what is still
+held (:func:`~repro.sim.leaksan.audit_leaks`); it returns both reports.
+Leaving the ``with`` block removes every hook the probes set, on error
+paths too, so a later run on the same cluster cannot write into an
+earlier run's report.  Every instrument only appends to its own
 bookkeeping, so attaching any of them leaves the simulated schedule
 unchanged.
 """
@@ -31,7 +31,7 @@ from typing import Any, Optional, Tuple
 from ..trace.recorder import TraceRecorder
 from .engine import Engine, ReversedTies, SeededTies, TieOrder
 from .flows import FlowNetwork
-from .leaksan import LeakReport, LeakSanitizer
+from .leaksan import LeakReport, audit_leaks
 from .sanitizer import SanitizerReport, ScheduleSanitizer
 
 
@@ -53,17 +53,13 @@ class RunProbes:
                  trace: bool = False,
                  leak_check: bool = False) -> None:
         self.cluster = cluster
+        self.leak_check = leak_check
         self.engine = Engine(tie_order=tie_order)
         self.sanitizer = ScheduleSanitizer(self.engine) if sanitize else None
         self.network = FlowNetwork(self.engine)
-        self.recorder = TraceRecorder() if trace else None
-        self.leaksan = LeakSanitizer() if leak_check else None
-        if self.leaksan is not None:
-            self.leaksan.attach(cluster)
-        self.network.observers = tuple(
-            probe for probe in (self.recorder, self.leaksan)
-            if probe is not None
-        )
+        self.recorder = TraceRecorder(self.network) if trace else None
+        if self.recorder is not None:
+            self.network.observers = (self.recorder,)
 
     def __enter__(self) -> "RunProbes":
         return self
@@ -73,17 +69,16 @@ class RunProbes:
 
     def close(self) -> Tuple[Optional[SanitizerReport],
                              Optional[LeakReport]]:
-        """Finalize the sanitizers and detach every hook.
+        """Finalize the sanitizer, audit for leaks and detach every hook.
 
         Call it once the run has released what it legitimately holds:
-        whatever the leak sanitizer still finds outstanding is a leak.
+        whatever the leak audit still finds outstanding is a leak.
         If finalizing raises, leaving the ``with`` block still detaches.
         """
         sanitized = (self.sanitizer.finalize(self.cluster)
                      if self.sanitizer is not None else None)
-        leaks = (self.leaksan.finalize(self.cluster, network=self.network,
-                                       recorder=self.recorder)
-                 if self.leaksan is not None else None)
+        leaks = (audit_leaks(self.cluster, self.network)
+                 if self.leak_check else None)
         self.detach()
         return sanitized, leaks
 
@@ -91,5 +86,3 @@ class RunProbes:
         """Remove every hook these probes set (idempotent)."""
         self.engine.sanitizer = None
         self.network.observers = ()
-        if self.leaksan is not None:
-            self.leaksan.detach(self.cluster)

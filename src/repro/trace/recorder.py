@@ -36,7 +36,7 @@ from .model import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.events import FaultEvent
     from ..hardware.cluster import Cluster
-    from ..sim.flows import Flow
+    from ..sim.flows import Flow, FlowNetwork
 
 #: Bins in each per-link utilization counter track.
 DEFAULT_COUNTER_SAMPLES = 200
@@ -45,23 +45,21 @@ DEFAULT_COUNTER_SAMPLES = 200
 class TraceRecorder:
     """Collects flow and collective phases as they happen.
 
-    The flow network calls the flow hooks as one of its ``observers``;
-    the executor's collective gates and the serving scheduler call
-    :meth:`collective_phase` as their ``collective_sink``.  All methods
-    are append-only.
+    The flow network calls :meth:`flow_closed` as one of its
+    ``observers``; the executor's collective gates and the serving
+    scheduler call :meth:`collective_phase` as their
+    ``collective_sink``.  All methods are append-only.  ``network`` is
+    the run's flow network, read once at the end for the flows still
+    streaming.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, network: "FlowNetwork") -> None:
+        self.network = network
         self.flows: List[FlowSpan] = []
         self.collectives: List[CollectiveSpan] = []
-        self._open_flows: Dict[int, "Flow"] = {}
 
-    # -- flow network hooks ----------------------------------------------------
-    def flow_opened(self, flow: "Flow") -> None:
-        self._open_flows[flow.id] = flow
-
+    # -- flow network hook -----------------------------------------------------
     def flow_closed(self, flow: "Flow", end: float) -> None:
-        self._open_flows.pop(flow.id, None)
         self.flows.append(self._span_of(flow, end, completed=True))
 
     # -- collective sink -------------------------------------------------------
@@ -80,26 +78,16 @@ class TraceRecorder:
             end=end,
         ))
 
-    def open_flow_ids(self) -> List[int]:
-        """IDs of spans opened but not yet closed or drained.
-
-        Non-empty after the run only if teardown skipped
-        :meth:`drain_open_flows` — the trace-span leak the runtime
-        sanitizer audits (``RES007``).
-        """
-        return sorted(self._open_flows)
-
     # -- finalization ----------------------------------------------------------
     def drain_open_flows(self, end: float) -> None:
-        """Close out flows still streaming when the run ended.
+        """Close out the network's flows still streaming when the run
+        ended, in id order.
 
         Their spans cover only the bytes that actually moved, and are
         marked ``completed=False``.
         """
-        for flow_id in sorted(self._open_flows):
-            flow = self._open_flows[flow_id]
+        for flow in self.network.active_flows():
             self.flows.append(self._span_of(flow, end, completed=False))
-        self._open_flows.clear()
 
     @staticmethod
     def _span_of(flow: "Flow", end: float, *, completed: bool) -> FlowSpan:

@@ -54,6 +54,11 @@ class TestMemoryPool:
         assert pool.free("a") == 5.0
         with pytest.raises(ConfigurationError):
             pool.free("a")
+        # a label dropped by reset() (a fault revert) is gone as well
+        pool.allocate("b", 2.0)
+        pool.reset()
+        with pytest.raises(ConfigurationError):
+            pool.free("b")
 
     def test_zero_byte_allocate_is_freeable(self):
         # A zero-byte label still follows the acquire/release protocol:

@@ -1,12 +1,12 @@
-"""Runtime leak sanitizer: observer hooks, teardown audits, the
-cross-validation joint with the static RES findings, and the
+"""Runtime leak audit: the teardown audit of pool labels and active
+flows, the cross-validation joint with the static RES findings, and the
 leak-checked end-to-end run.
 
-The sanitizer is the dynamic half of the RES family: the typestate
-passes prove acquire/release conformance per function, these tests pin
-that a conforming *run* really ends with zero outstanding pool/ledger
-balance — and that a planted runtime leak is reported, not papered
-over.
+The audit is the dynamic half of the RES family: the typestate passes
+prove acquire/release conformance per function, these tests pin that a
+conforming *run* really ends with no pool label holding bytes and no
+flow still active — and that a planted runtime leak is reported once,
+not papered over.
 """
 
 import pytest
@@ -14,18 +14,20 @@ import pytest
 from repro.analysis.findings import Finding, Severity
 from repro.api import RunSpec, build_cluster, run_spec
 from repro.core.runner import run_training
-from repro.errors import ConfigurationError, OutOfMemoryError, SimulationError
+from repro.errors import SimulationError
 from repro.hardware import single_node_cluster
-from repro.hardware.link import BandwidthLedger
 from repro.model import paper_model
 from repro.parallel import DdpStrategy, zero2
+from repro.sim.engine import Engine
+from repro.sim.flows import FlowNetwork
 from repro.sim.leaksan import (
     MAX_RECORDED_LEAKS,
     LeakRecord,
     LeakReport,
-    LeakSanitizer,
+    audit_leaks,
     cross_validate,
 )
+from repro.sim.probes import RunProbes
 from repro.units import GB
 
 
@@ -36,76 +38,42 @@ def cluster():
     return c
 
 
-def _pools(cluster):
-    pools = [device.memory for device in cluster.topology.devices
-             if device.memory is not None]
-    assert pools
-    return pools
+@pytest.fixture()
+def network():
+    return FlowNetwork(Engine())
 
 
-class TestLedgerReservations:
-    def test_reserve_settle_balances(self):
-        ledger = BandwidthLedger()
-        r = ledger.reserve(10 * GB, owner="test")
-        assert ledger.outstanding_bytes == 10 * GB
-        ledger.settle(r)
-        assert ledger.outstanding_bytes == 0
-        assert ledger.open_reservations() == []
-
-    def test_double_settle_raises(self):
-        ledger = BandwidthLedger()
-        r = ledger.reserve(1.0)
-        ledger.settle(r)
-        with pytest.raises(ConfigurationError) as err:
-            ledger.settle(r)
-        assert "already settled" in str(err.value)
-
-    def test_cancel_then_settle_raises(self):
-        ledger = BandwidthLedger()
-        r = ledger.reserve(1.0)
-        ledger.cancel(r)
-        with pytest.raises(ConfigurationError):
-            ledger.settle(r)
-
-    def test_settle_of_non_token_raises(self):
-        ledger = BandwidthLedger()
-        with pytest.raises(ConfigurationError):
-            ledger.settle("not a token")
-
-    def test_reserving_settles_on_exception(self):
-        ledger = BandwidthLedger()
-        with pytest.raises(RuntimeError):
-            with ledger.reserving(5.0, owner="guard"):
-                raise RuntimeError("boom")
-        assert ledger.outstanding_reservations == 0
-
-    def test_reservations_never_gate_record(self):
-        # Ownership bookkeeping, not admission control: charging more
-        # bytes than reserved must not fail or alter the records.
-        ledger = BandwidthLedger()
-        ledger.reserve(1.0, owner="tiny")
-        ledger.record(0.0, 1.0, 100.0)
-        assert ledger.total_bytes == 100.0
+def _run_stuck_flow(cluster, *, trace, leak_label=None):
+    """Start a 100 GB gpu0 -> socket-1 DRAM transfer (three links), stop
+    the clock long before it finishes, and audit."""
+    with RunProbes(cluster, leak_check=True, trace=trace) as probes:
+        if leak_label is not None:
+            cluster.gpu(0).memory.allocate(leak_label, 2 * GB)
+        route = cluster.topology.route("node0/gpu0", "node0/dram1")
+        assert len(route.links) == 3
+        probes.network.transfer(route, 100 * GB, label="stuck")
+        probes.engine.run(until=0.01)
+        records = sum(len(link.ledger) for link in cluster.topology.links)
+        _, leaks = probes.close()
+    # the audit reads; it settles nothing into the ledgers
+    assert sum(len(link.ledger) for link in cluster.topology.links) == \
+        records
+    return leaks
 
 
 class TestLeakSanitizerUnit:
-    def test_clean_report_after_balanced_pool_use(self, cluster):
-        san = LeakSanitizer()
-        san.attach(cluster)
+    def test_clean_report_after_balanced_pool_use(self, cluster, network):
         pool = cluster.gpu(0).memory
         pool.allocate("x", 10.0)
         pool.free("x")
-        report = san.finalize(cluster)
+        report = audit_leaks(cluster, network)
         assert report.clean
-        assert report.pool_events == 2
         assert report.pools_audited > 0
         report.assert_clean()  # must not raise
 
-    def test_outstanding_pool_balance_is_res007(self, cluster):
-        san = LeakSanitizer()
-        san.attach(cluster)
+    def test_outstanding_pool_balance_is_res007(self, cluster, network):
         cluster.gpu(0).memory.allocate("leaked", 3 * GB)
-        report = san.finalize(cluster)
+        report = audit_leaks(cluster, network)
         assert not report.clean
         assert [r.code for r in report.records] == ["RES007"]
         assert report.records[0].protocol == "memory-pool"
@@ -115,70 +83,30 @@ class TestLeakSanitizerUnit:
             report.assert_clean()
         assert "outstanding" in str(err.value)
 
-    def test_runtime_double_free_is_res008(self, cluster):
-        san = LeakSanitizer()
-        san.attach(cluster)
-        pool = cluster.gpu(0).memory
-        pool.allocate("once", 1.0)
-        pool.free("once")
-        with pytest.raises(ConfigurationError):
-            pool.free("once")
-        report = san.finalize(cluster)
-        assert [r.code for r in report.records] == ["RES008"]
-        assert "double-free" in report.records[0].detail
-
-    def test_free_after_fault_revert_is_res008(self, cluster):
-        # A fault-recovery path that resets the pool and then replays a
-        # stale free: the label epoch is gone, the free must surface as
-        # a protocol error rather than silently succeed.
-        san = LeakSanitizer()
-        san.attach(cluster)
-        pool = cluster.gpu(0).memory
-        pool.allocate("epoch", 2.0)
-        pool.reset()  # fault revert drops every label
-        with pytest.raises(ConfigurationError):
-            pool.free("epoch")
-        report = san.finalize(cluster)
-        assert [r.code for r in report.records] == ["RES008"]
-
-    def test_outstanding_ledger_reservation_is_res007(self, cluster):
-        san = LeakSanitizer()
-        san.attach(cluster)
-        link = cluster.topology.links[0]
-        link.ledger.reserve(4 * GB, owner="forgotten")
-        report = san.finalize(cluster)
-        assert [r.code for r in report.records] == ["RES007"]
-        assert report.records[0].protocol == "ledger-reservation"
-        assert report.records[0].resource == link.name
-        assert "forgotten" in report.records[0].detail
-
-    def test_detach_clears_only_its_own_observers(self, cluster):
-        first, second = LeakSanitizer(), LeakSanitizer()
-        first.attach(cluster)
-        second.attach(cluster)
-        first.detach(cluster)
-        assert all(pool.observer is second for pool in _pools(cluster))
-        second.detach(cluster)
-        assert all(pool.observer is None for pool in _pools(cluster))
-
-    def test_unknown_flow_close_is_res008(self, cluster):
-        class FakeFlow:
-            id = 99
-
-        san = LeakSanitizer()
-        san.flow_closed(FakeFlow(), 1.0)
-        assert [r.code for r in san.report.records] == ["RES008"]
-        assert san.report.records[0].protocol == "flow-epoch"
-
-    def test_recording_cap_counts_suppressed(self, cluster):
-        san = LeakSanitizer()
+    def test_recording_cap_counts_suppressed(self):
+        report = LeakReport()
         for i in range(MAX_RECORDED_LEAKS + 5):
-            san._record(LeakRecord(
+            report.add(LeakRecord(
                 protocol="memory-pool", code="RES007",
                 resource=f"pool{i}", detail="x"))
-        assert len(san.report.records) == MAX_RECORDED_LEAKS
-        assert san.report.suppressed == 5
-        assert not san.report.clean
+        assert len(report.records) == MAX_RECORDED_LEAKS
+        assert report.suppressed == 5
+        assert not report.clean
+
+    def test_leaks_past_the_cap_are_counted_and_summed(self, cluster,
+                                                       network):
+        pool = cluster.gpu(0).memory
+        planted = MAX_RECORDED_LEAKS + 6
+        for i in range(planted):
+            pool.allocate(f"leak{i:03d}", 0.1 * GB)
+        report = audit_leaks(cluster, network)
+        assert len(report.records) == MAX_RECORDED_LEAKS
+        assert report.suppressed == 6
+        assert report.leaked_bytes == pytest.approx(planted * 0.1 * GB)
+        with pytest.raises(SimulationError) as err:
+            report.assert_clean()
+        assert f"found {planted} outstanding" in str(err.value)
+        assert "(7.000 GB leaked)" in str(err.value)
 
     def test_report_round_trips_and_exports_findings(self):
         report = LeakReport(records=[LeakRecord(
@@ -192,6 +120,24 @@ class TestLeakSanitizerUnit:
         assert findings[0].severity == Severity.WARNING
 
 
+class TestStuckFlow:
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_stuck_flow_is_one_res007(self, cluster, trace):
+        leaks = _run_stuck_flow(cluster, trace=trace)
+        assert [(r.code, r.protocol, r.resource) for r in leaks.records] \
+            == [("RES007", "flow-epoch", "flow:0:stuck")]
+        assert leaks.records[0].amount_bytes == 100 * GB
+        assert leaks.leaked_bytes == 100 * GB
+
+    def test_leaked_label_and_stuck_flow_each_listed_once(self, cluster):
+        leaks = _run_stuck_flow(cluster, trace=True, leak_label="orphan")
+        assert sorted((r.protocol, r.resource) for r in leaks.records) == [
+            ("flow-epoch", "flow:0:stuck"),
+            ("memory-pool", cluster.gpu(0).name),
+        ]
+        assert leaks.leaked_bytes == 102 * GB
+
+
 class TestLeakCheckedRun:
     def test_run_training_leak_check_is_clean(self, cluster):
         metrics = run_training(cluster, DdpStrategy(), paper_model(4),
@@ -200,12 +146,6 @@ class TestLeakCheckedRun:
         assert report is not None
         assert report.clean, report.to_dict()
         assert report.pools_audited > 0
-        assert report.ledgers_audited > 0
-        assert report.flows_tracked > 0
-        assert report.reservations_opened >= report.flows_tracked
-        # zero outstanding balance everywhere after teardown
-        for link in cluster.topology.links:
-            assert link.ledger.outstanding_bytes == 0
 
     def test_hybrid_quick_spec_ends_balanced(self):
         spec = RunSpec("zero2", size_billions=0.5, iterations=6,
@@ -248,14 +188,6 @@ class TestLeakCheckedRun:
         before = leaks.to_dict()
         run_spec(spec.replace(leak_check=False), cluster=cluster)
         assert leaks.to_dict() == before
-        assert all(pool.observer is None for pool in _pools(cluster))
-
-    def test_out_of_memory_run_leaves_no_observer(self):
-        spec = RunSpec("ddp", size_billions=11.0, leak_check=True)
-        cluster = build_cluster(spec)
-        with pytest.raises(OutOfMemoryError):
-            run_spec(spec, cluster=cluster)
-        assert all(pool.observer is None for pool in _pools(cluster))
 
     def test_memory_snapshot_survives_teardown(self, cluster):
         # The leak-check teardown frees the plan labels; the reported
@@ -292,7 +224,7 @@ class TestCrossValidation:
 
     def test_static_without_runtime_counterpart(self):
         static = [self._static(
-            "RES002", "ledger-reservation token leaks on the "
+            "RES002", "cache-lock token leaks on the "
             "exception path")]
         verdicts = cross_validate(static, LeakReport())
         assert [v.code for v in verdicts] == ["RES009"]

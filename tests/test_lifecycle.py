@@ -3,9 +3,9 @@ no-false-positive corpus, and the tree-clean gate for the real source.
 
 Each planted fixture is a tiny module with exactly one acquire/release
 slip over the simulator's paired-resource APIs (pool allocate/free,
-ledger reserve/settle, cache lock/unlock); the RES passes must catch
-each with its distinct ``RES0xx`` code and stay silent on correct
-try/finally, context-manager, ownership-escape, and planner shapes.
+cache lock/unlock); the RES passes must catch each with its distinct
+``RES0xx`` code and stay silent on correct try/finally, context-manager,
+ownership-escape, and planner shapes.
 """
 
 import textwrap
@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import AnalysisContext, analyze_lifecycle, code_owners
 from repro.analysis.lifecycle import (
     PROTOCOLS,
-    STATIC_PROTOCOLS,
     LifecycleProgram,
     analyze_tree,
 )
@@ -36,24 +35,17 @@ def _codes(findings):
 
 class TestProtocolTable:
     def test_every_static_protocol_pairs_acquire_release(self):
-        for protocol in STATIC_PROTOCOLS:
+        assert {p.name for p in PROTOCOLS} == {"memory-pool", "cache-lock"}
+        for protocol in PROTOCOLS:
             assert protocol.acquires, protocol.name
             assert protocol.releases, protocol.name
-
-    def test_runtime_only_protocols_are_marked(self):
-        static_names = {p.name for p in STATIC_PROTOCOLS}
-        assert "flow-epoch" not in static_names
-        assert "trace-span" not in static_names
-        all_names = {p.name for p in PROTOCOLS}
-        assert {"memory-pool", "ledger-reservation", "cache-lock",
-                "flow-epoch", "trace-span"} <= all_names
 
     def test_res_codes_are_owned(self):
         owners = code_owners()
         for code in ("RES001", "RES002", "RES003", "RES004", "RES005",
                      "RES006", "RES010"):
             assert owners[code] == "res-typestate", code
-        for code in ("RES007", "RES008", "RES009"):
+        for code in ("RES007", "RES009"):
             assert owners[code] == "leak-sanitizer", code
 
 
@@ -64,12 +56,12 @@ class TestProtocolTable:
 class TestPlantedLeaks:
     def test_res001_token_never_released(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def leak(ledger, n):
-                r = ledger.reserve(n)
+            def leak(cache, n):
+                r = cache.lock(n)
                 return n * 2
             """)
         assert _codes(findings) == ["RES001"]
-        assert "ledger-reservation" in findings[0].message
+        assert "cache-lock" in findings[0].message
 
     def test_res001_label_leaks_when_sibling_freed(self, tmp_path):
         # The intent rule: the function frees *some* pool label, so a
@@ -84,20 +76,20 @@ class TestPlantedLeaks:
 
     def test_res002_exception_path_skips_release(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def charge(ledger, n, sink):
-                r = ledger.reserve(n)
+            def charge(cache, n, sink):
+                r = cache.lock(n)
                 sink.push(n)
-                ledger.settle(r)
+                cache.unlock(r)
             """)
         assert _codes(findings) == ["RES002"]
         assert findings[0].subject == "charge"
 
     def test_res003_double_release(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def twice(ledger, n):
-                r = ledger.reserve(n)
-                ledger.settle(r)
-                ledger.settle(r)
+            def twice(cache, n):
+                r = cache.lock(n)
+                cache.unlock(r)
+                cache.unlock(r)
             """)
         assert _codes(findings) == ["RES003"]
 
@@ -105,13 +97,13 @@ class TestPlantedLeaks:
         # The double release is only visible through the helper's
         # inferred releases-its-parameter summary.
         findings = _analyze(tmp_path, """
-            def helper(ledger, r):
-                ledger.settle(r)
+            def helper(cache, r):
+                cache.unlock(r)
 
-            def caller(ledger, n):
-                r = ledger.reserve(n)
-                helper(ledger, r)
-                ledger.settle(r)
+            def caller(cache, n):
+                r = cache.lock(n)
+                helper(cache, r)
+                cache.unlock(r)
             """)
         assert "RES003" in _codes(findings)
         double = [f for f in findings if f.code == "RES003"]
@@ -119,21 +111,21 @@ class TestPlantedLeaks:
 
     def test_res004_use_after_release(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def consume(reservation):
-                return reservation
+            def consume(lock):
+                return lock
 
-            def stale(ledger, n):
-                r = ledger.reserve(n)
-                ledger.settle(r)
+            def stale(cache, n):
+                r = cache.lock(n)
+                cache.unlock(r)
                 consume(r)
             """)
         assert _codes(findings) == ["RES004"]
 
     def test_res005_release_of_non_handle(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def bogus(ledger):
+            def bogus(cache):
                 y = 5
-                ledger.settle(y)
+                cache.unlock(y)
             """)
         assert _codes(findings) == ["RES005"]
 
@@ -150,15 +142,15 @@ class TestPlantedLeaks:
         findings = _analyze(tmp_path, """
             def sneak(pool, n):
                 with pool.lease("slab", n) as scope:
-                    r = scope.reserve(5)
+                    r = scope.lock(5)
                     return r
             """)
         assert _codes(findings) == ["RES006"]
 
     def test_res010_acquire_result_discarded(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def drop(ledger, n):
-                ledger.reserve(n)
+            def drop(cache, n):
+                cache.lock(n)
             """)
         assert _codes(findings) == ["RES010"]
 
@@ -179,19 +171,19 @@ class TestPlantedLeaks:
 class TestNoFalsePositives:
     CORRECT_CORPUS = """
         class Owner:
-            def park(self, ledger, n):
-                # ownership escape: stored on self, settled elsewhere
-                self.pending = ledger.reserve(n)
+            def park(self, cache, n):
+                # ownership escape: stored on self, unlocked elsewhere
+                self.pending = cache.lock(n)
 
-        def guarded(ledger, n, sink):
-            r = ledger.reserve(n)
+        def guarded(cache, n, sink):
+            r = cache.lock(n)
             try:
                 sink.push(n)
             finally:
-                ledger.settle(r)
+                cache.unlock(r)
 
-        def scoped(ledger, n, sink):
-            with ledger.reserving(n) as r:
+        def scoped(cache, n, sink):
+            with cache.locked(n) as r:
                 sink.push(n)
 
         def leased(pool, n, sink):
@@ -214,24 +206,24 @@ class TestNoFalsePositives:
             pool.allocate("a", n)
             pool.free("a")
 
-        def maybe(ledger, n, cond):
-            r = ledger.reserve(n)
+        def maybe(cache, n, cond):
+            r = cache.lock(n)
             if cond:
-                ledger.settle(r)
+                cache.unlock(r)
 
-        def early_exit(ledger, n):
+        def early_exit(cache, n):
             if n <= 0:
                 return None
-            r = ledger.reserve(n)
-            ledger.settle(r)
+            r = cache.lock(n)
+            cache.unlock(r)
             return n
 
-        def handed_off(ledger, n, registry):
+        def handed_off(cache, n, registry):
             # appended into a container: ownership moved
-            registry.append(ledger.reserve(n))
+            registry.append(cache.lock(n))
 
-        def produced(ledger, n):
-            r = ledger.reserve(n)
+        def produced(cache, n):
+            r = cache.lock(n)
             return r
 
         def lenient(pool):
@@ -239,8 +231,8 @@ class TestNoFalsePositives:
             return pool.free("maybe-there", missing_ok=True)
 
         def unrelated(names, label):
-            # same-named unrelated method, wrong arity: not our settle
-            names.settle()
+            # same-named unrelated method, wrong arity: not our unlock
+            names.unlock()
             return len(names)
     """
 
@@ -264,45 +256,45 @@ def _analyze_modules(tmp_path, sources):
 class TestProgramCore:
     @pytest.mark.parametrize("b_body,flagged", [
         ("pass", False),              # disagree: the call resolves to nothing
-        ("ledger.settle(r)", True),   # agree: the second settle is double
+        ("cache.unlock(r)", True),    # agree: the second unlock is double
     ])
     def test_same_name_resolves_only_when_summaries_agree(
             self, tmp_path, b_body, flagged):
         findings = _analyze_modules(tmp_path, {
             "a.py": """
-                def helper(ledger, r):
-                    ledger.settle(r)
+                def helper(cache, r):
+                    cache.unlock(r)
                 """,
             "b.py": f"""
-                def helper(ledger, r):
+                def helper(cache, r):
                     {b_body}
                 """,
             "c.py": """
-                def use(ledger, n):
-                    r = ledger.reserve(n)
-                    helper(ledger, r)
-                    ledger.settle(r)
+                def use(cache, n):
+                    r = cache.lock(n)
+                    helper(cache, r)
+                    cache.unlock(r)
                 """,
         })
         assert ("RES003" in _codes(findings)) is flagged
 
     def test_summaries_reach_callers_two_calls_away(self, tmp_path):
         # Callers come first in scan order, so outer() learns that inner()
-        # settles its argument only in the fixpoint's second round.
+        # unlocks its argument only in the fixpoint's second round.
         findings = _analyze_modules(tmp_path, {
             "a.py": """
-                def use(ledger, n):
-                    r = ledger.reserve(n)
-                    outer(ledger, r)
-                    ledger.settle(r)
+                def use(cache, n):
+                    r = cache.lock(n)
+                    outer(cache, r)
+                    cache.unlock(r)
                 """,
             "b.py": """
-                def outer(ledger, r):
-                    inner(ledger, r)
+                def outer(cache, r):
+                    inner(cache, r)
                 """,
             "c.py": """
-                def inner(ledger, r):
-                    ledger.settle(r)
+                def inner(cache, r):
+                    cache.unlock(r)
                 """,
         })
         assert [(f.code, f.subject) for f in findings
@@ -310,13 +302,13 @@ class TestProgramCore:
 
     def test_branch_that_returns_does_not_reach_the_join(self, tmp_path):
         findings = _analyze(tmp_path, """
-            def guarded(ledger, n, bad):
-                r = ledger.reserve(n)
+            def guarded(cache, n, bad):
+                r = cache.lock(n)
                 if bad:
-                    ledger.settle(r)
+                    cache.unlock(r)
                     return
-                ledger.settle(r)
-                ledger.settle(r)
+                cache.unlock(r)
+                cache.unlock(r)
             """)
         assert [(f.code, f.location) for f in findings] == [
             ("RES003", "mod.py:8")]
@@ -338,8 +330,8 @@ class TestOwnTree:
 
     def test_analyze_accepts_alternate_root(self, tmp_path):
         (tmp_path / "mod.py").write_text(textwrap.dedent("""
-            def leak(ledger, n):
-                r = ledger.reserve(n)
+            def leak(cache, n):
+                r = cache.lock(n)
                 return n
             """))
         report = analyze_lifecycle(root=tmp_path)
@@ -356,4 +348,4 @@ class TestOwnTree:
         names = {fn.qualname for module in program.modules
                  for fn in module.functions.values()}
         assert any("MemoryPool.lease" in q for q in names)
-        assert any("BandwidthLedger.reserving" in q for q in names)
+        assert any("ResultCache.locked" in q for q in names)

@@ -5,12 +5,9 @@ import pytest
 
 from repro.hardware import single_node_cluster
 from repro.sim.engine import ReversedTies, SeededTies
+from repro.sim.leaksan import LeakReport
 from repro.sim.probes import RunProbes, named_tie_order
-
-
-def _pools(cluster):
-    return [device.memory for device in cluster.topology.devices
-            if device.memory is not None]
+from repro.units import GB
 
 
 def test_tie_order_names():
@@ -25,7 +22,6 @@ def test_no_instruments_attach_nothing():
     with RunProbes(cluster) as probes:
         assert probes.engine.sanitizer is None
         assert probes.network.observers == ()
-        assert all(pool.observer is None for pool in _pools(cluster))
         assert probes.close() == (None, None)
 
 
@@ -35,21 +31,30 @@ def test_every_hook_is_removed_on_error():
         with RunProbes(cluster, sanitize=True, trace=True,
                        leak_check=True) as probes:
             assert probes.engine.sanitizer is probes.sanitizer
-            assert probes.network.observers == (probes.recorder,
-                                                probes.leaksan)
-            assert all(pool.observer is probes.leaksan
-                       for pool in _pools(cluster))
+            assert probes.network.observers == (probes.recorder,)
             raise RuntimeError("run failed")
     assert probes.engine.sanitizer is None
     assert probes.network.observers == ()
-    assert all(pool.observer is None for pool in _pools(cluster))
 
 
 def test_close_returns_both_reports_and_detaches():
     cluster = single_node_cluster()
-    with RunProbes(cluster, sanitize=True, leak_check=True) as probes:
+    with RunProbes(cluster, sanitize=True, trace=True,
+                   leak_check=True) as probes:
         sanitized, leaks = probes.close()
         assert sanitized is probes.sanitizer.report
-        assert leaks is probes.leaksan.report and leaks.clean
+        assert isinstance(leaks, LeakReport) and leaks.clean
         assert probes.network.observers == ()
-        assert all(pool.observer is None for pool in _pools(cluster))
+
+
+def test_recorder_drains_the_networks_active_flows():
+    cluster = single_node_cluster()
+    with RunProbes(cluster, trace=True) as probes:
+        route = cluster.topology.route("node0/gpu0", "node0/dram1")
+        probes.network.transfer(route, 1e3, label="done")
+        probes.network.transfer(route, 100 * GB, label="stuck")
+        probes.engine.run(until=0.01)
+        probes.recorder.drain_open_flows(probes.engine.now)
+    assert [(s.flow_id, s.label, s.completed)
+            for s in probes.recorder.flows] == [
+        (0, "done", True), (1, "stuck", False)]
