@@ -58,8 +58,6 @@ def diagnose(engine: Engine) -> List[Finding]:
         return []
     findings = []
     for process in engine.processes:
-        if process.triggered:
-            continue
         findings.append(Finding(
             "des-liveness", Severity.ERROR, "LIVE001",
             f"process {process.name!r} never finished: the event queue "

@@ -4,19 +4,23 @@ Every interconnect in the paper's Table III (DRAM channels, xGMI, PCIe to
 GPU/NIC/NVMe, NVLink, RoCE) is represented by :class:`Link` instances built
 from a :class:`LinkSpec`.  A link is a full-duplex channel with a
 per-direction theoretical bandwidth, a base latency, and an attainable
-efficiency (protocol overhead).  Links carry a :class:`BandwidthLedger` that
-accumulates every byte moved over them, timestamped, so the telemetry layer
-can reconstruct the avg/90th-percentile/peak utilization figures the paper
-reports (Table IV) and the time-series plots (Figs. 9, 10, 12).
+efficiency (protocol overhead).  Every byte moved over a link is kept,
+timestamped, so the telemetry layer can reconstruct the
+avg/90th-percentile/peak utilization figures the paper reports (Table IV)
+and the time-series plots (Figs. 9, 10, 12).  A fabric writes each settled
+transfer interval once, into its :class:`IntervalLog`, naming every link
+the interval loaded; each link's :class:`BandwidthLedger` reads its own
+records back from the log.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import GB, Bytes, BytesPerSecond, Seconds
@@ -101,8 +105,8 @@ class TransferRecord:
 
     ``degraded`` marks intervals settled while the link's capacity was
     reduced by an injected fault (see :mod:`repro.faults`), so bandwidth
-    timelines can show the fault window.  Ledgers store records in
-    columns and build these rows only when iterated.
+    timelines can show the fault window.  Ledgers build these rows from
+    the interval log only when iterated.
     """
 
     start: Seconds
@@ -110,86 +114,84 @@ class TransferRecord:
     num_bytes: Bytes
     degraded: bool = field(default=False, compare=False)
 
-    @property
-    def duration(self) -> Seconds:
-        return self.end - self.start
 
-    @property
-    def rate(self) -> BytesPerSecond:
-        """Average bytes/s over the interval (0 for instantaneous records)."""
-        if self.duration <= 0:
-            return 0.0
-        return self.num_bytes / self.duration
+#: Records per numpy pass over a ledger; bounds the temporaries.
+_CHUNK = 2048
 
 
-class _Columns:
-    """Transfer records stored field by field, in record order.
+class _Replica(NamedTuple):
+    """A lazy replication block: the k-th copy (k = 1..count) of every
+    template row, shifted forward by ``k * period``."""
 
-    One ``array('d')`` each for start, end and bytes plus a ``bytearray``
-    of degraded flags: 25 bytes a record, against a slotted
-    :class:`TransferRecord` holding three boxed floats.
-    """
-
-    __slots__ = ("starts", "ends", "sizes", "degraded")
-
-    def __init__(self, records: Iterable[TransferRecord] = ()) -> None:
-        self.starts = array("d")
-        self.ends = array("d")
-        self.sizes = array("d")
-        self.degraded = bytearray()
-        for r in records:
-            self.starts.append(r.start)
-            self.ends.append(r.end)
-            self.sizes.append(r.num_bytes)
-            self.degraded.append(r.degraded)
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def rows(self, shift: Optional[Seconds] = None
-             ) -> Iterator[Tuple[float, float, float, int]]:
-        """``(start, end, bytes, degraded)`` per record, times shifted."""
-        rows = zip(self.starts, self.ends, self.sizes, self.degraded)
-        if shift is None:
-            return rows
-        return ((s + shift, e + shift, b, d) for s, e, b, d in rows)
-
-    def degraded_spans(self, shift: Optional[Seconds] = None
-                       ) -> Iterator[Tuple[float, float]]:
-        """``(start, end)`` of the degraded records, times shifted."""
-        index = self.degraded.find(1)
-        while index != -1:
-            if shift is None:
-                yield self.starts[index], self.ends[index]
-            else:
-                yield self.starts[index] + shift, self.ends[index] + shift
-            index = self.degraded.find(1, index + 1)
+    starts: np.ndarray
+    ends: np.ndarray
+    sizes: np.ndarray
+    keys: np.ndarray
+    period: Seconds
+    count: int
 
 
-class BandwidthLedger:
-    """Append-only record of transfers over one link.
+def _numpy(column: array) -> np.ndarray:
+    """A numpy view of a log column.  Keep only what indexing it with
+    rows copies out: an ``array`` that exports its buffer cannot grow."""
+    if not column:
+        return np.empty(0, column.typecode)
+    return np.frombuffer(column, column.typecode)
 
-    The ledger stores ``(start, end, bytes)`` intervals.  Utilization at any
-    instant is the sum of the rates of the intervals covering it; the
-    telemetry layer samples this on a regular grid to produce the paper's
-    average/90th/peak statistics and time-series plots.  Records live in
-    columns (:class:`_Columns`); iteration hands out
-    :class:`TransferRecord` views built on the fly.
+
+class IntervalLog:
+    """Every transfer interval settled on one fabric, one row each.
+
+    A row holds start, end and bytes (``array('d')`` columns) and a key
+    (``array('i')``), interned per log, naming the ledger slots the
+    interval loaded, in route order, and a bitmask of the positions whose
+    link was degraded while it ran.  So an interval is written once, in
+    28 bytes, however many links it crossed; each link's
+    :class:`BandwidthLedger` is the read-only view of its slot.  A
+    :class:`~repro.hardware.topology.Topology` owns one log; a link
+    outside any topology keeps a private one.  :meth:`replicate` stores
+    the hybrid extrapolator's copies as blocks, expanded only while a
+    consumer walks them.
     """
 
     def __init__(self) -> None:
-        self._columns = _Columns()
-        #: lazy replication blocks ``(template, period, count)`` appended
-        #: by :meth:`replicate_shifted`: the k-th copy (k = 1..count) of
-        #: each template record is shifted by ``k * period``.  Blocks are
-        #: expanded on demand, so a hybrid run never materializes the
-        #: hundreds of thousands of records it extrapolates unless a
-        #: consumer actually walks them.
-        self._replicas: List[Tuple[_Columns, Seconds, int]] = []
+        #: bumped by every capacity change of a link on this log, so a
+        #: route re-reads its degraded mask only after one
+        self.capacity_epoch = 0
+        #: bumped by :meth:`replicate` and :meth:`clear`; with the row
+        #: count it tells a ledger when its view is stale
+        self.revision = 0
+        self._key_ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        #: per slot, ``(key id, degraded bit)`` for each position the
+        #: slot holds in a key
+        self._slot_keys: List[List[Tuple[int, int]]] = []
+        self.clear()
 
-    def record(self, start: Seconds, end: Seconds, num_bytes: Bytes, *,
-               degraded: bool = False) -> None:
-        """Record a transfer of ``num_bytes`` between ``start`` and ``end``."""
+    def __len__(self) -> int:
+        """Rows written; replica blocks are not counted."""
+        return len(self.starts)
+
+    def attach(self, ledger: "BandwidthLedger") -> None:
+        """Make ``ledger`` the view of this log's next slot."""
+        ledger.log = self
+        ledger.slot = len(self._slot_keys)
+        self._slot_keys.append([])
+
+    def key(self, slots: Tuple[int, ...], degraded_mask: int) -> int:
+        """The key of an interval over ``slots``; bit ``i`` of
+        ``degraded_mask`` flags ``slots[i]`` as degraded."""
+        entry = (slots, degraded_mask)
+        key_id = self._key_ids.get(entry)
+        if key_id is None:
+            key_id = self._key_ids[entry] = len(self._key_ids)
+            for position, slot in enumerate(slots):
+                self._slot_keys[slot].append(
+                    (key_id, degraded_mask >> position & 1))
+        return key_id
+
+    def add_interval(self, start: Seconds, end: Seconds, num_bytes: Bytes,
+                     key: int) -> None:
+        """Record ``num_bytes`` moved over [start, end] under ``key``."""
         if end < start:
             raise ConfigurationError(
                 f"transfer interval is reversed: start={start} end={end}"
@@ -198,66 +200,146 @@ class BandwidthLedger:
             raise ConfigurationError("cannot record a negative byte count")
         if num_bytes == 0:
             return
-        columns = self._columns
-        columns.starts.append(start)
-        columns.ends.append(end)
-        columns.sizes.append(num_bytes)
-        columns.degraded.append(degraded)
+        self.starts.append(start)
+        self.ends.append(end)
+        self.sizes.append(num_bytes)
+        self.keys.append(key)
 
-    def replicate_shifted(self, template: List[TransferRecord],
-                          period: Seconds, count: int) -> None:
-        """Lazily append ``count`` copies of ``template``, the k-th copy
-        shifted forward by ``k * period``.
+    def replicate(self, cutoff: Seconds, period: Seconds,
+                  count: int) -> None:
+        """Lazily append ``count`` copies of the rows that start at or
+        after ``cutoff``, the k-th copy shifted forward by ``k * period``.
 
-        The hybrid extrapolator replicates one steady iteration's records
-        tens of times; storing the block instead of materializing every
-        shifted record keeps extrapolation O(template) rather than
-        O(template x count).  Length, byte totals, sampling, and
-        iteration all account for the replicas.
+        Every ledger's length, byte total, degraded windows, samples and
+        iteration account for the copies.
         """
-        if count <= 0 or not template:
+        if count <= 0:
             return
-        self._replicas.append((_Columns(template), period, count))
+        template = np.flatnonzero(_numpy(self.starts) >= cutoff)
+        self.replicas.append(_Replica(
+            _numpy(self.starts)[template], _numpy(self.ends)[template],
+            _numpy(self.sizes)[template], _numpy(self.keys)[template],
+            period, count,
+        ))
+        self.revision += 1
 
-    def _blocks(self) -> Iterator[Tuple[_Columns, Optional[Seconds]]]:
-        """Every stored block with its time shift, in record order."""
-        yield self._columns, None
-        for template, period, count in self._replicas:
-            for k in range(1, count + 1):
-                yield template, k * period
+    def clear(self) -> None:
+        """Drop every row and replica block; keys stay interned."""
+        self.starts = array("d")
+        self.ends = array("d")
+        self.sizes = array("d")
+        self.keys = array("i")
+        self.replicas: List[_Replica] = []
+        self.revision += 1
+
+    def view(self, slot: int):
+        """Which records are ``slot``'s: ``(rows, degraded)`` over the
+        log's rows, then ``(block, rows, degraded)`` per replica block.
+
+        A row whose key holds the slot twice (a route that crosses a link
+        twice) is listed twice, since it charged the link twice.
+        """
+        count = np.zeros(len(self._key_ids), np.intp)
+        flags = np.zeros(len(self._key_ids), bool)
+        for key_id, bit in self._slot_keys[slot]:
+            count[key_id] += 1
+            flags[key_id] = bit
+
+        def select(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            rows = np.repeat(np.arange(len(keys), dtype=np.int32),
+                             count[keys])
+            return rows, flags[keys[rows]]
+
+        rows, degraded = select(_numpy(self.keys))
+        return rows, degraded, [(block, *select(block.keys))
+                                for block in self.replicas]
+
+
+class BandwidthLedger:
+    """The transfer records of one link.
+
+    The ledger is the read-only view of one slot of an
+    :class:`IntervalLog`: the slot's rows in log order, then its copies
+    in each replica block.  Utilization at any instant is the sum of the
+    rates of the intervals covering it; the telemetry layer samples this
+    on a regular grid to produce the paper's average/90th/peak
+    statistics and time-series plots.  Iteration builds
+    :class:`TransferRecord` views on the fly.
+    """
+
+    log: IntervalLog
+    slot: int
+
+    def __init__(self) -> None:
+        self._stamp: Optional[Tuple[IntervalLog, int, int]] = None
+        IntervalLog().attach(self)
+
+    def record(self, start: Seconds, end: Seconds, num_bytes: Bytes, *,
+               degraded: bool = False) -> None:
+        """Charge ``num_bytes`` between ``start`` and ``end`` to this link
+        alone (flows charge their whole route through ``Route.record``)."""
+        log = self.log
+        log.add_interval(start, end, num_bytes,
+                         log.key((self.slot,), int(degraded)))
+
+    def _view(self):
+        """The log's :meth:`IntervalLog.view` of this slot, rebuilt only
+        after the log changed."""
+        log = self.log
+        stamp = (log, log.revision, len(log))
+        if self._stamp != stamp:
+            self._cached = log.view(self.slot)
+            self._stamp = stamp
+        return self._cached
+
+    def _chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray]]:
+        """``(starts, ends, sizes, degraded)`` of the records in record
+        order, at most :data:`_CHUNK` records at a time."""
+        log = self.log
+        rows, degraded, blocks = self._view()
+        for at in range(0, len(rows), _CHUNK):
+            part = rows[at:at + _CHUNK]
+            yield (_numpy(log.starts)[part], _numpy(log.ends)[part],
+                   _numpy(log.sizes)[part], degraded[at:at + _CHUNK])
+        for block, rows, degraded in blocks:
+            starts, ends = block.starts[rows], block.ends[rows]
+            sizes = block.sizes[rows]
+            for k in range(1, block.count + 1):
+                shift = k * block.period
+                for at in range(0, len(rows), _CHUNK):
+                    yield (starts[at:at + _CHUNK] + shift,
+                           ends[at:at + _CHUNK] + shift,
+                           sizes[at:at + _CHUNK], degraded[at:at + _CHUNK])
 
     def __len__(self) -> int:
-        return (len(self._columns)
-                + sum(len(t) * c for t, _, c in self._replicas))
+        rows, _, blocks = self._view()
+        return len(rows) + sum(len(rows) * block.count
+                               for block, rows, _ in blocks)
 
     def __iter__(self) -> Iterator[TransferRecord]:
-        for columns, shift in self._blocks():
-            for start, end, num_bytes, degraded in columns.rows(shift):
-                yield TransferRecord(start, end, num_bytes,
-                                     degraded=bool(degraded))
+        for starts, ends, sizes, degraded in self._chunks():
+            for start, end, num_bytes, flag in zip(
+                    starts.tolist(), ends.tolist(), sizes.tolist(),
+                    degraded.tolist()):
+                yield TransferRecord(start, end, num_bytes, degraded=flag)
 
     @property
     def total_bytes(self) -> Bytes:
-        total = sum(self._columns.sizes)
-        for template, _, count in self._replicas:
-            total += count * sum(template.sizes)
+        # Python float addition in record order: numpy's pairwise sum
+        # would change the last bits.
+        rows, _, blocks = self._view()
+        total = sum(_numpy(self.log.sizes)[rows].tolist())
+        for block, rows, _ in blocks:
+            total += block.count * sum(block.sizes[rows].tolist())
         return total
-
-    def clear(self) -> None:
-        self._columns = _Columns()
-        self._replicas.clear()
 
     def degraded_intervals(self) -> List[Tuple[float, float]]:
         """Merged ``(start, end)`` windows covered by degraded records."""
-        return merge_intervals(itertools.chain.from_iterable(
-            columns.degraded_spans(shift)
-            for columns, shift in self._blocks()
-        ))
-
-    def utilization_at(self, instant: Seconds) -> BytesPerSecond:
-        """Instantaneous bytes/s at ``instant`` (sum of covering intervals)."""
-        return sum(
-            r.rate for r in self if r.start <= instant < r.end
+        return merge_intervals(
+            span for starts, ends, _, degraded in self._chunks()
+            for span in zip(starts[degraded].tolist(),
+                            ends[degraded].tolist())
         )
 
     def sample(self, start: Seconds, end: Seconds,
@@ -273,35 +355,54 @@ class BandwidthLedger:
         if end <= start:
             raise ConfigurationError("sample window must have positive width")
         width = (end - start) / num_samples
-        bins = [0.0] * num_samples
-        last_bin = num_samples - 1
-        # Hot loop (hundreds of thousands of records on long runs):
-        # locals instead of attribute/property lookups, arithmetic kept
-        # expression-identical so results stay bit-exact.
-        for columns, shift in self._blocks():
-            for r_start, r_end, num_bytes, _ in columns.rows(shift):
-                if r_end <= start or r_start >= end:
-                    continue
-                lo = r_start if r_start > start else start
-                hi = r_end if r_end < end else end
-                duration = r_end - r_start
-                if duration <= 0:
-                    # Instantaneous transfer: deposit in the containing bin.
-                    idx = int((lo - start) / width)
-                    bins[idx if idx < last_bin else last_bin] += num_bytes
-                    continue
-                rate = num_bytes / duration
-                first = int((lo - start) / width)
-                last = int((hi - start) / width)
-                if last > last_bin:
-                    last = last_bin
-                for idx in range(first, last + 1):
-                    b_lo = start + idx * width
-                    b_hi = b_lo + width
-                    overlap = min(hi, b_hi) - max(lo, b_lo)
-                    if overlap > 0:
-                        bins[idx] += rate * overlap
-        return [b / width for b in bins]
+        bins = np.zeros(num_samples)
+        for starts, ends, sizes, _ in self._chunks():
+            bins = _deposit(bins, starts, ends, sizes, start, end, width)
+        return (bins / width).tolist()
+
+
+def _deposit(bins: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+             sizes: np.ndarray, start: Seconds, end: Seconds,
+             width: Seconds) -> np.ndarray:
+    """``bins`` plus the bytes each record moved in each bin of the grid
+    over [start, end): its rate times its overlap with each bin it
+    touches, or, if instantaneous, all its bytes in the bin holding it.
+
+    The expressions are those of adding one record at a time, and
+    ``np.bincount`` adds in input order with the running bins first, so
+    each bin sums in record order, bit for bit.
+    """
+    keep = (ends > start) & (starts < end)
+    starts, ends, sizes = starts[keep], ends[keep], sizes[keep]
+    last_bin = len(bins) - 1
+    lo = np.where(starts > start, starts, start)
+    hi = np.where(ends < end, ends, end)
+    duration = ends - starts
+    instant = duration <= 0
+    first = ((lo - start) / width).astype(np.int64)
+    last = np.minimum(((hi - start) / width).astype(np.int64), last_bin)
+    first = np.where(instant, np.minimum(first, last_bin), first)
+    last = np.where(instant, first, last)
+    touched = np.maximum(last - first + 1, 0)
+    if len(touched) > 1 and touched.sum() > 4 * _CHUNK:
+        half = len(touched) // 2
+        bins = _deposit(bins, starts[:half], ends[:half], sizes[:half],
+                        start, end, width)
+        return _deposit(bins, starts[half:], ends[half:], sizes[half:],
+                        start, end, width)
+    record = np.repeat(np.arange(len(touched)), touched)
+    index = (first[record] + np.arange(len(record))
+             - (np.cumsum(touched) - touched)[record])
+    b_lo = start + index * width
+    overlap = (np.minimum(hi[record], b_lo + width)
+               - np.maximum(lo[record], b_lo))
+    rate = sizes / np.where(instant, 1.0, duration)
+    share = np.where(instant[record], sizes[record], rate[record] * overlap)
+    hit = instant[record] | (overlap > 0)
+    return np.bincount(
+        np.concatenate((np.arange(len(bins)), index[hit])),
+        weights=np.concatenate((bins, share[hit])), minlength=len(bins),
+    )
 
 
 def merge_intervals(intervals) -> List[Tuple[float, float]]:
@@ -398,6 +499,7 @@ class Link:
                 f"at t={last_time}"
             )
         self._capacity_fraction = fraction
+        self.ledger.log.capacity_epoch += 1
         if at_time > last_time:
             if fraction != last_fraction:
                 self._capacity_history.append((at_time, fraction))
@@ -410,6 +512,7 @@ class Link:
         """Restore rated capacity and forget the degradation history."""
         self._capacity_fraction = 1.0
         self._capacity_history = [(0.0, 1.0)]
+        self.ledger.log.capacity_epoch += 1
 
     def capacity_fraction_at(self, instant: Seconds) -> float:
         """The capacity fraction in effect at ``instant``."""

@@ -11,7 +11,10 @@ Routing is shortest-path by a weight that prefers fewer hops, then higher
 bandwidth — which reproduces NCCL's transport selection (NVLink inside a
 node, the same-socket NIC for inter-node traffic).  Each Route knows its
 end-to-end latency and attainable bandwidth, including the EPYC SerDes
-contention derate of :mod:`repro.hardware.serdes`.
+contention derate of :mod:`repro.hardware.serdes`.  The topology owns the
+fabric's :class:`~repro.hardware.link.IntervalLog`: a route writes each
+interval it carries there once, and every link's ledger reads its own
+records from it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import TopologyError
 from ..units import GB, Bytes, BytesPerSecond, Seconds
 from .devices import Device
-from .link import BandwidthLedger, Link, LinkClass
+from .link import IntervalLog, Link, LinkClass
 from .serdes import SerdesContentionModel, TrafficProfile
 
 
@@ -35,17 +38,22 @@ PoolKey = Tuple[Link, int]
 class Route:
     """An ordered path of links between two devices.
 
-    The pools a route loads, its per-profile SerDes derate and its
-    latency depend only on its links' classes, directions and specs, so
-    they are computed once here; only link *capacities* vary during a
-    run (fault injection).
+    The pools a route loads, its per-profile SerDes derate, its latency
+    and its links' ledger slots in the fabric's interval log depend only
+    on its links, so they are computed once here; only link *capacities*
+    vary during a run (fault injection).
     """
 
     def __init__(self, source: str, destination: str, links: Sequence[Link],
-                 contention: SerdesContentionModel) -> None:
+                 contention: SerdesContentionModel, log: IntervalLog) -> None:
         self.source = source
         self.destination = destination
         self.links: Tuple[Link, ...] = tuple(links)
+        self._log = log
+        self._slots = tuple(link.ledger.slot for link in self.links)
+        #: the log key of an interval and the capacity epoch it was read at
+        self._key = 0
+        self._key_epoch = -1
         #: per-direction pool of every link along the route, in order
         self.pool_keys: Tuple[PoolKey, ...] = _pool_keys(source, self.links)
         self._derates: Dict[TrafficProfile, float] = {
@@ -105,15 +113,23 @@ class Route:
 
     def record(self, start: Seconds, end: Seconds,
                num_bytes: Bytes) -> None:
-        """Charge ``num_bytes`` over [start, end] to every link's ledger.
+        """Charge ``num_bytes`` over [start, end] to every link's ledger:
+        one row of the fabric's interval log.
 
-        Each link's record is stamped with its *current* degradation
-        state; the flow network settles intervals before any capacity
-        change is applied, so the stamp is valid for the whole interval.
+        The row is stamped with each link's *current* degradation state,
+        re-read only after a capacity change; the flow network settles
+        intervals before any capacity change is applied, so the stamp is
+        valid for the whole interval.
         """
-        for link in self.links:
-            link.ledger.record(start, end, num_bytes,
-                               degraded=link.is_degraded)
+        if not self.links:
+            return
+        log = self._log
+        if self._key_epoch != log.capacity_epoch:
+            mask = sum(1 << position for position, link
+                       in enumerate(self.links) if link.is_degraded)
+            self._key = log.key(self._slots, mask)
+            self._key_epoch = log.capacity_epoch
+        log.add_interval(start, end, num_bytes, self._key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         hops = " -> ".join(str(link.link_class) for link in self.links)
@@ -147,6 +163,8 @@ class Topology:
         self._adjacency: Dict[str, List[Link]] = {}
         self._route_cache: Dict[Tuple[str, str], Route] = {}
         self._fingerprint: Optional[str] = None
+        #: every transfer interval settled on this fabric
+        self.log = IntervalLog()
 
     # -- construction -------------------------------------------------------
     def add_device(self, device: Device) -> Device:
@@ -163,6 +181,7 @@ class Topology:
                     f"link {link.name!r} references unknown device {end!r}"
                 )
         self._links.append(link)
+        self.log.attach(link.ledger)
         self._adjacency[link.endpoint_a].append(link)
         self._adjacency[link.endpoint_b].append(link)
         self._route_cache.clear()
@@ -259,15 +278,8 @@ class Topology:
         degraded.sort()
         return tuple(degraded)
 
-    def ledgers_by_class(self) -> Dict[LinkClass, List[BandwidthLedger]]:
-        out: Dict[LinkClass, List[BandwidthLedger]] = {}
-        for link in self._links:
-            out.setdefault(link.link_class, []).append(link.ledger)
-        return out
-
     def reset_ledgers(self) -> None:
-        for link in self._links:
-            link.ledger.clear()
+        self.log.clear()
 
     # -- routing --------------------------------------------------------------
     def route(self, source: str, destination: str) -> Route:
@@ -281,11 +293,11 @@ class Topology:
         if destination not in self._devices:
             raise TopologyError(f"unknown destination device {destination!r}")
         if source == destination:
-            route = Route(source, destination, (), self.contention)
+            route = Route(source, destination, (), self.contention, self.log)
             self._route_cache[key] = route
             return route
         links = self._shortest_path(source, destination)
-        route = Route(source, destination, links, self.contention)
+        route = Route(source, destination, links, self.contention, self.log)
         self._route_cache[key] = route
         return route
 
@@ -304,7 +316,7 @@ class Topology:
             if a == b:
                 continue
             links.extend(self._shortest_path(a, b))
-        return Route(source, destination, links, self.contention)
+        return Route(source, destination, links, self.contention, self.log)
 
     def _shortest_path(self, source: str, destination: str) -> List[Link]:
         """Dijkstra over hop-dominant weights.

@@ -246,6 +246,9 @@ class Executor:
             iteration_times.append(self.engine.now - started)
             if should_stop is not None and should_stop():
                 break
+        # Every rank has finished, so no gate sees another arrival; each
+        # holds the executor, a cycle that would outlive the run.
+        self._gates.clear()
         # Training ends when the driver does.  engine.run() keeps draining
         # whatever else is queued (e.g. fault-revert callbacks scheduled
         # past the last iteration), and that trailing housekeeping must

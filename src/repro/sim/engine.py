@@ -21,6 +21,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Generator,
     Iterable,
     List,
@@ -250,6 +251,7 @@ class Process(BaseEvent):
         try:
             target = self.generator.send(send_value)
         except StopIteration as stop:
+            del self.engine._processes[self]
             self.succeed(stop.value)
             return
         if not isinstance(target, BaseEvent):
@@ -281,7 +283,9 @@ class Engine:
         self._counter = itertools.count()
         self._processed = 0
         self._folded = 0
-        self._processes: List["Process"] = []
+        #: unfinished processes in start order; a finished one is dropped
+        #: so it does not keep its run alive
+        self._processes: Dict["Process", None] = {}
         self._start_hooks: List[Callable[["Engine"], None]] = []
         self.tie_order = tie_order if tie_order is not None else TieOrder()
         #: opt-in schedule sanitizer; None keeps the hot path untouched
@@ -295,7 +299,7 @@ class Engine:
             self.sanitizer.touch(resource)
 
     def register_process(self, process: "Process") -> None:
-        self._processes.append(process)
+        self._processes[process] = None
 
     def add_start_hook(self, hook: Callable[["Engine"], None]) -> None:
         """Register a callback invoked once when :meth:`run` first drains.
@@ -309,7 +313,8 @@ class Engine:
 
     @property
     def processes(self) -> Tuple["Process", ...]:
-        """Every process ever started on this engine, in start order."""
+        """Every process started on this engine that has not finished,
+        in start order."""
         return tuple(self._processes)
 
     # -- scheduling primitives -------------------------------------------------

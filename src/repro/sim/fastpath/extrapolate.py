@@ -16,14 +16,14 @@ Once steady, :func:`extrapolate_execution` replicates the **last
 measured iteration** forward in place, keeping every downstream consumer
 consistent without special cases:
 
-* each link ledger's records from the steady window are replicated
-  shifted by ``k * period`` (same bytes, same degraded stamps, same
-  record count per iteration — the perturbation differ compares ledger
-  record counts and byte totals, so replication must be exact, not
-  aggregated); the ledger stores the replication as a lazy block
-  (:meth:`~repro.hardware.link.BandwidthLedger.replicate_shifted`), so
-  extrapolating never materializes the shifted records unless a
-  consumer walks them;
+* the fabric's interval log replicates its rows from the steady window
+  once, shifted by ``k * period`` (same bytes, same degraded stamps,
+  same record count per iteration — the perturbation differ compares
+  ledger record counts and byte totals, so replication must be exact,
+  not aggregated); the log stores the replication as a lazy block
+  (:meth:`~repro.hardware.link.IntervalLog.replicate`), which every
+  link's ledger reads as its own copies, so extrapolating never
+  materializes the shifted records unless a consumer walks them;
 * rank-lane spans and, when tracing, flow/collective spans are
   replicated with ``synthetic=True`` so trace consumers can tell
   simulated activity from extrapolated activity;
@@ -96,10 +96,7 @@ def extrapolate_execution(cluster: "Cluster", result: "ExecutionResult",
     # the epsilon only absorbs clock-accumulation dust at the boundary.
     eps = max(period, 1.0) * 1e-9
 
-    for link in cluster.topology.links:
-        template = [record for record in link.ledger
-                    if record.start >= template_start - eps]
-        link.ledger.replicate_shifted(template, period, extra)
+    cluster.topology.log.replicate(template_start - eps, period, extra)
 
     span_template = [span for span in result.spans
                      if span.start >= template_start - eps]

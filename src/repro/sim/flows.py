@@ -24,10 +24,10 @@ theoretical.
 
 Settlement is lazy: each flow accounts its bytes up to ``Flow.since``
 and is settled only when its rate is about to change or it finishes, so
-one record in each traversed link's
-:class:`~repro.hardware.link.BandwidthLedger` covers one constant-rate
-interval of one flow.  The ledgers are where the paper's Table IV
-statistics and Figs. 9/10/12 time-series come from.
+one row of the fabric's :class:`~repro.hardware.link.IntervalLog`, read
+by each traversed link's ledger, covers one constant-rate interval of
+one flow.  The ledgers are where the paper's Table IV statistics and
+Figs. 9/10/12 time-series come from.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ class FlowNetwork:
 
     def _settle(self, flows: Iterable[Flow]) -> None:
         """Account each of ``flows`` up to now at its current rate: one
-        ledger record per link for the interval since it was settled."""
+        interval-log row for the interval since it was settled."""
         now = self.engine.now
         sanitizer = self.engine.sanitizer
         for flow in flows:

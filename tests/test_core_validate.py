@@ -163,7 +163,7 @@ class TestFailurePaths:
         link = cluster.topology.links_of_class(LinkClass.NVLINK)[0]
         # Drop the run's own traffic so only the synthetic record below
         # is judged against the time-varying bound.
-        link.ledger.clear()
+        cluster.topology.reset_ledgers()
         link.set_capacity_fraction(0.5, at_time=0.05)
         # At rated capacity but entirely before the degradation begins.
         link.ledger.record(0.0, 0.04,
@@ -173,15 +173,14 @@ class TestFailurePaths:
 
     def test_missing_communication(self, run):
         cluster, metrics = run
-        for link in cluster.topology.links_of_class(LinkClass.NVLINK):
-            link.ledger.clear()
-        for link in cluster.topology.links_of_class(LinkClass.ROCE):
-            link.ledger.clear()
+        # Host traffic only: nothing on NVLink or RoCE.
+        cluster.topology.reset_ledgers()
+        link = cluster.topology.links_of_class(LinkClass.DRAM)[0]
+        link.ledger.record(0.0, 0.1, 1e6)
         assert "communication_happened" in self._failed(cluster, metrics)
 
     def test_empty_ledgers(self, run):
         cluster, metrics = run
-        for link in cluster.topology.links:
-            link.ledger.clear()
+        cluster.topology.reset_ledgers()
         failed = self._failed(cluster, metrics)
         assert "some_traffic_recorded" in failed

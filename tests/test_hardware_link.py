@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hardware import Device, DeviceKind, Topology
 from repro.hardware.link import (
     BandwidthLedger,
+    IntervalLog,
     Link,
     LinkClass,
     LinkSpec,
@@ -115,14 +117,6 @@ class TestBandwidthLedger:
         with pytest.raises(ConfigurationError):
             ledger.record(0.0, 1.0, -5.0)
 
-    def test_utilization_at_instant(self):
-        ledger = BandwidthLedger()
-        ledger.record(0.0, 2.0, 20e9)  # 10 GB/s
-        ledger.record(1.0, 2.0, 5e9)   # 5 GB/s
-        assert ledger.utilization_at(0.5) == pytest.approx(10e9)
-        assert ledger.utilization_at(1.5) == pytest.approx(15e9)
-        assert ledger.utilization_at(2.5) == 0.0
-
     def test_sample_conserves_bytes(self):
         ledger = BandwidthLedger()
         ledger.record(0.1, 0.9, 8e9)
@@ -131,11 +125,12 @@ class TestBandwidthLedger:
         assert sum(s * bin_width for s in samples) == pytest.approx(8e9)
 
     def test_sample_uniform_rate(self):
-        ledger = BandwidthLedger()
-        ledger.record(0.0, 1.0, 10e9)
-        samples = ledger.sample(0.0, 1.0, 4)
-        for s in samples:
-            assert s == pytest.approx(10e9)
+        for (start, end), num_samples in (((0.0, 1.0), 4), ((2.5, 4.0), 1)):
+            ledger = BandwidthLedger()
+            ledger.record(start, end, 10e9 * (end - start))
+            samples = ledger.sample(start, end, num_samples)
+            for s in samples:
+                assert s == pytest.approx(10e9)
 
     def test_sample_instantaneous_record(self):
         ledger = BandwidthLedger()
@@ -153,7 +148,7 @@ class TestBandwidthLedger:
     def test_clear(self):
         ledger = BandwidthLedger()
         ledger.record(0.0, 1.0, 1e9)
-        ledger.clear()
+        ledger.log.clear()
         assert len(ledger) == 0
         assert ledger.total_bytes == 0.0
 
@@ -165,8 +160,9 @@ class TestBandwidthLedger:
 
 
 class ListLedger:
-    """The list-of-:class:`TransferRecord` ledger the columnar one replaced,
-    kept as the reference its results must equal bit for bit."""
+    """A ledger as a list of :class:`TransferRecord`, summed and sampled
+    one record at a time: the reference the interval-log views must equal
+    bit for bit."""
 
     def __init__(self):
         self.records = []
@@ -177,7 +173,8 @@ class ListLedger:
             self.records.append(
                 TransferRecord(start, end, num_bytes, degraded=degraded))
 
-    def replicate_shifted(self, template, period, count):
+    def replicate(self, cutoff, period, count):
+        template = [r for r in self.records if r.start >= cutoff]
         if count > 0 and template:
             self.replicas.append((tuple(template), period, count))
 
@@ -247,26 +244,7 @@ _records = st.lists(st.tuples(
 ), max_size=30)
 
 
-@given(records=_records,
-       blocks=st.lists(st.tuples(st.integers(0, 10), st.floats(0.01, 3.0),
-                                 st.integers(0, 4)), max_size=3),
-       window=st.tuples(st.floats(0.0, 4.0), st.floats(0.1, 20.0),
-                        st.integers(1, 64)))
-@settings(max_examples=300, deadline=None)
-def test_columnar_ledger_matches_the_record_list_bit_for_bit(
-        records, blocks, window):
-    """Plain, instantaneous, degraded and replicated records: ``len``,
-    iteration, ``total_bytes``, ``degraded_intervals`` and ``sample`` of
-    the columnar ledger equal the record-list reference bit for bit."""
-    ledger, reference = BandwidthLedger(), ListLedger()
-    for start, duration, num_bytes, degraded in records:
-        for target in (ledger, reference):
-            target.record(start, start + duration, num_bytes,
-                          degraded=degraded)
-    for size, period, count in blocks:
-        template = list(reference)[-size:] if size else []
-        for target in (ledger, reference):
-            target.replicate_shifted(template, period, count)
+def _assert_same(ledger, reference, window):
     assert len(ledger) == len(reference)
     assert ([_record_bits(r) for r in ledger]
             == [_record_bits(r) for r in reference])
@@ -278,3 +256,109 @@ def test_columnar_ledger_matches_the_record_list_bit_for_bit(
     assert ([_bits(v) for v in ledger.sample(start, start + width, bins)]
             == [_bits(v) for v in reference.sample(start, start + width,
                                                     bins)])
+
+
+_windows = st.tuples(st.floats(0.0, 4.0), st.floats(0.1, 20.0),
+                     st.integers(1, 64))
+
+
+@given(records=_records,
+       blocks=st.lists(st.tuples(st.floats(0.0, 7.0), st.floats(0.01, 3.0),
+                                 st.integers(0, 4)), max_size=3),
+       window=_windows)
+@settings(max_examples=300, deadline=None)
+def test_columnar_ledger_matches_the_record_list_bit_for_bit(
+        records, blocks, window):
+    """Plain, instantaneous, degraded and replicated records: ``len``,
+    iteration, ``total_bytes``, ``degraded_intervals`` and ``sample`` of
+    the ledger equal the record-list reference bit for bit."""
+    ledger, reference = BandwidthLedger(), ListLedger()
+    for start, duration, num_bytes, degraded in records:
+        for target in (ledger, reference):
+            target.record(start, start + duration, num_bytes,
+                          degraded=degraded)
+    for cutoff, period, count in blocks:
+        ledger.log.replicate(cutoff, period, count)
+        reference.replicate(cutoff, period, count)
+    _assert_same(ledger, reference, window)
+
+
+def test_long_records_on_a_fine_grid_match_the_record_list_bit_for_bit():
+    """Records that each touch thousands of bins, so a sampling pass is
+    split into smaller ones: the bins still equal the reference's."""
+    ledger, reference = BandwidthLedger(), ListLedger()
+    for index in range(40):
+        for target in (ledger, reference):
+            target.record(index * 0.01, 7.0 + index * 0.07, 1e9 + index)
+    _assert_same(ledger, reference, (0.0, 10.0, 5000))
+
+
+_NUM_SLOTS = 4
+
+_rows = st.tuples(
+    st.floats(0.0, 5.0),                           # start
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),  # duration (0: instant)
+    st.floats(1.0, 1e10),                          # bytes
+    # a route: ledger slots in order (a route may cross a link twice)
+    st.lists(st.integers(0, _NUM_SLOTS - 1), min_size=1, max_size=9),
+    # which links were degraded
+    st.lists(st.booleans(), min_size=_NUM_SLOTS, max_size=_NUM_SLOTS),
+)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("row"), _rows),
+    st.tuples(st.just("replicate"),
+              st.tuples(st.floats(0.0, 7.0), st.floats(0.01, 3.0),
+                        st.integers(0, 4))),
+), max_size=40)
+
+
+@given(steps=_steps, window=_windows)
+@settings(max_examples=300, deadline=None)
+def test_shared_log_views_match_per_link_record_lists(steps, window):
+    """Ledgers sharing one interval log: rows over several slots with a
+    degraded bit per position (a link crossed twice has one state), and
+    replica blocks cut one at a time between rows.  Each view equals a record list fed that link's
+    records, bit for bit."""
+    log = IntervalLog()
+    ledgers = [BandwidthLedger() for _ in range(_NUM_SLOTS)]
+    for ledger in ledgers:
+        log.attach(ledger)
+    references = [ListLedger() for _ in range(_NUM_SLOTS)]
+    for kind, step in steps:
+        if kind == "row":
+            start, duration, num_bytes, slots, degraded = step
+            mask = sum(degraded[slot] << position
+                       for position, slot in enumerate(slots))
+            log.add_interval(start, start + duration, num_bytes,
+                             log.key(tuple(slots), mask))
+            for slot in slots:
+                references[slot].record(start, start + duration, num_bytes,
+                                        degraded=degraded[slot])
+        else:
+            log.replicate(*step)
+            for reference in references:
+                reference.replicate(*step)
+    for ledger, reference in zip(ledgers, references):
+        _assert_same(ledger, reference, window)
+
+
+def test_route_record_writes_one_row_for_every_link():
+    """One interval over a 3-link route is one log row and one record in
+    each link's ledger; degrading the middle link flags only its next
+    record."""
+    topology = Topology()
+    for name in "abcd":
+        topology.add_device(Device(name, DeviceKind.CPU))
+    links = [topology.add_link(Link(a + b, make_spec(), a, b))
+             for a, b in ("ab", "bc", "cd")]
+    route = topology.route("a", "d")
+    assert route.links == tuple(links)
+    route.record(0.0, 1.0, 4e9)
+    assert len(topology.log) == 1
+    assert [len(link.ledger) for link in links] == [1, 1, 1]
+    links[1].set_capacity_fraction(0.5, at_time=1.0)
+    route.record(1.0, 2.0, 2e9)
+    assert len(topology.log) == 2
+    assert [[r.degraded for r in link.ledger] for link in links] == [
+        [False, False], [False, True], [False, False]]
+    assert all(link.ledger.total_bytes == 6e9 for link in links)

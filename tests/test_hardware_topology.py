@@ -131,8 +131,3 @@ class TestTopologyConstruction:
         route.record(0.0, 1.0, 1e9)
         dual.topology.reset_ledgers()
         assert all(len(link.ledger) == 0 for link in dual.topology.links)
-
-    def test_ledgers_by_class_covers_all_links(self, dual):
-        grouped = dual.topology.ledgers_by_class()
-        total = sum(len(v) for v in grouped.values())
-        assert total == len(dual.topology.links)

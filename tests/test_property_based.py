@@ -52,19 +52,6 @@ def test_ledger_sampling_conserves_bytes(records, num_bins):
     assert integral == pytest.approx(total, rel=1e-6)
 
 
-@given(
-    start=st.floats(0.0, 10.0),
-    duration=st.floats(0.01, 10.0),
-    num_bytes=st.floats(1.0, 1e12),
-)
-@settings(max_examples=50, deadline=None)
-def test_ledger_utilization_matches_rate(start, duration, num_bytes):
-    ledger = BandwidthLedger()
-    ledger.record(start, start + duration, num_bytes)
-    mid = start + duration / 2
-    assert ledger.utilization_at(mid) == pytest.approx(num_bytes / duration)
-
-
 # --- ring collectives ---------------------------------------------------------
 @given(n=st.integers(2, 1024))
 @settings(max_examples=50, deadline=None)

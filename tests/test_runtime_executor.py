@@ -286,3 +286,28 @@ class TestSharedEngineMode:
         result = Executor(cluster, sched).run(2)
         assert len(result.iteration_times) == 2
         assert result.events_processed > 0
+
+
+class TestFinishedRunIsFreed:
+    def test_cyclic_garbage_does_not_grow_with_iterations(self):
+        """A dropped run is freed by reference counting: what a full
+        collection still finds afterwards does not grow with the number
+        of iterations (finished processes and collective gates used to
+        keep every iteration's spans, events and gates in cycles)."""
+        import gc
+
+        from repro.api import RunSpec, build_cluster, run_spec
+
+        def garbage(iterations):
+            spec = RunSpec("zero3", size_billions=0.7, nodes=2,
+                           iterations=iterations)
+            gc.collect()
+            gc.disable()
+            try:
+                run_spec(spec, cluster=build_cluster(spec))
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(3)  # first-use caches
+        assert garbage(12) <= garbage(6)
