@@ -487,7 +487,7 @@ class _Interpreter(Walker):
         if name == "CounterTrack":
             self._check_counter_track(node, kwarg_dims)
             return UNKNOWN
-        resolved = self.program.resolve(self.module, name)
+        resolved = self.program.resolve(self.module, name, node)
         if resolved is not None and not resolved.is_method:
             self._check_resolved_args(node, resolved, arg_dims, kwarg_dims,
                                       offset=0)
@@ -518,7 +518,7 @@ class _Interpreter(Walker):
                             node.lineno,
                         )
                 return return_dim
-        resolved = self.program.resolve(self.module, name)
+        resolved = self.program.resolve(self.module, name, node)
         if resolved is not None:
             offset = 1 if resolved.is_method else 0
             self._check_resolved_args(node, resolved, arg_dims, kwarg_dims,

@@ -570,7 +570,7 @@ class _Interpreter(Walker):
 
         # ordinary method call: resolve interprocedurally, else assume
         # the callee takes ownership of handle arguments (conservative)
-        resolved = self.program.resolve(self.module, method)
+        resolved = self.program.resolve(self.module, method, node)
         self._apply_summary(node, resolved, env, states,
                             offset=1 if resolved is not None
                             and resolved.is_method else 0,
@@ -594,7 +594,7 @@ class _Interpreter(Walker):
             for arg in node.args:
                 self._eval(arg, env, states)
             return None  # _bind records the local receiver
-        resolved = self.program.resolve(self.module, name)
+        resolved = self.program.resolve(self.module, name, node)
         if resolved is not None and resolved.is_method:
             resolved = None  # a bare name cannot be a bound method here
         arg_ids = [env.get(arg.id) if isinstance(arg, ast.Name)

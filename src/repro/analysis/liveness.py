@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from ..errors import SimulationError
 from ..sim.engine import AllOf, AnyOf, BaseEvent, Engine, Process, SimEvent, Timeout
+from ..sim.flows import Launch
 from .findings import Finding, Severity
 from .registry import claim_codes
 
@@ -42,6 +43,11 @@ def describe_wait(event: Optional[BaseEvent]) -> str:
         return f"an AnyOf of {event.num_children} events, none fired"
     if isinstance(event, Timeout):
         return f"a Timeout of {event.delay}s that never fired"
+    if isinstance(event, Launch):
+        hold = "hold pending" if event.holding else "hold elapsed"
+        return (f"a flow launch {event.label!r} with "
+                f"{event.pending - event.holding} of {event.size} "
+                f"transfers unfinished ({hold})")
     if isinstance(event, SimEvent):
         return "a SimEvent that was never triggered"
     return f"an untriggered {type(event).__name__}"

@@ -18,10 +18,10 @@ its per-function summary and its transfer functions.
    not parse as ``SRC000``, and every other pass skips it.
 2. **One function table, resolver and fixpoint.**  :class:`Program`
    collects every function and method definition per module.  A call
-   resolves by name to the calling module's own definition first; a
-   tree-wide match resolves only when every same-named definition is of
-   the same kind (function or method) and the domain's :meth:`Program.
-   agree` holds between them.  :meth:`Program.infer` recomputes every
+   resolves by name, among the definitions its arguments bind to, to the
+   calling module's own first; a tree-wide match resolves only when every
+   such definition is of the same kind (function or method) and the
+   domain's :meth:`Program.agree` holds between them.  :meth:`Program.infer` recomputes every
    summary for at most :data:`MAX_ROUNDS` rounds, stopping at the first
    round that changes none; :meth:`Program.check` re-walks every
    function with findings on and sorts them.
@@ -219,17 +219,20 @@ class Program:
         visit(module.tree.body)
 
     # -- resolution, fixpoint, check --------------------------------------
-    def resolve(self, module: Module, name: str) -> Optional[Function]:
-        """The function a call by bare or method name resolves to, if any.
+    def resolve(self, module: Module, name: str,
+                call: ast.Call) -> Optional[Function]:
+        """The function ``call``, by bare or method name, resolves to.
 
+        Only a definition ``call``'s arguments bind to is a candidate.
         A definition in the calling module wins; otherwise the first
-        tree-wide definition, provided every other same-named one is of
-        the same kind and :meth:`agree` holds with it.
+        tree-wide candidate, provided every other one is of the same
+        kind and :meth:`agree` holds with it.
         """
         local = module.functions.get(name)
-        if local is not None:
+        if local is not None and _binds(local, call):
             return local
-        candidates = self.by_name.get(name, [])
+        candidates = [fn for fn in self.by_name.get(name, [])
+                      if _binds(fn, call)]
         if not candidates:
             return None
         first = candidates[0]
@@ -261,6 +264,30 @@ class Program:
                 findings.extend(walker.findings)
         findings.sort(key=lambda f: (f.location, f.code, f.message))
         return findings
+
+
+def _binds(fn: Function, call: ast.Call) -> bool:
+    """Whether ``call``'s arguments can bind to ``fn``'s parameters,
+    ``self`` skipped for a method (a ``*``/``**`` argument binds)."""
+    spec = fn.node.args
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            keyword.arg is None for keyword in call.keywords):
+        return True
+    params = [*spec.posonlyargs, *spec.args]
+    skip = 1 if fn.is_method and params else 0
+    if len(call.args) > len(params) - skip and spec.vararg is None:
+        return False
+    bound = {param.arg for param in params[skip:skip + len(call.args)]}
+    named = {param.arg for param in [*spec.args, *spec.kwonlyargs]}
+    for keyword in call.keywords:
+        if keyword.arg in bound or (keyword.arg not in named
+                                    and spec.kwarg is None):
+            return False
+        bound.add(keyword.arg)
+    required = params[skip:len(params) - len(spec.defaults)] + [
+        param for param, default in zip(spec.kwonlyargs, spec.kw_defaults)
+        if default is None]
+    return all(param.arg in bound for param in required)
 
 
 # ---------------------------------------------------------------------------

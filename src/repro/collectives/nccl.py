@@ -36,7 +36,7 @@ from ..hardware.serdes import TrafficProfile
 from ..hardware.topology import Route
 from ..sim.engine import BaseEvent, Engine
 from ..sim.fastpath.memo import COST_CACHE, collective_cost_key
-from ..sim.flows import FlowNetwork
+from ..sim.flows import FlowNetwork, Transfer
 from .algorithms import (
     Algorithm,
     choose_algorithm,
@@ -111,8 +111,10 @@ class _LaunchPlan:
     degradation.
     """
 
-    #: ``(route, bytes, weight_multiplier)`` per flow to launch.
-    transfers: Tuple[Tuple[Route, float, float], ...]
+    #: ``(route, bytes, weight_multiplier, None)`` per flow to launch:
+    #: the :data:`~repro.sim.flows.Transfer` entries of one
+    #: :meth:`~repro.sim.flows.FlowNetwork.launch`, uncapped.
+    transfers: Tuple[Transfer, ...]
     label: str
     #: launch overhead + sequential-step latency, per real NCCL launch.
     base_overhead: float
@@ -292,9 +294,8 @@ class NcclCommunicator:
         chosen = choose_algorithm(
             algorithm, op.kind, op.payload_bytes / launch_count
         )
-        if chosen is Algorithm.TREE:
-            return self._run_tree(op, launch_count)
-        return self._run_ring(op, launch_count)
+        schedule = "tree" if chosen is Algorithm.TREE else "ring"
+        return self._launch(self._launch_plan(schedule, op), launch_count)
 
     def _down_links(self) -> List[str]:
         """Names of fully-down links on any of this communicator's rings."""
@@ -334,13 +335,13 @@ class NcclCommunicator:
     def _ring_plan(self, op: CollectiveOp) -> _LaunchPlan:
         per_ring_payload = op.payload_bytes / len(self.rings)
         per_link = per_ring_payload * (op.per_link_bytes / op.payload_bytes)
-        transfers: List[Tuple[Route, float, float]] = []
+        transfers: List[Transfer] = []
         max_latency = 0.0
         for ring in self.rings:
             for route in ring.routes:
                 max_latency = max(max_latency, route.latency())
                 transfers.append(
-                    (route, per_link, self._route_weight(route))
+                    (route, per_link, self._route_weight(route), None)
                 )
         # Sequential ring steps each pay a hop latency beyond the one the
         # flow itself charges; launch overhead per real operation.
@@ -349,38 +350,33 @@ class NcclCommunicator:
                            self.launch_overhead + step_latency)
 
     def _tree_plan(self, op: CollectiveOp) -> _LaunchPlan:
+        """Binomial-tree schedule over the node-aware order."""
         per_edge = op.payload_bytes * tree_edge_traffic_factor(op.kind)
         topology = self.cluster.topology
-        transfers: List[Tuple[Route, float, float]] = []
+        transfers: List[Transfer] = []
         max_latency = 0.0
         for child, parent in tree_edges(self.ranks):
             route = topology.route(self.cluster.gpu(child).name,
                                    self.cluster.gpu(parent).name)
             max_latency = max(max_latency, route.latency())
-            transfers.append((route, per_edge, self._route_weight(route)))
+            transfers.append(
+                (route, per_edge, self._route_weight(route), None)
+            )
         steps = tree_step_count(op.kind, self.size)
         step_latency = max(0, steps - 1) * max_latency
         return _LaunchPlan(tuple(transfers), f"{op.kind}(tree)",
                            self.launch_overhead + step_latency)
 
     def _launch(self, plan: _LaunchPlan, launch_count: int) -> BaseEvent:
-        events: List[BaseEvent] = [
-            self.network.transfer(
-                route, num_bytes, profile=self.profile,
-                weight_multiplier=weight,
-                label=self.label_prefix + plan.label,
-            )
-            for route, num_bytes, weight in plan.transfers
-        ]
-        events.append(self.engine.timeout(plan.base_overhead * launch_count))
-        return self.engine.all_of(events)
-
-    def _run_ring(self, op: CollectiveOp, launch_count: int) -> BaseEvent:
-        return self._launch(self._launch_plan("ring", op), launch_count)
-
-    def _run_tree(self, op: CollectiveOp, launch_count: int) -> BaseEvent:
-        """Binomial-tree schedule over the node-aware order."""
-        return self._launch(self._launch_plan("tree", op), launch_count)
+        """Start ``plan``'s flows as one launch.  Its hold is the plan's
+        launch overhead and step latency once per real NCCL launch, so
+        the collective takes at least that long however fast its flows
+        finish."""
+        return self.network.launch(
+            plan.transfers, profile=self.profile,
+            label=self.label_prefix + plan.label,
+            hold=plan.base_overhead * launch_count,
+        )
 
     def all_reduce(self, payload_bytes: float) -> BaseEvent:
         return self.run(CollectiveOp(CollectiveKind.ALL_REDUCE, payload_bytes, self.size))

@@ -107,12 +107,12 @@ def _check_ledgers(cluster: Cluster, metrics: RunMetrics,
     # Every record must carry non-negative bytes within the run window.
     bad_records = 0
     total_bytes = 0.0
+    window_end = metrics.execution.total_time + 1e-6
     for link in cluster.topology.links:
-        for record in link.ledger:
-            total_bytes += record.num_bytes
-            if (record.num_bytes < 0 or record.start < -1e-9
-                    or record.end > metrics.execution.total_time + 1e-6):
-                bad_records += 1
+        for starts, ends, sizes, _ in link.ledger.chunks():
+            total_bytes = sum(sizes.tolist(), total_bytes)
+            bad_records += int(((sizes < 0) | (starts < -1e-9)
+                                | (ends > window_end)).sum())
     report.record("ledger_records_in_window", bad_records == 0,
                   f"{bad_records} out-of-window records")
     # No record may imply a rate above what its link could carry in one

@@ -292,8 +292,8 @@ class BandwidthLedger:
             self._stamp = stamp
         return self._cached
 
-    def _chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray]]:
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]]:
         """``(starts, ends, sizes, degraded)`` of the records in record
         order, at most :data:`_CHUNK` records at a time."""
         log = self.log
@@ -318,7 +318,7 @@ class BandwidthLedger:
                                for block, rows, _ in blocks)
 
     def __iter__(self) -> Iterator[TransferRecord]:
-        for starts, ends, sizes, degraded in self._chunks():
+        for starts, ends, sizes, degraded in self.chunks():
             for start, end, num_bytes, flag in zip(
                     starts.tolist(), ends.tolist(), sizes.tolist(),
                     degraded.tolist()):
@@ -337,7 +337,7 @@ class BandwidthLedger:
     def degraded_intervals(self) -> List[Tuple[float, float]]:
         """Merged ``(start, end)`` windows covered by degraded records."""
         return merge_intervals(
-            span for starts, ends, _, degraded in self._chunks()
+            span for starts, ends, _, degraded in self.chunks()
             for span in zip(starts[degraded].tolist(),
                             ends[degraded].tolist())
         )
@@ -356,7 +356,7 @@ class BandwidthLedger:
             raise ConfigurationError("sample window must have positive width")
         width = (end - start) / num_samples
         bins = np.zeros(num_samples)
-        for starts, ends, sizes, _ in self._chunks():
+        for starts, ends, sizes, _ in self.chunks():
             bins = _deposit(bins, starts, ends, sizes, start, end, width)
         return (bins / width).tolist()
 
@@ -522,6 +522,11 @@ class Link:
                 break
             fraction = value
         return fraction
+
+    def lowest_capacity(self) -> BytesPerSecond:
+        """The lowest per-direction capacity since the last reset."""
+        return self.base_capacity_per_direction * min(
+            fraction for _, fraction in self._capacity_history)
 
     def max_capacity_over(self, start: Seconds,
                           end: Seconds) -> BytesPerSecond:

@@ -54,6 +54,8 @@ class Route:
         #: the log key of an interval and the capacity epoch it was read at
         self._key = 0
         self._key_epoch = -1
+        #: the smallest link capacity and the epoch it was read at
+        self._bottleneck, self._bottleneck_epoch = 0.0, -1
         #: per-direction pool of every link along the route, in order
         self.pool_keys: Tuple[PoolKey, ...] = _pool_keys(source, self.links)
         self._derates: Dict[TrafficProfile, float] = {
@@ -95,13 +97,22 @@ class Route:
         """SerDes contention bandwidth multiplier in (0, 1] for ``profile``."""
         return self._derates[profile]
 
+    def bottleneck(self) -> BytesPerSecond:
+        """The smallest link capacity on the route, re-read only after
+        a capacity change."""
+        epoch = self._log.capacity_epoch
+        if self._bottleneck_epoch != epoch:
+            self._bottleneck = min(link.capacity_per_direction
+                                   for link in self.links)
+            self._bottleneck_epoch = epoch
+        return self._bottleneck
+
     def bandwidth(self, profile: TrafficProfile = TrafficProfile.SUSTAINED
                   ) -> BytesPerSecond:
         """Attainable bytes/s: bottleneck link x contention derate."""
         if self.is_loopback:
             return float("inf")
-        bottleneck = min(link.capacity_per_direction for link in self.links)
-        return bottleneck * self._derates[profile]
+        return self.bottleneck() * self._derates[profile]
 
     def transfer_time(self, num_bytes: Bytes,
                       profile: TrafficProfile = TrafficProfile.SUSTAINED

@@ -6,8 +6,8 @@ One simulated process per GPU rank interprets the strategy's
 * compute steps advance the rank's clock (the GPU is busy);
 * collective steps rendezvous all ranks of the group, then run as flows
   through the :class:`~repro.collectives.nccl.NcclCommunicator`;
-* host transfers and NVMe I/O become flows over the topology, so PCIe,
-  xGMI, DRAM, and NVMe ledgers fill in automatically;
+* host transfers and NVMe I/O become one flow launch each over the
+  topology, so PCIe, xGMI, DRAM, and NVMe ledgers fill in automatically;
 * CPU optimizer work charges the socket's DRAM channels.
 
 The run produces iteration times, the Fig.-5-style rank-lane spans (a
@@ -53,7 +53,7 @@ from ..parallel.schedule import (
     WaitPendingStep,
 )
 from ..sim.engine import BaseEvent, Engine
-from ..sim.flows import FlowNetwork
+from ..sim.flows import FlowNetwork, Transfer
 from ..sim.leaksan import LeakReport
 from ..sim.sanitizer import SanitizerReport
 from ..trace.model import Lane, Span
@@ -324,10 +324,10 @@ class Executor:
                 if event in pending:
                     pending.remove(event)
             elif isinstance(step, HostTransferStep):
-                events = self._host_transfer(rank, step)
+                event = self._host_transfer(rank, step)
                 if step.blocking:
                     start = self.engine.now
-                    yield self.engine.all_of(events)
+                    yield event
                     kind = (
                         KernelKind.NVME_IO
                         if Location.NVME in (step.src, step.dst)
@@ -337,7 +337,7 @@ class Executor:
                                            step.name, start, self.engine.now))
                     self._record_idle(rank, start, step.name)
                 else:
-                    pending.extend(events)
+                    pending.append(event)
             elif isinstance(step, CpuWorkStep):
                 start = self.engine.now
                 duration = self._cpu_work_duration(rank, step)
@@ -378,25 +378,21 @@ class Executor:
             self._gates[gate_key] = gate
         return gate.arrive()
 
-    def _host_transfer(self, rank: int, step: HostTransferStep) -> List[BaseEvent]:
+    def _host_transfer(self, rank: int, step: HostTransferStep) -> BaseEvent:
+        """Start ``step``'s flows as one launch: one flow between the
+        rank's GPU and DRAM, or one per member drive of its NVMe volume."""
         gpu = self.cluster.gpu(rank).name
         dram = self.cluster.dram_for_rank(rank).name
         topology = self.cluster.topology
-
-        def endpoint(loc: Location) -> Optional[str]:
-            if loc is Location.GPU:
-                return gpu
-            if loc is Location.DRAM:
-                return dram
-            return None  # NVMe resolves per stripe member
-
-        src = endpoint(step.src)
-        dst = endpoint(step.dst)
+        # GPU and DRAM are the rank's own; NVMe resolves per stripe member
+        endpoints = {Location.GPU: gpu, Location.DRAM: dram}
+        src = endpoints.get(step.src)
+        dst = endpoints.get(step.dst)
         if src is not None and dst is not None:
             route = topology.route(src, dst)
-            return [self.network.transfer(route, step.payload_bytes,
-                                          profile=self.traffic_profile,
-                                          label=self.flow_tag + step.name)]
+            return self.network.transfer(route, step.payload_bytes,
+                                         profile=self.traffic_profile,
+                                         label=self.flow_tag + step.name)
         # One endpoint is the rank's NVMe swap volume: stripe the payload
         # across member drives, capping each flow at the drive's media
         # bandwidth under the aio layer.
@@ -407,7 +403,7 @@ class Executor:
             )
         reading = step.src is Location.NVME
         per_member = step.payload_bytes / len(volume.drives)
-        events = []
+        transfers: List[Transfer] = []
         for drive in volume.drives:
             if reading:
                 route = topology.route(drive.device.name, dram)
@@ -423,13 +419,9 @@ class Executor:
             # ranks swap against the drive concurrently.
             pcie_link = route.links[0] if reading else route.links[-1]
             multiplier = max(1.0, pcie_link.capacity_per_direction / media)
-            events.append(
-                self.network.transfer(route, per_member,
-                                      profile=self.traffic_profile,
-                                      weight_multiplier=multiplier,
-                                      label=self.flow_tag + step.name)
-            )
-        return events
+            transfers.append((route, per_member, multiplier, None))
+        return self.network.launch(transfers, profile=self.traffic_profile,
+                                   label=self.flow_tag + step.name)
 
     def _ranks_per_socket(self, rank: int) -> int:
         """How many ranks' CPU work shares this rank's socket DRAM."""

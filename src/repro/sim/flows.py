@@ -15,6 +15,10 @@ change re-rates every flow (:meth:`FlowNetwork.rebalance`).
 :func:`reference_rates` keeps the global allocation over all flows at
 once as the reference the component-local allocator is tested against.
 
+Transfers started together (a collective's ring flows, the stripes of
+one NVMe read) are one :meth:`FlowNetwork.launch` with one
+:class:`Launch` event, fired when the last of them finishes.
+
 SerDes contention (Section III-C4 of the paper) enters as a *consumption
 weight*: a flow whose route is derated to fraction ``d`` consumes ``1/d``
 units of pool capacity per delivered byte, so a contended path attains
@@ -38,16 +42,49 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..errors import SimulationError
 from ..hardware.serdes import TrafficProfile
 from ..hardware.topology import PoolKey, Route
-from ..units import Bytes, BytesPerSecond
-from .engine import BaseEvent, BatchHandler, Engine, SimEvent
+from ..units import Bytes, BytesPerSecond, Seconds
+from .engine import BatchHandler, Engine, SimEvent
+
+
+#: one transfer of a launch: ``(route, bytes, weight_multiplier, cap)``
+Transfer = Tuple[Route, Bytes, float, Optional[BytesPerSecond]]
+
+
+class Launch(SimEvent):
+    """The completion of one :meth:`FlowNetwork.launch`: fires when its
+    last transfer has finished and its hold, if any, has elapsed."""
+
+    def __init__(self, engine: Engine, size: int, label: str,
+                 holding: bool) -> None:
+        super().__init__(engine)
+        self.size = size
+        self.label = label
+        self.holding = holding
+        #: unfinished transfers, plus one until the hold elapses
+        self.pending = size + holding
+
+    def release(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.succeed(None)
+
+    def end_hold(self) -> None:
+        self.holding = False
+        self.release()
 
 
 class Flow:
     """One in-flight transfer."""
 
+    __slots__ = ("id", "route", "label", "profile", "bytes_total",
+                 "bytes_remaining", "_user_cap", "_derate",
+                 "weight_multiplier", "weight", "cap", "rate", "since",
+                 "finish_at", "launch", "started_at")
+
     def __init__(self, route: Route, num_bytes: Bytes, *, flow_id: int,
                  profile: TrafficProfile, cap: Optional[BytesPerSecond],
-                 label: str = "", weight_multiplier: float = 1.0) -> None:
+                 label: str = "", weight_multiplier: float = 1.0,
+                 launch: Optional[Launch] = None) -> None:
         if weight_multiplier < 1.0:
             raise SimulationError("weight_multiplier must be >= 1")
         self.id = flow_id
@@ -68,7 +105,7 @@ class Flow:
         self.since = 0.0
         #: projected finish at ``rate`` (inf while the flow is stalled)
         self.finish_at = float("inf")
-        self.completion: Optional[SimEvent] = None
+        self.launch = launch
         self.started_at: Optional[float] = None
 
     #: residues below this are floating-point dust, not real payload
@@ -92,14 +129,14 @@ class Flow:
           cap to zero; the flow stalls until the link is restored.
 
         The route's SerDes derate is static; only the bottleneck link
-        capacity is read afresh, because faults change it.
+        capacity changes, with faults (:meth:`Route.bottleneck`).
         """
         links = self.route.links
         if not links:
             return 1.0, (
                 float("inf") if self._user_cap is None else self._user_cap
             )
-        bottleneck = min(link.capacity_per_direction for link in links)
+        bottleneck = self.route.bottleneck()
         derate = bottleneck * self._derate
         if derate <= 0.0:
             return self.weight_multiplier, 0.0
@@ -314,29 +351,39 @@ class FlowNetwork:
                                       self._activate_batch)
 
     # -- public API -------------------------------------------------------------
+    def launch(self, transfers: Sequence[Transfer], *,
+               profile: TrafficProfile = TrafficProfile.BURSTY,
+               label: str = "", hold: Optional[Seconds] = None) -> Launch:
+        """Start ``transfers``; the event fires when the last has finished
+        (a zero-byte or loopback one after its latency) and ``hold``
+        seconds have passed.  The schedule is that of one event per entry
+        and then an ``engine.timeout(hold)``."""
+        engine = self.engine
+        now = engine.now
+        launch = Launch(engine, len(transfers), label, hold is not None)
+        for route, num_bytes, weight_multiplier, cap in transfers:
+            if num_bytes <= 0 or route.is_loopback:
+                delay = 0.0 if route.is_loopback else route.latency()
+                engine.schedule_at(now + delay, launch.release)
+                continue
+            flow = Flow(route, num_bytes, flow_id=next(self._flow_ids),
+                        profile=profile, cap=cap, label=label,
+                        weight_multiplier=weight_multiplier, launch=launch)
+            engine.schedule_at(now + route.latency(), self._activate, flow)
+        if hold is not None:
+            engine.schedule_at(now + hold, launch.end_hold)
+        elif not transfers:
+            engine.schedule_at(now, launch.succeed, None)
+        return launch
+
     def transfer(self, route: Route, num_bytes: Bytes, *,
                  profile: TrafficProfile = TrafficProfile.BURSTY,
                  cap: Optional[BytesPerSecond] = None,
                  label: str = "",
-                 weight_multiplier: float = 1.0) -> BaseEvent:
-        """Start a transfer; returns an event fired at completion.
-
-        The flow begins streaming after the route's end-to-end latency.
-        Zero-byte or loopback transfers complete after just the latency.
-        """
-        event = self.engine.event()
-        if num_bytes <= 0 or route.is_loopback:
-            delay = 0.0 if route.is_loopback else route.latency()
-            self.engine.schedule_at(self.engine.now + delay, event.succeed, None)
-            return event
-        flow = Flow(route, num_bytes, flow_id=next(self._flow_ids),
-                    profile=profile, cap=cap, label=label,
-                    weight_multiplier=weight_multiplier)
-        flow.completion = event
-        self.engine.schedule_at(
-            self.engine.now + route.latency(), self._activate, flow
-        )
-        return event
+                 weight_multiplier: float = 1.0) -> Launch:
+        """Start one transfer: the one-entry :meth:`launch`."""
+        return self.launch([(route, num_bytes, weight_multiplier, cap)],
+                           profile=profile, label=label)
 
     @property
     def active_count(self) -> int:
@@ -382,9 +429,17 @@ class FlowNetwork:
     def _add(self, flow: Flow, touched: Dict[PoolKey, None]) -> None:
         flow.started_at = flow.since = self.engine.now
         flow.refresh_capacity()
-        _insert_by_id(self._flows, flow)
+        flows = self._flows
+        if flows and flows[-1].id > flow.id:
+            _insert_by_id(flows, flow)
+        else:  # the common case: flows activate roughly in id order
+            flows.append(flow)
         for key in flow.route.pool_keys:
-            _insert_by_id(self._members.setdefault(key, []), flow)
+            pool = self._members.setdefault(key, [])
+            if pool and pool[-1].id > flow.id:
+                _insert_by_id(pool, flow)
+            else:
+                pool.append(flow)
             touched[key] = None
 
     def _activate_one(self, flow: Flow) -> None:
@@ -465,8 +520,8 @@ class FlowNetwork:
                 self.completed_flows += 1
                 for observer in self.observers:
                     observer.flow_closed(flow, now)
-                assert flow.completion is not None
-                flow.completion.succeed(None)
+                assert flow.launch is not None
+                flow.launch.release()
         if self._flows:
             self._rerate(touched)
         self._schedule_next_completion()

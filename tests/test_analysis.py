@@ -51,6 +51,7 @@ from repro.parallel import (
 from repro.parallel.placement import PLACEMENTS
 from repro.parallel.zero import ZeroStrategy
 from repro.sim.engine import Engine
+from repro.sim.flows import FlowNetwork
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +566,28 @@ class TestLiveness:
         assert len(findings) == 1
         assert "AllOf" in findings[0].message
         assert "1/2 children pending" in findings[0].message
+
+    def test_stalled_flow_launch_names_unfinished_transfers(self):
+        cluster = single_node_cluster()
+        topology = cluster.topology
+        engine = Engine()
+        network = FlowNetwork(engine)
+        dead = topology.route("node0/gpu0", "node0/gpu1")
+        live = topology.route("node0/gpu2", "node0/gpu3")
+        dead.links[0].set_capacity_fraction(0.0)  # never restored
+
+        def victim():
+            yield network.launch([(dead, 1e9, 1.0, None),
+                                  (live, 1e9, 1.0, None)],
+                                 label="all_gather", hold=1e-3)
+
+        engine.process(victim(), name="rank0/it0")
+        engine.run()
+        findings = diagnose(engine)
+        assert [f.subject for f in findings] == ["rank0/it0"]
+        assert "flow launch 'all_gather'" in findings[0].message
+        assert "1 of 2 transfers unfinished" in findings[0].message
+        assert "hold elapsed" in findings[0].message
 
     def test_transitive_wait_names_both_processes(self):
         engine = Engine()

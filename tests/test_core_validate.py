@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import RunSpec, run_spec
+from repro.api.build import build_cluster
 from repro.core.runner import run_training
 from repro.core.search import model_for_billions
 from repro.core.validate import ValidationReport, validate_run
@@ -9,6 +11,7 @@ from repro.errors import SimulationError
 from repro.hardware import dual_node_cluster, single_node_cluster
 from repro.hardware.link import LinkClass
 from repro.runtime.kernels import KernelKind
+from repro.sim.sanitizer import RATE_TOLERANCE, ledger_capacity_violations
 from repro.parallel import (
     DdpStrategy,
     MegatronStrategy,
@@ -184,3 +187,48 @@ class TestFailurePaths:
         cluster.topology.reset_ledgers()
         failed = self._failed(cluster, metrics)
         assert "some_traffic_recorded" in failed
+
+
+def per_record_violations(cluster):
+    """The reference for :func:`ledger_capacity_violations`: every record
+    of every ledger checked one :class:`TransferRecord` at a time."""
+    violations = []
+    for link in cluster.topology.links:
+        for record in link.ledger:
+            width = record.end - record.start
+            if width <= 1e-9:
+                continue
+            ceiling = link.max_capacity_over(record.start, record.end)
+            rate = record.num_bytes / width
+            if rate > ceiling * RATE_TOLERANCE:
+                violations.append(
+                    f"{link.name}: {rate:.6g} B/s over "
+                    f"[{record.start:.6g}, {record.end:.6g}] exceeds "
+                    f"capacity-in-effect {ceiling:.6g} B/s"
+                )
+    return violations
+
+
+def test_columnar_audit_matches_the_per_record_loop():
+    spec = RunSpec("zero3", 0.7, nodes=2, iterations=2,
+                   faults=("node0/xgmi:degrade@t=0.02,dur=0.3,mag=0.5",))
+    cluster = build_cluster(spec)
+    metrics = run_spec(spec, cluster=cluster)
+    xgmi = cluster.topology.link_between("node0/cpu0", "node0/cpu1")
+    nvlink = cluster.topology.links_of_class(LinkClass.NVLINK)[0]
+    rated = xgmi.base_capacity_per_direction
+    # Over-rate direct charges: inside the degraded window at 80 % of
+    # rated and at 53 % (just past the tolerance over its 50 %), at
+    # twice capacity on a healthy link, and a trickle that ends before
+    # time 0, when no capacity was in effect.
+    xgmi.ledger.record(0.05, 0.15, rated * 0.08)
+    xgmi.ledger.record(0.16, 0.26, rated * 0.053)
+    nvlink.ledger.record(0.0, 0.1, nvlink.capacity_per_direction * 0.2)
+    nvlink.ledger.record(-0.2, -0.1, 1.0)
+    # At 80 % of rated before the degradation: within the bound.
+    xgmi.ledger.record(0.0, 0.01, rated * 0.008)
+    expected = per_record_violations(cluster)
+    assert len(expected) == 4
+    assert ledger_capacity_violations(cluster) == expected
+    report = validate_run(cluster, metrics)
+    assert not report.checks["ledger_within_link_capacity"]

@@ -432,6 +432,27 @@ class TestNoFalsePositives:
             f"{f.code} {f.location}: {f.message}" for f in findings
         ]
 
+    def test_method_resolves_only_where_the_arguments_bind(self, tmp_path):
+        # ``sizes.append(num_bytes)`` is a list's append: one argument
+        # cannot bind to Log.append's four parameters.  A call that does
+        # bind still checks against Log.append.
+        findings = _analyze(tmp_path, """
+            from repro.units import Bytes, Seconds
+
+            class Log:
+                def append(self, start: Seconds, end: Seconds,
+                           num_bytes: Bytes, key: int) -> None:
+                    pass
+
+            def fill(sizes: list, num_bytes: Bytes) -> None:
+                sizes.append(num_bytes)
+
+            def charge(log: Log, n: Bytes) -> None:
+                log.append(n, n, n, 1)
+            """)
+        assert _codes(findings) == ["DIM004", "DIM004"]
+        assert {f.subject for f in findings} == {"charge"}
+
     def test_unannotated_code_is_silent(self, tmp_path):
         # Plain untyped arithmetic must never flag, whatever it mixes.
         findings = _analyze(tmp_path, """

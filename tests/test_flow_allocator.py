@@ -23,6 +23,12 @@ training runs also run under :class:`EagerFlowNetwork`, which settles
 every active flow at every change, and finish instants, ledger byte
 totals, sampled bins and degraded windows must agree **within 1e-12**,
 with no more ledger records than the eager run keeps.
+
+:meth:`~repro.sim.flows.FlowNetwork.launch` is tested against
+:func:`all_of_launch`, the one event per transfer and ``AllOf`` it
+replaces: grouped scenarios under three tie orders, and the same three
+training runs, must be **bit-identical** — fire instants, interval-log
+columns, event counts and headline fields.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.determinism.differ import headline_fields
 from repro.api import RunSpec, run_spec
 from repro.api.build import build_cluster
 from repro.errors import SimulationError
@@ -44,7 +51,7 @@ from repro.hardware.devices import Device, DeviceKind
 from repro.hardware.link import Link, LinkClass, LinkSpec
 from repro.hardware.serdes import TrafficProfile
 from repro.hardware.topology import Topology
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, ReversedTies, SeededTies, TieOrder
 from repro.sim.flows import Flow, FlowNetwork, reference_rates
 
 CLUSTERS = {
@@ -412,6 +419,147 @@ def test_lazy_settlement_matches_eager_on_training_runs(name, monkeypatch):
                    for link in lazy_cluster.topology.links)
     assert (sum(len(link.ledger) for link in lazy_cluster.topology.links)
             < sum(len(link.ledger) for link in eager_cluster.topology.links))
+
+
+# ---------------------------------------------------------------------------
+# one launch event against an AllOf over one event per transfer
+# ---------------------------------------------------------------------------
+
+def all_of_launch(network: FlowNetwork, transfers, *,
+                  profile=TrafficProfile.BURSTY, label="", hold=None):
+    """The reference for :meth:`FlowNetwork.launch`: one event per
+    transfer and one ``Timeout`` for the hold, joined by an ``AllOf``."""
+    engine = network.engine
+    events = [network.transfer(route, num_bytes, profile=profile, cap=cap,
+                               label=label, weight_multiplier=weight)
+              for route, num_bytes, weight, cap in transfers]
+    if hold is not None:
+        events.append(engine.timeout(hold))
+    return engine.all_of(events)
+
+
+@dataclass(frozen=True)
+class LaunchSpec:
+    issue_at: float
+    profile: TrafficProfile
+    hold: Optional[float]
+    #: ``(source, destination, bytes, weight_multiplier, cap)`` each
+    entries: Tuple[Tuple[str, str, float, float, Optional[float]], ...]
+
+
+@st.composite
+def launch_scenarios(draw):
+    """:func:`scenarios` with same-instant specs grouped into launches,
+    each with a drawn hold and drawn zero-byte and loopback entries,
+    plus an optional launch with no flow at all."""
+    cluster_name, specs, faults = draw(scenarios())
+    devices = DEVICES[cluster_name]
+    groups = draw(st.lists(st.integers(0, 3), min_size=len(specs),
+                           max_size=len(specs)))
+    launches = []
+    for group in sorted(set(groups)):
+        members = [spec for spec, at in zip(specs, groups) if at == group]
+        entries = [(spec.source, spec.destination, spec.num_bytes,
+                    spec.weight_multiplier, spec.cap) for spec in members]
+        if draw(st.booleans()):
+            entries.insert(draw(st.integers(0, len(entries))),
+                           (members[0].source, members[0].destination,
+                            0.0, 1.0, None))
+        if draw(st.booleans()):
+            device = draw(st.sampled_from(devices))
+            entries.insert(draw(st.integers(0, len(entries))),
+                           (device, device, 1e6, 1.0, None))
+        launches.append(LaunchSpec(
+            members[0].issue_at, members[0].profile,
+            draw(st.one_of(st.none(), st.floats(0.0, 0.05))),
+            tuple(entries)))
+    if draw(st.booleans()):
+        launches.append(LaunchSpec(
+            draw(st.floats(0.0, 0.04)), TrafficProfile.BURSTY,
+            draw(st.one_of(st.none(), st.floats(0.0, 0.05))), ()))
+    return cluster_name, launches, faults
+
+
+def simulate_launches(cluster_name: str, launches: List[LaunchSpec],
+                      faults: List[FaultEvent], *, tie_order: TieOrder,
+                      start=FlowNetwork.launch):
+    """Run ``launches`` to completion, each started by ``start``; the
+    fire instant of each launch, the interval log's columns and the
+    engine's event counts."""
+    cluster = CLUSTERS[cluster_name]()
+    engine = Engine(tie_order=tie_order)
+    network = FlowNetwork(engine)
+    if faults:
+        FaultInjector(FaultPlan(events=list(faults), seed=3), cluster,
+                      engine, network)
+    fired: Dict[int, str] = {}
+    topology = cluster.topology
+
+    def issue(index: int, spec: LaunchSpec) -> None:
+        transfers = [(topology.route(source, destination), num_bytes,
+                      weight, cap)
+                     for source, destination, num_bytes, weight, cap
+                     in spec.entries]
+        start(network, transfers, profile=spec.profile,
+              label=f"launch{index}", hold=spec.hold).add_callback(
+            lambda event: fired.setdefault(index, engine.now.hex()))
+
+    for index, spec in enumerate(launches):
+        engine.schedule_at(spec.issue_at, issue, index, spec)
+    engine.run()
+    log = topology.log
+    return (fired, [bytes(column) for column in
+                    (log.starts, log.ends, log.sizes, log.keys)],
+            engine.events_processed, engine.events_folded)
+
+
+@given(scenario=launch_scenarios())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_launch_matches_all_of_transfers(scenario):
+    """One launch event fires when and as the ``AllOf`` over one event
+    per transfer and the hold's ``Timeout`` does, and leaves the same
+    interval log and event counts, under every tie order."""
+    cluster_name, launches, faults = scenario
+    for tie_order in (TieOrder(), ReversedTies(), SeededTies(11)):
+        launched = simulate_launches(cluster_name, launches, faults,
+                                     tie_order=tie_order)
+        reference = simulate_launches(cluster_name, launches, faults,
+                                      tie_order=tie_order,
+                                      start=all_of_launch)
+        assert sorted(launched[0]) == list(range(len(launches)))
+        assert launched == reference, tie_order.name
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_RUNS))
+def test_launch_matches_all_of_transfers_on_training_runs(name,
+                                                          monkeypatch):
+    """Collectives launched as an ``AllOf`` over one event per flow give
+    bit-identical headline fields and interval-log columns."""
+    spec = TRAINING_RUNS[name]
+
+    def run():
+        cluster = build_cluster(spec)
+        metrics = run_spec(spec, cluster=cluster)
+        log = cluster.topology.log
+        return ({key: value.hex() for key, value
+                 in headline_fields(metrics, cluster).items()},
+                [bytes(column) for column in
+                 (log.starts, log.ends, log.sizes, log.keys)],
+                metrics.execution.events_processed,
+                metrics.execution.events_folded)
+
+    launched = run()
+
+    def launch_as_all_of(self, plan, launch_count):
+        return all_of_launch(self.network, plan.transfers,
+                             profile=self.profile,
+                             label=self.label_prefix + plan.label,
+                             hold=plan.base_overhead * launch_count)
+
+    monkeypatch.setattr("repro.collectives.nccl.NcclCommunicator._launch",
+                        launch_as_all_of)
+    assert launched == run()
 
 
 def test_four_transfer_case_fills_to_caps_and_pools():
