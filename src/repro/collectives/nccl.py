@@ -22,6 +22,11 @@ Scheduling mirrors NCCL's behaviour on the paper's hardware:
 Collectives return simulation events; callers (the executor's per-rank
 processes) yield them.  ``estimate_*`` variants cost an operation without
 running the DES, for analytic planning and tests.
+
+Before launching, :meth:`NcclCommunicator.run` checks that no link of
+its rings is down.  Every capacity change bumps the topology log's
+``capacity_epoch``, so the rings are re-scanned only after that counter
+has moved since the last scan that found them all up.
 """
 
 from __future__ import annotations
@@ -153,16 +158,20 @@ class NcclCommunicator:
         self.internode_rate_efficiency = internode_rate_efficiency
         self.retry_policy = retry_policy or RetryPolicy()
         self.ranks = self._node_aware_order(cluster, list(ranks))
+        self.size = len(self.ranks)
         self.rings = self._build_rings()
-        # The unique links of the ring structure, in traversal order —
-        # the outage probe (:meth:`_down_links`) runs before *every*
-        # collective, so it must not re-walk rings x routes each time.
+        # The unique links of the ring structure, in traversal order, for
+        # the outage probe (:meth:`_down_links`).
         self._ring_links: Tuple[Link, ...] = tuple(dict.fromkeys(
             link
             for ring in self.rings
             for route in ring.routes
             for link in route.links
         ))
+        self._capacity_log = cluster.topology.log
+        #: the ``capacity_epoch`` of the last probe that found every ring
+        #: link up (-1: none yet)
+        self._clean_epoch = -1
         #: memoized launch plans keyed on (schedule, kind, payload) —
         #: identical collective calls across iterations reuse the plan
         #: instead of re-deriving routes, payload splits, and weights.
@@ -245,10 +254,6 @@ class NcclCommunicator:
         return tuple(rank for block in blocks for rank in block)
 
     @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    @property
     def spans_nodes(self) -> bool:
         nodes = {r // self.cluster.gpus_per_node for r in self.ranks}
         return len(nodes) > 1
@@ -280,13 +285,17 @@ class NcclCommunicator:
             raise ConfigurationError("launch_count must be >= 1")
         if self.size == 1 or op.payload_bytes <= 0:
             return self.engine.timeout(0.0)
-        if self._down_links():
-            # A link on the collective's path is dark: enter the
-            # transport's probe/backoff loop before launching any flows.
-            return self.engine.process(
-                self._retry_until_path_up(op, launch_count, algorithm),
-                name=f"nccl-retry/{op.kind}",
-            )
+        epoch = self._capacity_log.capacity_epoch
+        if epoch != self._clean_epoch:
+            if self._down_links():
+                # A link on the collective's path is dark: enter the
+                # transport's probe/backoff loop before launching any
+                # flows.
+                return self.engine.process(
+                    self._retry_until_path_up(op, launch_count, algorithm),
+                    name=f"nccl-retry/{op.kind}",
+                )
+            self._clean_epoch = epoch
         return self._dispatch(op, launch_count, algorithm)
 
     def _dispatch(self, op: CollectiveOp, launch_count: int,

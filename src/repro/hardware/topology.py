@@ -58,10 +58,12 @@ class Route:
         self._bottleneck, self._bottleneck_epoch = 0.0, -1
         #: per-direction pool of every link along the route, in order
         self.pool_keys: Tuple[PoolKey, ...] = _pool_keys(source, self.links)
-        self._derates: Dict[TrafficProfile, float] = {
-            profile: contention.derate(self.links, profile)
-            for profile in TrafficProfile
-        }
+        # One attribute per profile, picked by identity in :meth:`derate`:
+        # a dict keyed by the enum would hash it in Python on every flow.
+        self._sustained_derate = contention.derate(
+            self.links, TrafficProfile.SUSTAINED)
+        self._bursty_derate = contention.derate(
+            self.links, TrafficProfile.BURSTY)
         self._latency: Seconds = (
             self.base_latency * contention.latency_factor(self.links)
         )
@@ -95,7 +97,9 @@ class Route:
     def derate(self, profile: TrafficProfile = TrafficProfile.SUSTAINED
                ) -> float:
         """SerDes contention bandwidth multiplier in (0, 1] for ``profile``."""
-        return self._derates[profile]
+        if profile is TrafficProfile.SUSTAINED:
+            return self._sustained_derate
+        return self._bursty_derate
 
     def bottleneck(self) -> BytesPerSecond:
         """The smallest link capacity on the route, re-read only after
@@ -112,7 +116,7 @@ class Route:
         """Attainable bytes/s: bottleneck link x contention derate."""
         if self.is_loopback:
             return float("inf")
-        return self.bottleneck() * self._derates[profile]
+        return self.bottleneck() * self.derate(profile)
 
     def transfer_time(self, num_bytes: Bytes,
                       profile: TrafficProfile = TrafficProfile.SUSTAINED

@@ -24,6 +24,11 @@ The loop alternates three actions:
    over the batch's activations).  Finished requests release their KV
    reservation immediately, freeing admission room for the next step.
 
+Starting a pass's TP all-reduce returns its completion event, which
+the phase yields directly; the trace's collective sink records the
+collective from that event's callback, which runs just before the
+scheduler resumes.
+
 Determinism: the waiting queue is FIFO over the submit order (arrival
 times are pre-generated and scheduled by the service), iteration is
 over lists, and the scheduler owns no RNG at all — metrics are
@@ -38,7 +43,7 @@ from typing import Callable, List, Optional, Sequence
 from ..collectives.nccl import NcclCommunicator
 from ..collectives.primitives import CollectiveKind, CollectiveOp
 from ..errors import SimulationError
-from ..sim.engine import Engine
+from ..sim.engine import BaseEvent, Engine
 from ..trace.model import KernelKind, Lane, Span
 from .costmodel import PhaseCostModel
 from .kvcache import KvCache
@@ -182,24 +187,28 @@ class ServingScheduler:
             for rank in self.span_ranks
         )
 
-    def _all_reduce(self, payload: float, launch_count: int, name: str):
-        """Yield the TP all-reduce for one (possibly fused) pass."""
+    def _all_reduce(self, payload: float,
+                    launch_count: int) -> Optional[BaseEvent]:
+        """Start the TP all-reduce for one (possibly fused) pass; its
+        completion event, or None when there is nothing to reduce."""
         comm = self.comm
         if comm is None or comm.size == 1 or payload <= 0:
-            return
+            return None
         start = self.engine.now
-        yield comm.run(
+        done = comm.run(
             CollectiveOp(CollectiveKind.ALL_REDUCE, payload, comm.size),
             launch_count=launch_count,
         )
-        if self.collective_sink is not None:
+        sink = self.collective_sink
+        if sink is not None:
             # Comm name and ranks are job-local; a cluster-mode sink
             # (``_JobCollectives``) prefixes the job id and maps ranks
             # to the shared machine before recording.
-            self.collective_sink.collective_phase(
+            done.add_callback(lambda _: sink.collective_phase(
                 "tp", 0, "all_reduce", payload, launch_count,
                 tuple(range(comm.size)), start, self.engine.now,
-            )
+            ))
+        return done
 
     def _finish(self, record: RequestRecord) -> None:
         record.finished_at = self.engine.now
@@ -216,11 +225,12 @@ class ServingScheduler:
         yield self.engine.timeout(compute_s)
         self._emit_compute_span(
             f"prefill[{len(batch)}]", start, self.engine.now)
-        payload = self.cost.activation_payload(
-            sum(record.request.prompt_tokens for record in batch))
-        yield from self._all_reduce(
-            payload, self.cost.all_reduces_per_pass * len(batch),
-            "prefill")
+        done = self._all_reduce(
+            self.cost.activation_payload(
+                sum(record.request.prompt_tokens for record in batch)),
+            self.cost.all_reduces_per_pass * len(batch))
+        if done is not None:
+            yield done
         self.stats.prefill_steps += 1
         for record in batch:
             record.first_token_at = self.engine.now
@@ -235,9 +245,10 @@ class ServingScheduler:
         yield self.engine.timeout(compute_s)
         self._emit_compute_span(
             f"decode[{len(batch)}]", start, self.engine.now)
-        payload = self.cost.activation_payload(len(batch))
-        yield from self._all_reduce(
-            payload, self.cost.all_reduces_per_pass, "decode")
+        done = self._all_reduce(self.cost.activation_payload(len(batch)),
+                                self.cost.all_reduces_per_pass)
+        if done is not None:
+            yield done
         self.stats.decode_steps += 1
         self.stats.decode_tokens += len(batch)
         for record in batch:

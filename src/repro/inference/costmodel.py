@@ -23,11 +23,21 @@ degree and adds two all-reduces per layer (attention output + MLP
 output) of the layer activation — the payload/launch-count shapes the
 batching scheduler hands to :class:`~repro.collectives.nccl.
 NcclCommunicator`.
+
+A serving run evaluates a decode step once per generated token, so
+:class:`PhaseCostModel` derives what is fixed per instance — its
+compute model, the per-rank weight and KV bytes, and the two terms of
+the decode FLOPs — once, on first use, and caches it.  Decode FLOPs
+are a per-request constant plus a per-context-token coefficient; both
+are Python ints, so a batch's ``n·fixed + coefficient·Σcontext`` is its
+per-request sum exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 from ..errors import ConfigurationError
 from ..hardware.gpu import GpuSpec
@@ -67,24 +77,30 @@ def prefill_flops(config: ModelConfig, prompt_tokens: int) -> Flops:
     return attention_gemm + attention_scores + mlp + lm_head
 
 
-def decode_flops(config: ModelConfig, context_tokens: int) -> Flops:
-    """Forward FLOPs to decode one token against ``context_tokens`` of KV.
+def _decode_flop_terms(config: ModelConfig) -> Tuple[Flops, Flops]:
+    """``(fixed, per_context_token)``: decoding one token against ``c``
+    tokens of KV costs ``fixed + per_context_token * c`` FLOPs.
 
     The new token's Q/K/V and MLP GEMMs are matrix-vector products
-    (sequence length 1); attention scores read the whole cached context.
+    (sequence length 1) and, with the LM head, do not depend on the
+    context; attention scores read the whole cached context.
     """
-    if context_tokens < 1:
-        raise ConfigurationError("context_tokens must be >= 1")
     h = config.hidden_size
     ffn = config.ffn_hidden
     L = config.num_layers
     attention_gemm = L * (2 * h * (3 * h) + 2 * h * h)
-    attention_scores = L * 2 * (
-        2 * config.num_heads * context_tokens * config.head_dim
-    )
     mlp = L * (2 * h * ffn + 2 * ffn * h)
     lm_head = 2 * h * config.vocab_size
-    return attention_gemm + attention_scores + mlp + lm_head
+    attention_scores = L * 2 * 2 * config.num_heads * config.head_dim
+    return attention_gemm + mlp + lm_head, attention_scores
+
+
+def decode_flops(config: ModelConfig, context_tokens: int) -> Flops:
+    """Forward FLOPs to decode one token against ``context_tokens`` of KV."""
+    if context_tokens < 1:
+        raise ConfigurationError("context_tokens must be >= 1")
+    fixed, per_context_token = _decode_flop_terms(config)
+    return fixed + per_context_token * context_tokens
 
 
 def kv_bytes_per_token(config: ModelConfig, precision_bytes: int) -> Bytes:
@@ -120,22 +136,28 @@ class PhaseCostModel:
         if self.tensor_parallel < 1:
             raise ConfigurationError("tensor_parallel must be >= 1")
 
-    @property
+    @cached_property
     def compute(self) -> GpuComputeModel:
         return GpuComputeModel(self.gpu, self.gemm_efficiency)
 
-    @property
+    @cached_property
     def kv_token_bytes(self) -> Bytes:
         return kv_bytes_per_token(self.config, self.precision_bytes)
 
-    @property
+    @cached_property
     def kv_token_bytes_per_rank(self) -> Bytes:
         """KV bytes per token on each TP rank (heads are sharded)."""
         return self.kv_token_bytes / self.tensor_parallel
 
-    @property
+    @cached_property
     def weight_bytes_per_rank(self) -> Bytes:
         return weight_bytes(self.config, self.precision_bytes) / self.tensor_parallel
+
+    @cached_property
+    def decode_flop_terms(self) -> Tuple[Flops, Flops]:
+        """``(fixed, per_context_token)``: the two terms of
+        :func:`decode_flops`."""
+        return _decode_flop_terms(self.config)
 
     def prefill_time(self, prompt_tokens: int) -> Seconds:
         """Compute seconds to prefill one prompt (TP-sharded, no comm)."""
@@ -149,22 +171,24 @@ class PhaseCostModel:
         HBM time to stream the weight shard once plus each request's KV
         shard — the batched-decode memory wall.
         """
-        if not context_tokens_per_request:
+        contexts = context_tokens_per_request
+        if not contexts:
             return 0.0
-        flops = sum(decode_flops(self.config, context)
-                    for context in context_tokens_per_request)
+        if min(contexts) < 1:
+            raise ConfigurationError("context_tokens must be >= 1")
+        fixed, per_context_token = self.decode_flop_terms
+        flops = len(contexts) * fixed + per_context_token * sum(contexts)
         gemm = self.compute.gemm_time(flops / self.tensor_parallel)
+        per_token = self.kv_token_bytes_per_rank
         streamed = self.weight_bytes_per_rank + sum(
-            context * self.kv_token_bytes_per_rank
-            for context in context_tokens_per_request
-        )
+            context * per_token for context in contexts)
         return max(gemm, self.compute.memory_bound_time(streamed))
 
     def activation_payload(self, tokens: int) -> Bytes:
         """All-reduce payload for ``tokens`` positions of activations."""
         return tokens * self.config.hidden_size * self.precision_bytes
 
-    @property
+    @cached_property
     def all_reduces_per_pass(self) -> int:
         """Real NCCL launches one forward pass issues under TP."""
         return TP_ALL_REDUCES_PER_LAYER * self.config.num_layers

@@ -44,6 +44,17 @@ class ComputeStep:
             raise ConfigurationError("compute duration must be non-negative")
 
 
+#: the trace kernel kind of each collective
+_KERNEL_KINDS: Dict[CollectiveKind, KernelKind] = {
+    CollectiveKind.ALL_REDUCE: KernelKind.NCCL_ALL_REDUCE,
+    CollectiveKind.ALL_GATHER: KernelKind.NCCL_ALL_GATHER,
+    CollectiveKind.REDUCE_SCATTER: KernelKind.NCCL_REDUCE,
+    CollectiveKind.REDUCE: KernelKind.NCCL_REDUCE,
+    CollectiveKind.BROADCAST: KernelKind.NCCL_BROADCAST,
+    CollectiveKind.SEND_RECV: KernelKind.NCCL_SEND_RECV,
+}
+
+
 @dataclass(frozen=True)
 class CollectiveStep:
     """A collective over a named communicator.
@@ -75,14 +86,7 @@ class CollectiveStep:
 
     @property
     def kernel_kind(self) -> KernelKind:
-        return {
-            CollectiveKind.ALL_REDUCE: KernelKind.NCCL_ALL_REDUCE,
-            CollectiveKind.ALL_GATHER: KernelKind.NCCL_ALL_GATHER,
-            CollectiveKind.REDUCE_SCATTER: KernelKind.NCCL_REDUCE,
-            CollectiveKind.REDUCE: KernelKind.NCCL_REDUCE,
-            CollectiveKind.BROADCAST: KernelKind.NCCL_BROADCAST,
-            CollectiveKind.SEND_RECV: KernelKind.NCCL_SEND_RECV,
-        }[self.kind]
+        return _KERNEL_KINDS[self.kind]
 
 
 @dataclass(frozen=True)

@@ -385,9 +385,8 @@ class Executor:
         dram = self.cluster.dram_for_rank(rank).name
         topology = self.cluster.topology
         # GPU and DRAM are the rank's own; NVMe resolves per stripe member
-        endpoints = {Location.GPU: gpu, Location.DRAM: dram}
-        src = endpoints.get(step.src)
-        dst = endpoints.get(step.dst)
+        src = _rank_endpoint(step.src, gpu, dram)
+        dst = _rank_endpoint(step.dst, gpu, dram)
         if src is not None and dst is not None:
             route = topology.route(src, dst)
             return self.network.transfer(route, step.payload_bytes,
@@ -450,3 +449,14 @@ class Executor:
             node.cpus[socket].name, node.drams[socket].name
         )
         link.ledger.record(start, end, step.num_params * CPU_ADAM_BYTES_PER_PARAM)
+
+
+def _rank_endpoint(location: Location, gpu: str, dram: str) -> Optional[str]:
+    """The device ``location`` names for a rank whose GPU is ``gpu`` and
+    whose DRAM is ``dram``; None for NVMe.  Tested by identity: a dict
+    keyed by the enum would hash it in Python on every transfer."""
+    if location is Location.GPU:
+        return gpu
+    if location is Location.DRAM:
+        return dram
+    return None

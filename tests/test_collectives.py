@@ -11,8 +11,8 @@ from repro.collectives import (
 )
 from repro.errors import ConfigurationError
 from repro.hardware import dual_node_cluster, single_node_cluster
-from repro.sim.engine import Engine
-from repro.sim.flows import FlowNetwork
+from repro.sim.engine import Engine, Process
+from repro.sim.flows import FlowNetwork, Launch
 
 
 class TestRingMath:
@@ -145,6 +145,40 @@ class TestCollectiveExecution:
             return engine.run()
 
         assert run_with(10) > run_with(1)
+
+    def test_outage_probe_rescans_after_a_capacity_change(self,
+                                                          monkeypatch):
+        """The ring links are scanned for outages only after a capacity
+        change since the last scan that found them all up: a link taken
+        down after a clean collective sends the next one into the retry
+        loop, and once it is restored the next one dispatches at once."""
+        cluster = dual_node_cluster()
+        engine, _, comm = make_comm(cluster, list(range(8)))
+        op = CollectiveOp(CollectiveKind.ALL_REDUCE, 64e6, 8)
+        scans = []
+        down_links = NcclCommunicator._down_links
+        monkeypatch.setattr(NcclCommunicator, "_down_links",
+                            lambda self: scans.append(None) or
+                            down_links(self))
+
+        def entered_retry(event):
+            return (isinstance(event, Process)
+                    and event.generator.__name__ == "_retry_until_path_up")
+
+        assert isinstance(comm.run(op), Launch)
+        engine.run()
+        assert isinstance(comm.run(op), Launch)
+        assert len(scans) == 1  # no capacity change, no second scan
+        engine.run()
+        link = comm.rings[0].routes[0].links[0]
+        link.set_capacity_fraction(0.0, at_time=engine.now)
+        stalled = comm.run(op)
+        assert entered_retry(stalled)
+        link.reset_capacity()
+        resumed = comm.run(op)
+        assert isinstance(resumed, Launch)
+        engine.run()
+        assert stalled.triggered and resumed.triggered
 
     def test_send_recv_moves_payload(self):
         cluster = single_node_cluster()

@@ -1,10 +1,13 @@
 """Inference serving: requests, cost model, KV cache, scheduler, service."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.determinism.differ import diff_headline_runs
 from repro.errors import ConfigurationError
 from repro.hardware.devices import MemoryPool
+from repro.hardware.gpu import GpuSpec
 from repro.inference import (
     InferenceSpec,
     KvCache,
@@ -21,7 +24,8 @@ from repro.inference import (
     trace_requests,
     weight_bytes,
 )
-from repro.model.config import paper_model
+from repro.model.config import ModelConfig, paper_model
+from repro.runtime.kernels import GpuComputeModel
 from repro.sim.engine import ReversedTies, SeededTies
 from repro.trace import DEFAULT_COUNTER_SAMPLES
 
@@ -111,6 +115,81 @@ class TestCostModel:
         # A shard computes faster than the whole model.
         assert tp4.prefill_time(256) < solo.prefill_time(256)
         assert tp4.decode_step_time([256]) < solo.decode_step_time([256])
+
+
+def _per_request_decode_flops(config, context_tokens):
+    """Decode FLOPs of one request, the formula written out term by term."""
+    h = config.hidden_size
+    ffn = config.ffn_hidden
+    L = config.num_layers
+    attention_gemm = L * (2 * h * (3 * h) + 2 * h * h)
+    attention_scores = L * 2 * (
+        2 * config.num_heads * context_tokens * config.head_dim
+    )
+    mlp = L * (2 * h * ffn + 2 * ffn * h)
+    lm_head = 2 * h * config.vocab_size
+    return attention_gemm + attention_scores + mlp + lm_head
+
+
+def reference_decode_step_time(cost, contexts):
+    """The decode step as a per-request loop that re-derives every
+    constant: the reference for :meth:`PhaseCostModel.decode_step_time`."""
+    if not contexts:
+        return 0.0
+    flops = sum(_per_request_decode_flops(cost.config, context)
+                for context in contexts)
+    compute = GpuComputeModel(cost.gpu, cost.gemm_efficiency)
+    gemm = compute.gemm_time(flops / cost.tensor_parallel)
+    kv_per_rank = (kv_bytes_per_token(cost.config, cost.precision_bytes)
+                   / cost.tensor_parallel)
+    streamed = (weight_bytes(cost.config, cost.precision_bytes)
+                / cost.tensor_parallel
+                + sum(context * kv_per_rank for context in contexts))
+    return max(gemm, compute.memory_bound_time(streamed))
+
+
+@st.composite
+def cost_models(draw):
+    heads = draw(st.integers(1, 64))
+    config = ModelConfig(
+        num_layers=draw(st.integers(1, 128)),
+        hidden_size=heads * draw(st.integers(1, 256)),
+        num_heads=heads,
+        vocab_size=draw(st.integers(1, 2 ** 17)),
+        ffn_multiplier=draw(st.integers(1, 8)),
+        tied_embeddings=draw(st.booleans()),
+    )
+    return PhaseCostModel(
+        config, GpuSpec(), tensor_parallel=draw(st.integers(1, 16)),
+        precision_bytes=draw(st.sampled_from([1, 2, 4])),
+        # low efficiencies make short-context steps compute-bound
+        gemm_efficiency=draw(st.one_of(st.floats(1e-3, 1e-2),
+                                       st.floats(1e-2, 1.0))))
+
+
+_contexts = st.one_of(st.integers(1, 2048), st.integers(1, 2 ** 62))
+
+
+# TP 3 does not divide the 32,768 KV bytes per token; 300 short requests
+# make the step compute-bound, so the FLOP sum decides it.
+@example(cost=PhaseCostModel(paper_model(num_layers=4), GpuSpec(),
+                             tensor_parallel=3),
+         contexts=[1] * 300)
+@example(cost=PhaseCostModel(paper_model(num_layers=4), GpuSpec(),
+                             tensor_parallel=3),
+         contexts=[2 ** 62, 1])
+@given(cost=cost_models(),
+       contexts=st.one_of(st.just([]), st.lists(_contexts, min_size=1,
+                                                max_size=1),
+                          st.lists(_contexts, min_size=2, max_size=400)))
+@settings(max_examples=200, deadline=None)
+def test_decode_step_time_matches_the_per_request_loop(cost, contexts):
+    """The decode step computed from per-instance constants equals the
+    per-request loop bit for bit, compute- or memory-bound."""
+    assert (cost.decode_step_time(contexts).hex()
+            == reference_decode_step_time(cost, contexts).hex())
+    with pytest.raises(ConfigurationError, match="context_tokens"):
+        cost.decode_step_time(contexts + [0])
 
 
 class TestKvCache:
