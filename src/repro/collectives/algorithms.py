@@ -29,12 +29,14 @@ class Algorithm(enum.Enum):
 #: multi-node all-reduce sits in the hundreds of kilobytes).
 TREE_PAYLOAD_THRESHOLD = 512 * 1024
 
-#: Collectives with a tree schedule; the rest always use the ring.
-TREE_CAPABLE = frozenset({
+#: Collectives with a tree schedule; the rest always use the ring.  A
+#: tuple, so a membership test compares by identity: a set would hash
+#: the kind through ``Enum.__hash__``, in Python, on every collective.
+TREE_CAPABLE = (
     CollectiveKind.ALL_REDUCE,
     CollectiveKind.REDUCE,
     CollectiveKind.BROADCAST,
-})
+)
 
 
 def choose_algorithm(algorithm: Algorithm, kind: CollectiveKind,

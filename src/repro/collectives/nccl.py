@@ -175,7 +175,7 @@ class NcclCommunicator:
         #: memoized launch plans keyed on (schedule, kind, payload) —
         #: identical collective calls across iterations reuse the plan
         #: instead of re-deriving routes, payload splits, and weights.
-        self._plan_cache: Dict[Tuple[str, object, float], _LaunchPlan] = {}
+        self._plan_cache: Dict[Tuple[str, str, float], _LaunchPlan] = {}
 
     # -- construction -------------------------------------------------------------
     @staticmethod
@@ -331,8 +331,10 @@ class NcclCommunicator:
     _PLAN_CACHE_MAX = 512
 
     def _launch_plan(self, schedule: str, op: CollectiveOp) -> _LaunchPlan:
-        """The memoized flow schedule for one (schedule, kind, payload)."""
-        key = (schedule, op.kind, float(op.payload_bytes))
+        """The memoized flow schedule for one (schedule, kind, payload).
+        The key holds the kind's value, not the member, which would be
+        hashed in Python on every run."""
+        key = (schedule, op.kind._value_, float(op.payload_bytes))
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = (self._ring_plan(op) if schedule == "ring"

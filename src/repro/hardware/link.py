@@ -9,8 +9,8 @@ timestamped, so the telemetry layer can reconstruct the
 avg/90th-percentile/peak utilization figures the paper reports (Table IV)
 and the time-series plots (Figs. 9, 10, 12).  A fabric writes each settled
 transfer interval once, into its :class:`IntervalLog`, naming every link
-the interval loaded; each link's :class:`BandwidthLedger` reads its own
-records back from the log.
+the interval loaded (for a flow group, every member's links); each
+link's :class:`BandwidthLedger` reads its own records back from the log.
 """
 
 from __future__ import annotations
@@ -146,12 +146,14 @@ class IntervalLog:
     (``array('i')``), interned per log, naming the ledger slots the
     interval loaded, in route order, and a bitmask of the positions whose
     link was degraded while it ran.  So an interval is written once, in
-    28 bytes, however many links it crossed; each link's
-    :class:`BandwidthLedger` is the read-only view of its slot.  A
-    :class:`~repro.hardware.topology.Topology` owns one log; a link
-    outside any topology keeps a private one.  :meth:`replicate` stores
-    the hybrid extrapolator's copies as blocks, expanded only while a
-    consumer walks them.
+    28 bytes, however many links it crossed.  One constant-rate interval
+    of a flow group is one row too: its key names every member's slots,
+    member after member, and each position is charged the row's bytes.
+    Each link's :class:`BandwidthLedger` is the read-only view of its
+    slot.  A :class:`~repro.hardware.topology.Topology` owns one log; a
+    link outside any topology keeps a private one.  :meth:`replicate`
+    stores the hybrid extrapolator's copies as blocks, expanded only
+    while a consumer walks them.
     """
 
     def __init__(self) -> None:
@@ -237,7 +239,8 @@ class IntervalLog:
         log's rows, then ``(block, rows, degraded)`` per replica block.
 
         A row whose key holds the slot twice (a route that crosses a link
-        twice) is listed twice, since it charged the link twice.
+        twice, or two members of a flow group that cross it) is listed
+        twice, since it charged the link twice.
         """
         count = np.zeros(len(self._key_ids), np.intp)
         flags = np.zeros(len(self._key_ids), bool)

@@ -12,9 +12,10 @@ bandwidth — which reproduces NCCL's transport selection (NVLink inside a
 node, the same-socket NIC for inter-node traffic).  Each Route knows its
 end-to-end latency and attainable bandwidth, including the EPYC SerDes
 contention derate of :mod:`repro.hardware.serdes`.  The topology owns the
-fabric's :class:`~repro.hardware.link.IntervalLog`: a route writes each
-interval it carries there once, and every link's ledger reads its own
-records from it.
+fabric's :class:`~repro.hardware.link.IntervalLog`: a route, or the
+:class:`RouteBundle` of a flow group's members, writes each interval it
+carries there once, and every link's ledger reads its own records from
+it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,44 @@ from .serdes import SerdesContentionModel, TrafficProfile
 PoolKey = Tuple[Link, int]
 
 
-class Route:
+class _Charged:
+    """A fixed sequence of links that each of its intervals loads at once.
+
+    :meth:`record` writes an interval as one row of the fabric's
+    :class:`~repro.hardware.link.IntervalLog`, keyed by the links' ledger
+    slots in order and the degraded bits that held while it ran.
+    """
+
+    def __init__(self, links: Sequence[Link], log: IntervalLog) -> None:
+        self.links: Tuple[Link, ...] = tuple(links)
+        self._log = log
+        self._slots = tuple(link.ledger.slot for link in self.links)
+        #: the log key of an interval and the capacity epoch it was read at
+        self._key = 0
+        self._key_epoch = -1
+
+    def record(self, start: Seconds, end: Seconds,
+               num_bytes: Bytes) -> None:
+        """Charge ``num_bytes`` over [start, end] to every link's ledger,
+        once per position it holds: one row of the fabric's interval log.
+
+        The row is stamped with each link's *current* degradation state,
+        re-read only after a capacity change; the flow network settles
+        intervals before any capacity change is applied, so the stamp is
+        valid for the whole interval.
+        """
+        if not self.links:
+            return
+        log = self._log
+        if self._key_epoch != log.capacity_epoch:
+            mask = sum(1 << position for position, link
+                       in enumerate(self.links) if link.is_degraded)
+            self._key = log.key(self._slots, mask)
+            self._key_epoch = log.capacity_epoch
+        log.add_interval(start, end, num_bytes, self._key)
+
+
+class Route(_Charged):
     """An ordered path of links between two devices.
 
     The pools a route loads, its per-profile SerDes derate, its latency
@@ -46,14 +84,9 @@ class Route:
 
     def __init__(self, source: str, destination: str, links: Sequence[Link],
                  contention: SerdesContentionModel, log: IntervalLog) -> None:
+        super().__init__(links, log)
         self.source = source
         self.destination = destination
-        self.links: Tuple[Link, ...] = tuple(links)
-        self._log = log
-        self._slots = tuple(link.ledger.slot for link in self.links)
-        #: the log key of an interval and the capacity epoch it was read at
-        self._key = 0
-        self._key_epoch = -1
         #: the smallest link capacity and the epoch it was read at
         self._bottleneck, self._bottleneck_epoch = 0.0, -1
         #: per-direction pool of every link along the route, in order
@@ -126,29 +159,41 @@ class Route:
             return 0.0
         return self.latency() + num_bytes / self.bandwidth(profile)
 
-    def record(self, start: Seconds, end: Seconds,
-               num_bytes: Bytes) -> None:
-        """Charge ``num_bytes`` over [start, end] to every link's ledger:
-        one row of the fabric's interval log.
-
-        The row is stamped with each link's *current* degradation state,
-        re-read only after a capacity change; the flow network settles
-        intervals before any capacity change is applied, so the stamp is
-        valid for the whole interval.
-        """
-        if not self.links:
-            return
-        log = self._log
-        if self._key_epoch != log.capacity_epoch:
-            mask = sum(1 << position for position, link
-                       in enumerate(self.links) if link.is_degraded)
-            self._key = log.key(self._slots, mask)
-            self._key_epoch = log.capacity_epoch
-        log.add_interval(start, end, num_bytes, self._key)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         hops = " -> ".join(str(link.link_class) for link in self.links)
         return f"Route({self.source} -> {self.destination}: {hops or 'loopback'})"
+
+
+class RouteBundle(_Charged):
+    """The routes of a flow group's members, charged as one.
+
+    The members of a group move the same bytes over the same intervals,
+    so one interval of the group is one log row whose key names every
+    member's slots, in member order; a link that two members cross is
+    named, and charged, twice.  The pools the group loads are the union
+    of its members' pools, each once.
+    """
+
+    def __init__(self, routes: Sequence[Route]) -> None:
+        self.routes: Tuple[Route, ...] = tuple(routes)
+        super().__init__([link for route in self.routes
+                          for link in route.links], self.routes[0]._log)
+        self.pool_keys: Tuple[PoolKey, ...] = tuple(dict.fromkeys(
+            key for route in self.routes for key in route.pool_keys))
+        self._bottleneck: Optional[BytesPerSecond] = None
+        self._bottleneck_epoch = -1
+
+    def bottleneck(self) -> Optional[BytesPerSecond]:
+        """The members' common bottleneck, or ``None`` while a capacity
+        change holds some member's route at a different one; re-read
+        only after a capacity change."""
+        epoch = self._log.capacity_epoch
+        if self._bottleneck_epoch != epoch:
+            first, *others = [route.bottleneck() for route in self.routes]
+            self._bottleneck = (None if any(other != first for other in others)
+                                else first)
+            self._bottleneck_epoch = epoch
+        return self._bottleneck
 
 
 def _pool_keys(source: str, links: Sequence[Link]) -> Tuple[PoolKey, ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..collectives.primitives import CollectiveKind
@@ -84,8 +85,10 @@ class CollectiveStep:
         if self.op_count < 1:
             raise ConfigurationError("op_count must be >= 1")
 
-    @property
+    @cached_property
     def kernel_kind(self) -> KernelKind:
+        """The trace kernel kind, looked up once per step: the lookup
+        hashes the kind in Python."""
         return _KERNEL_KINDS[self.kind]
 
 

@@ -51,14 +51,16 @@ class KernelKind(enum.Enum):
 
 #: Kernel kinds a straggler GPU's degraded clocks stretch.  Communication,
 #: host I/O, and idle time are paced by the fabric or by other ranks, not
-#: by this GPU's SMs, so a straggler fault leaves them untouched.
-STRAGGLER_KINDS = frozenset({
+#: by this GPU's SMs, so a straggler fault leaves them untouched.  A
+#: tuple, so a membership test compares by identity instead of hashing
+#: the kind in Python.
+STRAGGLER_KINDS = (
     KernelKind.GEMM,
     KernelKind.ELEMENTWISE,
     KernelKind.TRANSFORM,
     KernelKind.MEMORY,
     KernelKind.OPTIMIZER,
-})
+)
 
 
 def straggler_multiplier(kind: "KernelKind", factor: float) -> float:

@@ -202,8 +202,8 @@ class BatchHandler:
     of the whole schedule.
 
     The flow network registers its activation path as a ``BatchHandler``
-    so a collective launching N flows at one instant costs one
-    settle/reallocate round instead of N (see
+    so same-instant activations of flows and flow groups cost one
+    settle/reallocate round instead of one each (see
     :meth:`repro.sim.flows.FlowNetwork._activate_batch`).
     """
 
@@ -352,9 +352,10 @@ class Engine:
         """Callbacks executed, counting each folded occurrence.
 
         Folded batches count at their original multiplicity (a batch of
-        N scheduled occurrences dispatched once still adds N), so the
-        events/sec trajectory in ``benchmarks/`` stays apples-to-apples
-        across the batching change.
+        N scheduled occurrences dispatched once still adds N), and so
+        does a callback that stands for several (:meth:`fold_occurrences`),
+        so the events/sec trajectory in ``benchmarks/`` stays
+        apples-to-apples across the batching change.
         """
         return self._processed
 
@@ -365,6 +366,17 @@ class Engine:
         A batch of N adds N-1 here (one dispatch stood for N pops).
         """
         return self._folded
+
+    def fold_occurrences(self, extra: int) -> None:
+        """Count ``extra`` more occurrences folded into the running
+        dispatch.
+
+        A callback that does the work of ``extra + 1`` scheduled events
+        counts at that multiplicity, as a folded batch does: a flow
+        group's one activation stands for one per member.
+        """
+        self._processed += extra
+        self._folded += extra
 
     def peek(self) -> Optional[Seconds]:
         """Time of the next scheduled callback, or None when idle."""

@@ -26,9 +26,18 @@ with no more ledger records than the eager run keeps.
 
 :meth:`~repro.sim.flows.FlowNetwork.launch` is tested against
 :func:`all_of_launch`, the one event per transfer and ``AllOf`` it
-replaces: grouped scenarios under three tie orders, and the same three
-training runs, must be **bit-identical** — fire instants, interval-log
-columns, event counts and headline fields.
+replaces: grouped scenarios under three tie orders, launched on a
+:class:`PerFlowNetwork`, must be **bit-identical** in fire instants,
+ledger records and event counts, and the same three training runs, on
+the grouping network, in headline fields, ledger records and event
+counts.
+
+Flow groups are tested against :class:`PerFlowNetwork`, in which every
+transfer is a group of its own: ring-shaped launches under faults and
+three tie orders must agree **within 1e-12 relative** in launch and
+transfer finish instants, ledger byte totals, sampled bins and degraded
+windows, and every engine step of the grouped run must pass the checks
+above.  Two planted faults must fail that harness.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.determinism.differ import headline_fields
@@ -50,9 +59,10 @@ from repro.hardware import dual_node_cluster, paper_cluster, single_node_cluster
 from repro.hardware.devices import Device, DeviceKind
 from repro.hardware.link import Link, LinkClass, LinkSpec
 from repro.hardware.serdes import TrafficProfile
-from repro.hardware.topology import Topology
+from repro.hardware.topology import RouteBundle, Topology
+from repro.sim import flows as flows_module
 from repro.sim.engine import Engine, ReversedTies, SeededTies, TieOrder
-from repro.sim.flows import Flow, FlowNetwork, reference_rates
+from repro.sim.flows import Flow, FlowGroup, FlowNetwork, reference_rates
 
 CLUSTERS = {
     "single": single_node_cluster,
@@ -241,34 +251,42 @@ def _issue(network: FlowNetwork, route, spec: FlowSpec, index: int,
     ).add_callback(lambda event: finished.setdefault(index, engine.now))
 
 
-def assert_same_accounting(lazy_links, eager_links, end: float) -> None:
-    """Lazy ledgers against eager ones, link by link: equal bytes and
-    sampled bins within 1e-12, the same degraded windows, no more
-    records.  A degraded window can end where a flow finishes, and
-    finish instants agree within 1e-12, so window ends are compared at
-    that tolerance.  Every degraded window of the lazy ledgers also lies
-    inside a span in which the link ran below its rated capacity."""
-    for lazy, eager in zip(lazy_links, eager_links):
-        assert lazy.name == eager.name
-        assert math.isclose(lazy.ledger.total_bytes, eager.ledger.total_bytes,
-                            rel_tol=GLOBAL_RTOL), lazy.name
-        bins = lazy.ledger.sample(0.0, end, 200)
-        reference = eager.ledger.sample(0.0, end, 200)
-        peak = max(reference)
-        for got, want in zip(bins, reference):
-            assert abs(got - want) <= GLOBAL_RTOL * peak, lazy.name
-        windows = lazy.ledger.degraded_intervals()
-        reference_windows = eager.ledger.degraded_intervals()
-        assert len(windows) == len(reference_windows), lazy.name
+def assert_same_ledgers(links, reference_links, end: float) -> None:
+    """Ledgers against reference ones, link by link: equal bytes and
+    sampled bins within 1e-12 and the same degraded windows.  A degraded
+    window can end where a flow finishes, and finish instants agree
+    within 1e-12, so window ends are compared at that tolerance.  Every
+    degraded window of ``links`` also lies inside a span in which the
+    link ran below its rated capacity."""
+    for link, reference in zip(links, reference_links):
+        assert link.name == reference.name
+        assert math.isclose(link.ledger.total_bytes,
+                            reference.ledger.total_bytes,
+                            rel_tol=GLOBAL_RTOL), link.name
+        bins = link.ledger.sample(0.0, end, 200)
+        wanted = reference.ledger.sample(0.0, end, 200)
+        peak = max(wanted)
+        for got, want in zip(bins, wanted):
+            assert abs(got - want) <= GLOBAL_RTOL * peak, link.name
+        windows = link.ledger.degraded_intervals()
+        reference_windows = reference.ledger.degraded_intervals()
+        assert len(windows) == len(reference_windows), link.name
         for got, want in zip(windows, reference_windows):
             for got_at, want_at in zip(got, want):
                 assert math.isclose(got_at, want_at,
-                                    rel_tol=GLOBAL_RTOL), lazy.name
+                                    rel_tol=GLOBAL_RTOL), link.name
         for start, stop in windows:
-            assert (lazy.max_capacity_over(start, stop)
-                    < lazy.base_capacity_per_direction), (
-                f"{lazy.name}: degraded record over [{start}, {stop}] "
+            assert (link.max_capacity_over(start, stop)
+                    < link.base_capacity_per_direction), (
+                f"{link.name}: degraded record over [{start}, {stop}] "
                 f"reaches into rated capacity")
+
+
+def assert_same_accounting(lazy_links, eager_links, end: float) -> None:
+    """Lazy ledgers against eager ones: :func:`assert_same_ledgers`, and
+    no more records on any link."""
+    assert_same_ledgers(lazy_links, eager_links, end)
+    for lazy, eager in zip(lazy_links, eager_links):
         assert len(lazy.ledger) <= len(eager.ledger), lazy.name
 
 
@@ -480,19 +498,57 @@ def launch_scenarios(draw):
     return cluster_name, launches, faults
 
 
-def simulate_launches(cluster_name: str, launches: List[LaunchSpec],
-                      faults: List[FaultEvent], *, tie_order: TieOrder,
-                      start=FlowNetwork.launch):
-    """Run ``launches`` to completion, each started by ``start``; the
-    fire instant of each launch, the interval log's columns and the
-    engine's event counts."""
+def ledger_records(cluster) -> Dict[str, List[Tuple[str, str, str, bool]]]:
+    """Every link's ledger records in order, floats as ``.hex()``."""
+    return {link.name: [(record.start.hex(), record.end.hex(),
+                         float(record.num_bytes).hex(), record.degraded)
+                        for record in link.ledger]
+            for link in cluster.topology.links}
+
+
+@dataclass
+class LaunchRun:
+    """What one :func:`run_launches` call leaves behind."""
+
+    cluster: object
+    network: FlowNetwork
+    #: fire instant of each launch, by launch index
+    fired: Dict[int, float]
+    #: finish instant of each transfer, by flow id (observed runs only)
+    closed: Dict[int, float]
+    #: engine states the allocation was checked in
+    checked: int
+
+
+class FinishLog:
+    """An instrument that notes when each transfer finished."""
+
+    def __init__(self) -> None:
+        self.closed: Dict[int, float] = {}
+
+    def flow_closed(self, flow: Flow, now: float) -> None:
+        assert flow.id not in self.closed
+        self.closed[flow.id] = now
+
+
+def run_launches(cluster_name: str, launches: List[LaunchSpec],
+                 faults: List[FaultEvent], *, tie_order: TieOrder,
+                 start=FlowNetwork.launch, network_class=FlowNetwork,
+                 observe: bool = False, check: bool = False) -> LaunchRun:
+    """Run ``launches`` to completion on a ``network_class`` network,
+    each started by ``start``; with ``observe`` a :class:`FinishLog` is
+    attached, and with ``check`` the allocation is checked as in
+    :func:`simulate` after every engine step."""
     cluster = CLUSTERS[cluster_name]()
     engine = Engine(tie_order=tie_order)
-    network = FlowNetwork(engine)
+    network = network_class(engine)
+    finishes = FinishLog()
+    if observe:
+        network.observers = (finishes,)
     if faults:
         FaultInjector(FaultPlan(events=list(faults), seed=3), cluster,
                       engine, network)
-    fired: Dict[int, str] = {}
+    fired: Dict[int, float] = {}
     topology = cluster.topology
 
     def issue(index: int, spec: LaunchSpec) -> None:
@@ -502,15 +558,87 @@ def simulate_launches(cluster_name: str, launches: List[LaunchSpec],
                      in spec.entries]
         start(network, transfers, profile=spec.profile,
               label=f"launch{index}", hold=spec.hold).add_callback(
-            lambda event: fired.setdefault(index, engine.now.hex()))
+            lambda event: fired.setdefault(index, engine.now))
 
     for index, spec in enumerate(launches):
         engine.schedule_at(spec.issue_at, issue, index, spec)
-    engine.run()
-    log = topology.log
-    return (fired, [bytes(column) for column in
-                    (log.starts, log.ends, log.sizes, log.keys)],
-            engine.events_processed, engine.events_folded)
+    checked = 0
+    engine.run(until=0.0)  # arms the fault injector
+    for _ in range(1_000_000):
+        if engine.peek() is None:
+            break
+        if check:
+            active = network.active_flows()
+            if active:
+                assert_matches_reference(active)
+                assert_max_min(active)
+                checked += 1
+        engine.step()
+    else:  # pragma: no cover - a runaway schedule is itself a failure
+        pytest.fail("simulation did not drain")
+    assert network.active_count == 0
+    return LaunchRun(cluster, network, fired, finishes.closed, checked)
+
+
+class PerFlowNetwork(FlowNetwork):
+    """The reference for flow groups: every transfer of a launch is a
+    group of its own."""
+
+    @staticmethod
+    def _lockstep_key(route, num_bytes, weight_multiplier, cap, profile):
+        return num_bytes, weight_multiplier, cap, object()
+
+
+class GroupCountingNetwork(FlowNetwork):
+    """The grouped network, counting the groups of two or more members
+    it activates and the parts that splits make."""
+
+    def __init__(self, engine: Engine) -> None:
+        super().__init__(engine)
+        self.grouped = 0
+        self.parts = 0
+
+    def _add(self, flow, touched):
+        self.grouped += flow.size > 1
+        super()._add(flow, touched)
+
+    def _part(self, group, positions):
+        self.parts += 1
+        return super()._part(group, positions)
+
+
+TIE_ORDERS = (TieOrder(), ReversedTies(), SeededTies(11))
+
+
+def assert_groups_match(grouped: LaunchRun, reference: LaunchRun) -> bool:
+    """Fire and finish instants within 1e-12 relative, and the ledgers
+    as in :func:`assert_same_ledgers`; returns whether every instant and
+    ledger byte total is also bit-identical.  Records are not counted: a
+    group settles all its members whenever one member's component
+    changes, so it can leave more of them."""
+    assert grouped.fired.keys() == reference.fired.keys()
+    assert grouped.closed.keys() == reference.closed.keys()
+    pairs = ([(grouped.fired[index], instant)
+              for index, instant in reference.fired.items()]
+             + [(grouped.closed[flow_id], instant)
+                for flow_id, instant in reference.closed.items()])
+    for got, want in pairs:
+        assert math.isclose(got, want, rel_tol=GLOBAL_RTOL), (got, want)
+    links = grouped.cluster.topology.links
+    reference_links = reference.cluster.topology.links
+    assert_same_ledgers(links, reference_links, max(reference.fired.values()))
+    return (all(got == want for got, want in pairs)
+            and all(link.ledger.total_bytes == other.ledger.total_bytes
+                    for link, other in zip(links, reference_links)))
+
+
+def exact_results(run: LaunchRun):
+    """Each launch's fire instant as ``.hex()``, each link's ledger
+    records and the engine's event counts."""
+    engine = run.network.engine
+    return ({index: instant.hex() for index, instant in run.fired.items()},
+            ledger_records(run.cluster), engine.events_processed,
+            engine.events_folded)
 
 
 @given(scenario=launch_scenarios())
@@ -519,33 +647,35 @@ def simulate_launches(cluster_name: str, launches: List[LaunchSpec],
 def test_launch_matches_all_of_transfers(scenario):
     """One launch event fires when and as the ``AllOf`` over one event
     per transfer and the hold's ``Timeout`` does, and leaves the same
-    interval log and event counts, under every tie order."""
+    ledger records and event counts, under every tie order.  The
+    launches run on a :class:`PerFlowNetwork`, where every transfer is a
+    unit of its own as under the ``AllOf``; flow groups are held to that
+    network by :func:`test_flow_groups_match_one_flow_per_transfer`."""
     cluster_name, launches, faults = scenario
-    for tie_order in (TieOrder(), ReversedTies(), SeededTies(11)):
-        launched = simulate_launches(cluster_name, launches, faults,
-                                     tie_order=tie_order)
-        reference = simulate_launches(cluster_name, launches, faults,
-                                      tie_order=tie_order,
-                                      start=all_of_launch)
-        assert sorted(launched[0]) == list(range(len(launches)))
-        assert launched == reference, tie_order.name
+    for tie_order in TIE_ORDERS:
+        launched = run_launches(cluster_name, launches, faults,
+                                tie_order=tie_order,
+                                network_class=PerFlowNetwork)
+        reference = run_launches(cluster_name, launches, faults,
+                                 tie_order=tie_order, start=all_of_launch)
+        assert sorted(launched.fired) == list(range(len(launches)))
+        assert exact_results(launched) == exact_results(reference), (
+            tie_order.name)
 
 
 @pytest.mark.parametrize("name", sorted(TRAINING_RUNS))
 def test_launch_matches_all_of_transfers_on_training_runs(name,
                                                           monkeypatch):
     """Collectives launched as an ``AllOf`` over one event per flow give
-    bit-identical headline fields and interval-log columns."""
+    bit-identical headline fields, ledger records and event counts."""
     spec = TRAINING_RUNS[name]
 
     def run():
         cluster = build_cluster(spec)
         metrics = run_spec(spec, cluster=cluster)
-        log = cluster.topology.log
         return ({key: value.hex() for key, value
                  in headline_fields(metrics, cluster).items()},
-                [bytes(column) for column in
-                 (log.starts, log.ends, log.sizes, log.keys)],
+                ledger_records(cluster),
                 metrics.execution.events_processed,
                 metrics.execution.events_folded)
 
@@ -560,6 +690,124 @@ def test_launch_matches_all_of_transfers_on_training_runs(name,
     monkeypatch.setattr("repro.collectives.nccl.NcclCommunicator._launch",
                         launch_as_all_of)
     assert launched == run()
+
+
+# ---------------------------------------------------------------------------
+# flow groups against one flow per transfer
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ring_scenarios(draw):
+    """Ring-shaped launches: each has one payload, weight multiplier and
+    cap for its 2-8 entries, which follow a ring through drawn GPUs or
+    drawn devices of any kind; plus up to three faults and a tie order.
+    Entries whose routes share latency, derate and bottleneck form flow
+    groups, as the ring flows of a collective do."""
+    cluster_name = draw(st.sampled_from(sorted(CLUSTERS)))
+    devices = DEVICES[cluster_name]
+    gpus = [name for name in devices if "/gpu" in name]
+    launches = []
+    for _ in range(draw(st.integers(1, 3))):
+        ring = draw(st.lists(st.sampled_from(draw(st.sampled_from(
+            [gpus, devices]))), min_size=2, max_size=8, unique=True))
+        payload = (draw(st.floats(1e6, 4e9)),
+                   draw(st.sampled_from([1.0, 1.7, 3.3])),
+                   draw(st.one_of(st.none(), st.floats(2e9, 4e10))))
+        launches.append(LaunchSpec(
+            draw(st.floats(0.0, 0.04)),
+            draw(st.sampled_from(list(TrafficProfile))),
+            draw(st.one_of(st.none(), st.floats(0.0, 0.05))),
+            tuple((source, destination, *payload) for source, destination
+                  in zip(ring, ring[1:] + ring[:1]))))
+    faults = draw(st.lists(fault_events(cluster_name), max_size=3))
+    return cluster_name, launches, faults, draw(st.sampled_from(TIE_ORDERS))
+
+
+@given(scenario=ring_scenarios())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_flow_groups_match_one_flow_per_transfer(scenario):
+    """Launches run as flow groups and as one flow per transfer agree:
+    launch and transfer finish instants, ledger byte totals, sampled bins
+    and degraded windows within 1e-12 relative.  Every engine step of
+    the grouped run also passes :func:`simulate`'s checks, so each
+    member's rate is byte-identical to the reference fill of its own
+    component."""
+    cluster_name, launches, faults, tie_order = scenario
+    grouped = run_launches(cluster_name, launches, faults,
+                           tie_order=tie_order,
+                           network_class=GroupCountingNetwork,
+                           observe=True, check=True)
+    reference = run_launches(cluster_name, launches, faults,
+                             tie_order=tie_order,
+                             network_class=PerFlowNetwork, observe=True)
+    exact = assert_groups_match(grouped, reference)
+    event("groups of 2+ members: "
+          + ("formed" if grouped.network.grouped else "none"))
+    event("groups split: " + ("yes" if grouped.network.parts else "no"))
+    event("instants and byte totals: "
+          + ("bit-identical" if exact else "within 1e-12"))
+
+
+#: One ring over the single node's GPUs, and a fault that halves the
+#: NVLink under one member (not the first) while the ring streams.
+PLANTED_RING = ("single", [LaunchSpec(0.0, TrafficProfile.BURSTY, None, tuple(
+    (f"node0/gpu{index}", f"node0/gpu{(index + 1) % 4}", 4e9, 1.0, None)
+    for index in range(4)))])
+
+
+def planted_runs():
+    """The grouped and the per-flow run of :data:`PLANTED_RING`."""
+    cluster_name, launches = PLANTED_RING
+    cluster = CLUSTERS[cluster_name]()
+    link = cluster.topology.route("node0/gpu1", "node0/gpu2").links[0]
+    faults = [FaultEvent(target=link.name, kind=FaultKind.LINK_DEGRADE,
+                         start=0.01, duration=0.02, magnitude=0.5)]
+    return [run_launches(cluster_name, launches, faults,
+                         tie_order=TieOrder(), network_class=network_class,
+                         observe=True)
+            for network_class in (GroupCountingNetwork, PerFlowNetwork)]
+
+
+def test_planted_ring_forms_and_splits_a_group():
+    """The plants' scenario forms one group of four, which splits when
+    the fault lands, and passes the harness unplanted."""
+    grouped, reference = planted_runs()
+    assert grouped.network.grouped == 1 and grouped.network.parts
+    assert_groups_match(grouped, reference)
+
+
+def test_plant_group_that_does_not_split_fails_the_harness(monkeypatch):
+    """A group that keeps one rate and capacity for all its members when
+    one member's link degrades must fail the harness."""
+    def unsplit_fill(units):
+        rates, _ = fill(units)
+        return rates, None
+
+    def unsplit_capacity(group):
+        group.weight, group.cap = group.members()[0].capacity()
+        return False
+
+    fill = flows_module._fill
+    monkeypatch.setattr(flows_module, "_fill", unsplit_fill)
+    monkeypatch.setattr(FlowGroup, "refresh_capacity", unsplit_capacity)
+    grouped, reference = planted_runs()
+    assert grouped.network.grouped == 1 and not grouped.network.parts
+    with pytest.raises(AssertionError):
+        assert_groups_match(grouped, reference)
+
+
+def test_plant_group_row_naming_only_its_first_member_fails_the_harness(
+        monkeypatch):
+    """A group row that charges only its first member's links must fail
+    the harness."""
+    monkeypatch.setattr(
+        RouteBundle, "record",
+        lambda bundle, start, end, num_bytes: bundle.routes[0].record(
+            start, end, num_bytes))
+    grouped, reference = planted_runs()
+    with pytest.raises(AssertionError):
+        assert_groups_match(grouped, reference)
 
 
 def test_four_transfer_case_fills_to_caps_and_pools():
