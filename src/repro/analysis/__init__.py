@@ -1,7 +1,6 @@
 """Pre-run static analysis: config/topology lints, DES liveness, source
-hygiene, the determinism race detector, the interprocedural dimensional
-analysis (``DIM0xx``), and the resource-lifecycle typestate passes
-(``RES0xx``).
+hygiene, the determinism race detector, and the interprocedural
+dimensional analysis (``DIM0xx``).
 
 See DESIGN.md ("Static analysis" and "Determinism guarantees") for the
 pass catalog and how to write a new pass.  The CLI front end is ``repro
@@ -13,7 +12,6 @@ here — it needs the training runner).
 from .api import (
     DEFAULT_SOURCE_ROOT,
     analyze_dimensions,
-    analyze_lifecycle,
     analyze_run_config,
     analyze_source,
     run_passes,
@@ -47,7 +45,6 @@ __all__ = [
     "Report",
     "Severity",
     "analyze_dimensions",
-    "analyze_lifecycle",
     "analyze_run_config",
     "analyze_source",
     "apply_baseline",

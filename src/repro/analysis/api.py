@@ -10,10 +10,7 @@
   (``repro analyze --self``);
 * :func:`analyze_dimensions` — the ``dims`` family (the interprocedural
   dimensional analysis, ``DIM0xx``) over a source tree
-  (``repro analyze --dims``);
-* :func:`analyze_lifecycle` — the ``lifecycle`` family (the resource
-  acquire/release typestate analysis, ``RES0xx``) over a source tree
-  (``repro analyze --lifecycle``).
+  (``repro analyze --dims``).
 
 Importing this module registers every built-in pass.
 """
@@ -39,7 +36,6 @@ from . import source_lints as _source_lints    # noqa: F401  (registers passes)
 from .determinism import det_lints as _det_lints  # noqa: F401  (registers passes)
 from . import cluster_lints as _cluster_lints  # noqa: F401  (registers passes)
 from .dimensions import passes as _dim_passes  # noqa: F401  (registers passes)
-from .lifecycle import passes as _lifecycle_passes  # noqa: F401  (registers passes)
 from .program import DEFAULT_SOURCE_ROOT
 
 #: The CFG000 probe-error wrapper below is a reporter of its own.
@@ -117,16 +113,3 @@ def analyze_dimensions(root: Union[str, Path, None] = None) -> Report:
     tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
     ctx = AnalysisContext(source_root=tree_root)
     return run_passes(ctx, ("dims",))
-
-
-def analyze_lifecycle(root: Union[str, Path, None] = None) -> Report:
-    """Run the ``lifecycle`` passes over ``root`` (default: ``src/repro``).
-
-    Covers the interprocedural acquire/release typestate analysis
-    (``RES001``-``RES006``, ``RES010``); no cluster is involved.  The
-    runtime complement (``RES007``, ``RES009``) comes from
-    :func:`repro.sim.leaksan.audit_leaks` under ``leak_check=True``.
-    """
-    tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
-    ctx = AnalysisContext(source_root=tree_root)
-    return run_passes(ctx, ("lifecycle",))

@@ -28,9 +28,9 @@ class AnalysisContext:
     never derive themselves, e.g. TP=3 on 8 GPUs.  ``fault_plan`` is the
     fault-injection schedule, when the run has one; the ``faults``
     family of passes vets it against the cluster.  ``source_root`` is
-    the tree the ``source``, ``dims`` and ``lifecycle`` families scan
-    (defaults to the installed ``repro`` package); :meth:`sources`
-    parses each of its files at most once per context.
+    the tree the ``source`` and ``dims`` families scan (defaults to the
+    installed ``repro`` package); :meth:`sources` parses each of its
+    files at most once per context.
     """
 
     cluster: Optional[Cluster] = None

@@ -1,11 +1,10 @@
 """The program core shared by the source analyzers.
 
-Every ``source``, ``dims`` and ``lifecycle`` pass reads a source tree,
-and the two interprocedural analyzers — dimensional units (``DIM0xx``,
-:mod:`~repro.analysis.dimensions.engine`) and resource lifecycle
-(``RES0xx``, :mod:`~repro.analysis.lifecycle.engine`) — run one machine
-over it.  This module is that machine; a domain keeps only its lattice,
-its per-function summary and its transfer functions.
+Every ``source`` and ``dims`` pass reads a source tree, and the
+interprocedural dimensional analysis (``DIM0xx``,
+:mod:`~repro.analysis.dimensions.engine`) runs a domain-agnostic machine
+over it.  This module is that machine; the domain keeps only its
+lattice, its per-function summary and its transfer functions.
 
 1. **One scan and parse.**  A pass names its scope as a tuple of package
    names; :func:`source_files` lists the ``.py`` files under them in
@@ -323,8 +322,6 @@ class Walker:
         self.fn = fn
         self.collect = collect
         self.findings: List[Finding] = []
-        #: how many ``finally`` blocks enclose the statement being walked
-        self.finally_depth = 0
 
     def run(self) -> Any:
         """Interpret the whole body; the domain's result for the summary."""
@@ -372,16 +369,9 @@ class Walker:
         """Bind an ``except ... as name`` variable."""
         raise NotImplementedError
 
-    def before(self, stmt: ast.stmt, state: Any) -> None:
-        """Called before each statement runs."""
-
-    def exit_branch(self, state: Any) -> None:
-        """A branch ending in raise/return/continue/break leaves here."""
-
     # -- statements --------------------------------------------------------
     def exec_block(self, body: Iterable[ast.stmt], state: Any) -> Any:
         for stmt in body:
-            self.before(stmt, state)
             state = self.exec_stmt(stmt, state)
         return state
 
@@ -392,10 +382,8 @@ class Walker:
             then = self.exec_block(stmt.body, then)
             orelse = self.exec_block(stmt.orelse, orelse)
             if _exits(stmt.body):
-                self.exit_branch(then)
                 return orelse
             if _exits(stmt.orelse):
-                self.exit_branch(orelse)
                 return then
             return self.join(then, orelse)
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -417,10 +405,7 @@ class Walker:
                 state = self.join(self.exec_block(handler.body, branch),
                                   state)
             state = self.exec_block(stmt.orelse, state)
-            self.finally_depth += 1
-            state = self.exec_block(stmt.finalbody, state)
-            self.finally_depth -= 1
-            return state
+            return self.exec_block(stmt.finalbody, state)
         if isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):

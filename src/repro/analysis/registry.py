@@ -12,10 +12,7 @@ Finding`s, tagged with a family and a cost class:
   and the ``DET0xx`` nondeterminism-hazard passes);
 * family ``dims`` — the interprocedural dimensional analysis
   (``DIM0xx``): a flow-sensitive abstract interpreter enforcing
-  byte/second/bandwidth unit algebra across the simulator;
-* family ``lifecycle`` — the interprocedural resource-lifecycle
-  typestate analysis (``RES0xx``): acquire/release protocol conformance
-  for memory pools and cache locks.
+  byte/second/bandwidth unit algebra across the simulator.
 
 ``cheap`` passes are safe to run on *every* simulation (the
 :func:`repro.core.runner.run_training` hook runs them); expensive or
@@ -58,7 +55,7 @@ from .findings import Finding
 
 PassFn = Callable[[AnalysisContext], Iterable[Finding]]
 
-FAMILIES = ("config", "topology", "faults", "source", "dims", "lifecycle")
+FAMILIES = ("config", "topology", "faults", "source", "dims")
 
 #: Stable finding codes look like ``CFG001`` / ``TOPO020`` / ``DET101``.
 _CODE_RE = re.compile(r"^[A-Z]{3,4}\d{3}$")

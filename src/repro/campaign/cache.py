@@ -22,6 +22,15 @@ registry's claim table (:func:`repro.analysis.registry.claim_codes`):
 A damaged object is never served: :meth:`ResultCache.get` records the
 finding, treats the key as a miss, and the campaign runner recomputes
 and overwrites it.
+
+Writes take no lock.  :meth:`ResultCache.put` writes each object to a
+temp file of its own beside it (``<key>.<uuid>.tmp``) and renames it
+into place.  Objects are content-addressed and runs deterministic, so
+two campaigns writing one key write equal bytes, and the rename is
+atomic, so a reader sees the whole old object or the whole new one.
+Temp names end in ``.tmp``; :meth:`~ResultCache.verify`,
+:meth:`~ResultCache.gc` and :meth:`~ResultCache.stats` read only
+``*.json`` objects.
 """
 
 from __future__ import annotations
@@ -29,10 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
-from contextlib import contextmanager
+import uuid
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..analysis.findings import Finding, Severity
 from ..analysis.registry import claim_codes
@@ -51,49 +59,6 @@ claim_codes(_PASS_NAME, CACHE_CODES)
 
 _REQUIRED_KEYS = ("schema", "key", "salt", "kind", "spec", "payload",
                   "checksum")
-
-#: A lockfile untouched for this long belongs to a dead writer and is
-#: stolen; healthy writes hold the lock for well under a millisecond.
-LOCK_STALE_S = 120.0
-
-#: How long :meth:`ResultCache.lock` polls a contested lock before
-#: giving up (object writes are tiny, so waiting longer means deadlock).
-LOCK_TIMEOUT_S = 5.0
-
-
-class CacheLock:
-    """An acquired advisory write lock on one cache object.
-
-    Opaque token returned by :meth:`ResultCache.lock`; consumed exactly
-    once by :meth:`ResultCache.unlock`.  The lock is a sibling
-    ``<key>.lock`` file created with ``O_EXCL``, so concurrent campaign
-    processes sharing one cache directory serialize their writes to the
-    same key without any daemon.
-    """
-
-    __slots__ = ("key", "path", "_fd")
-
-    def __init__(self, key: str, path: Path, fd: int) -> None:
-        self.key = key
-        self.path = path
-        self._fd: Optional[int] = fd
-
-    @property
-    def held(self) -> bool:
-        return self._fd is not None
-
-    def _release(self) -> None:
-        if self._fd is None:
-            raise ConfigurationError(
-                f"cache lock for {self.key[:12]}... already released "
-                f"(double-unlock)"
-            )
-        os.close(self._fd)
-        self._fd = None
-        try:
-            self.path.unlink()
-        except OSError:  # pragma: no cover - raced by a stale-lock steal
-            pass
 
 
 def payload_checksum(payload: Dict[str, object]) -> str:
@@ -188,67 +153,14 @@ class ResultCache:
         self.hits += 1
         return obj["payload"]
 
-    # -- advisory locking --------------------------------------------------
-
-    def lock(self, key: str, *, timeout_s: float = LOCK_TIMEOUT_S
-             ) -> CacheLock:
-        """Take the advisory write lock for ``key``'s object.
-
-        Returns a :class:`CacheLock` token that must be passed to
-        exactly one :meth:`unlock` (the cache's acquire/release pair the
-        lifecycle analysis tracks).  A contested lock is polled for
-        ``timeout_s``; a lockfile older than :data:`LOCK_STALE_S` is
-        treated as abandoned by a dead writer and stolen.
-        """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path = path.with_suffix(".lock")
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                fd = os.open(str(lock_path),
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                return CacheLock(key, lock_path, fd)
-            except FileExistsError:
-                try:
-                    age = time.time() - lock_path.stat().st_mtime
-                except OSError:
-                    continue  # holder released between open and stat
-                if age > LOCK_STALE_S:
-                    try:
-                        lock_path.unlink()
-                    except OSError:  # pragma: no cover - steal race
-                        pass
-                    continue
-                if time.monotonic() >= deadline:
-                    raise ConfigurationError(
-                        f"cache object {key[:12]}... is locked by another "
-                        f"writer (held {age:.1f}s; stale after "
-                        f"{LOCK_STALE_S:.0f}s)"
-                    ) from None
-                time.sleep(0.05)
-
-    def unlock(self, lock: CacheLock) -> None:
-        """Release a lock taken with :meth:`lock`; double-unlock raises."""
-        lock._release()
-
-    @contextmanager
-    def locked(self, key: str, *,
-               timeout_s: float = LOCK_TIMEOUT_S) -> Iterator[CacheLock]:
-        """Scope-guarded :meth:`lock`: released on exit, even on error."""
-        lock = self.lock(key, timeout_s=timeout_s)
-        try:
-            yield lock
-        finally:
-            self.unlock(lock)
-
     def put(self, key: str, *, kind: str, spec: Dict[str, object],
             payload: Dict[str, object]) -> Path:
-        """Store one result; atomic within the cache directory.
+        """Store one result through a temp file of this call's own.
 
-        The write happens under the key's advisory lock, so concurrent
-        campaigns sharing a cache directory cannot interleave their
-        temp-file renames for the same object.
+        The temp file is created like any file the process writes (mode
+        ``0o666`` less the umask, where :func:`tempfile.mkstemp` would
+        give ``0o600`` and lock other users out of a shared cache) and
+        is removed if the write fails.
         """
         obj = {
             "schema": OBJECT_SCHEMA,
@@ -261,13 +173,13 @@ class ResultCache:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lock = self.lock(key)
+        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
         try:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(obj, indent=2, sort_keys=True))
+            with open(tmp, "x") as handle:
+                handle.write(json.dumps(obj, indent=2, sort_keys=True))
             os.replace(tmp, path)
         finally:
-            self.unlock(lock)
+            tmp.unlink(missing_ok=True)
         return path
 
     # -- maintenance -------------------------------------------------------

@@ -35,7 +35,6 @@ from typing import List, Optional
 from .analysis import (
     Severity,
     analyze_dimensions,
-    analyze_lifecycle,
     analyze_run_config,
     analyze_source,
     apply_baseline,
@@ -425,14 +424,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if sum((args.self, args.sanitize, args.dims, args.lifecycle)) > 1:
-        print("error: --self, --dims, --lifecycle, and --sanitize are "
-              "mutually exclusive", file=sys.stderr)
+    if sum((args.self, args.sanitize, args.dims)) > 1:
+        print("error: --self, --dims, and --sanitize are mutually "
+              "exclusive", file=sys.stderr)
         return 2
-    if args.root is not None and not (args.self or args.dims
-                                      or args.lifecycle):
-        print("error: --root applies only to --self, --dims and "
-              "--lifecycle", file=sys.stderr)
+    if args.root is not None and not (args.self or args.dims):
+        print("error: --root applies only to --self and --dims",
+              file=sys.stderr)
         return 2
     diff_result = None
     if args.sanitize:
@@ -449,8 +447,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = analyze_source(root=args.root)
     elif args.dims:
         report = analyze_dimensions(root=args.root)
-    elif args.lifecycle:
-        report = analyze_lifecycle(root=args.root)
     else:
         strategy = make_strategy(args.strategy)
         placement = PLACEMENTS[args.placement]
@@ -815,14 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the interprocedural dimensional "
                               "analysis (DIM0xx unit checks) over the "
                               "simulator's own source instead")
-    analyze.add_argument("--lifecycle", action="store_true",
-                         help="run the resource-lifecycle typestate "
-                              "passes (RES0xx leak/double-free checks) "
-                              "over the simulator's own source instead")
     analyze.add_argument("--root", default=None, metavar="DIR",
-                         help="alternative source tree for --self, --dims "
-                              "or --lifecycle (defaults to the installed "
-                              "repro package)")
+                         help="alternative source tree for --self or "
+                              "--dims (defaults to the installed repro "
+                              "package)")
     analyze.add_argument("--sanitize", action="store_true",
                          help="run the configuration under the schedule "
                               "sanitizer and diff it across legal "

@@ -10,9 +10,8 @@ and 13) draws from.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError, OutOfMemoryError
 from ..units import GB
@@ -75,12 +74,13 @@ class MemoryPool:
         **Contract.**  Freeing a label with no live allocation raises
         :class:`~repro.errors.ConfigurationError`: it is either a
         double-free or a never-allocated label, and both mean the
-        caller's byte accounting has drifted — exactly the bug class the
-        lifecycle analysis (``RES003``/``RES005``) exists to catch, so
-        the runtime must not paper over it.  Callers that legitimately
-        tear down labels that *may* be absent (idempotent cleanup paths)
-        pass ``missing_ok=True`` and get the documented sentinel
-        ``0.0`` back instead.
+        caller's byte accounting has drifted, so the runtime must not
+        paper over it.  Callers that legitimately tear down labels that
+        *may* be absent (idempotent cleanup paths) pass
+        ``missing_ok=True`` and get the documented sentinel ``0.0`` back
+        instead.  The opposite drift, a label never freed, is caught by
+        the teardown audit of a leak-checked run
+        (:func:`repro.sim.leaksan.audit_leaks`, ``RES007``).
         """
         if label not in self._allocations:
             if missing_ok:
@@ -92,20 +92,6 @@ class MemoryPool:
                 f"for idempotent teardown)"
             )
         return self._allocations.pop(label)
-
-    @contextmanager
-    def lease(self, label: str, num_bytes: float) -> Iterator["MemoryPool"]:
-        """Scope-guarded allocation: freed on exit, even on error.
-
-        ``label`` must be exclusive to the lease (``free`` releases the
-        whole label, and labels accumulate), so use a unique transient
-        label rather than one of the long-lived plan labels.
-        """
-        self.allocate(label, num_bytes)
-        try:
-            yield self
-        finally:
-            self.free(label)
 
     def usage_by_label(self) -> Dict[str, float]:
         return dict(self._allocations)

@@ -1,27 +1,20 @@
-"""Opt-in runtime leak audit: the dynamic half of the RES family.
+"""Opt-in runtime leak audit: every acquire of a run is released.
 
-The static typestate passes (:mod:`repro.analysis.lifecycle`) prove
-acquire/release conformance per function; this module checks it per
-run.  :func:`audit_leaks` reads, at teardown, the two books the
-simulator already keeps for what a run holds:
+:func:`audit_leaks` reads, at teardown, the two books the simulator
+already keeps for what a run holds:
 
 * every :class:`~repro.hardware.devices.MemoryPool`'s live labels
   (``usage_by_label``): a label with a positive balance is a leaked
-  allocation (the memory-pool protocol of
-  :mod:`~repro.analysis.lifecycle.protocols`);
+  allocation (an ``allocate`` no ``free`` matched; the ``memory-pool``
+  protocol);
 * the flow network's active flows (``active_flows``): a flow still
-  registered is a transfer that never finished.
+  registered is a transfer that never finished (the ``flow-epoch``
+  protocol).
 
 The audit only reads — it settles no flow and writes no ledger record —
 so a leak-checked run's schedule, ledgers and traces are identical to an
-unchecked one's.
-
-Finding codes (claimed here, listed in the ``RES0xx`` catalog of
-:mod:`repro.analysis.lifecycle.passes`):
-
-* ``RES007`` — outstanding pool balance or active flow at teardown;
-* ``RES009`` — cross-validation verdict joining a runtime leak with the
-  static RES findings (:func:`cross_validate`).
+unchecked one's.  Its one finding code, ``RES007`` (an outstanding pool
+balance or active flow at teardown), is claimed here.
 """
 
 from __future__ import annotations
@@ -34,8 +27,8 @@ from ..analysis.registry import claim_codes
 from ..errors import SimulationError
 from ..units import GB
 
-#: Stable finding codes for runtime lifecycle diagnostics.
-LEAK_CODES = ("RES007", "RES009")
+#: Stable finding codes for runtime leak diagnostics.
+LEAK_CODES = ("RES007",)
 
 _REPORTER_NAME = "leak-sanitizer"
 
@@ -166,49 +159,3 @@ def audit_leaks(cluster: Any, network: Any) -> LeakReport:
                 amount_bytes=amount,
             ))
     return report
-
-
-def cross_validate(static_findings: List[Finding],
-                   report: LeakReport) -> List[Finding]:
-    """Join static RES findings with the runtime leak report (RES009).
-
-    For each protocol the runtime observed leaking, an INFO finding
-    states whether the static typestate pass *corroborates* it (a
-    ``RES001``/``RES002`` finding exists for the same protocol family)
-    or the leak is dynamic-only (born in runtime callbacks the static
-    pass does not model — the flow-epoch protocol, or a path through
-    exec/getattr).  Symmetrically, a static leak finding with a clean
-    runtime protocol is reported as unconfirmed — possibly latent (the
-    leaking path did not execute) or a false positive.
-    """
-    verdicts: List[Finding] = []
-    static_leaks = [f for f in static_findings
-                    if f.code in ("RES001", "RES002")]
-    runtime_leaked = {r.protocol for r in report.records}
-    for protocol in sorted(runtime_leaked):
-        matches = [f for f in static_leaks if protocol in f.message]
-        if matches:
-            where = ", ".join(sorted({f.location for f in matches})[:3])
-            detail = f"corroborated by static findings at {where}"
-        else:
-            detail = ("dynamic-only: no static RES finding names this "
-                      "protocol (leak born in runtime callbacks or an "
-                      "unmodelled path)")
-        verdicts.append(Finding(
-            _REPORTER_NAME, Severity.INFO, "RES009",
-            f"runtime leak on the {protocol} protocol: {detail}",
-            subject=protocol,
-        ))
-    for finding in static_leaks:
-        protocol = next(
-            (r.protocol for r in report.records
-             if r.protocol in finding.message), None)
-        if protocol is None and report.clean:
-            verdicts.append(Finding(
-                _REPORTER_NAME, Severity.INFO, "RES009",
-                f"static finding {finding.code} at {finding.location} "
-                f"had no runtime counterpart in this run (latent path "
-                f"or false positive)",
-                subject=finding.subject,
-            ))
-    return verdicts

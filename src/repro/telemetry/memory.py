@@ -8,7 +8,7 @@ paper reports: total GPU / CPU / NVMe usage and per-label breakdowns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from ..hardware.cluster import Cluster
 from ..hardware.devices import DeviceKind
@@ -44,24 +44,31 @@ class MemoryReport:
 def snapshot(cluster: Cluster) -> MemoryReport:
     """Read every memory pool in the cluster (the paper's measurement
     moment: steady state during training)."""
-    tiers = {
-        DeviceKind.GPU: ({}, 0.0),
-        DeviceKind.DRAM: ({}, 0.0),
-        DeviceKind.NVME: ({}, 0.0),
-    }
-    totals = {kind: 0.0 for kind in tiers}
-    labels: Dict[DeviceKind, Dict[str, float]] = {kind: {} for kind in tiers}
+    # GPU, host DRAM and NVMe tiers, picked by identity: an enum-keyed
+    # dict would hash ``DeviceKind`` in Python for every device.
+    used = [0.0, 0.0, 0.0]
+    by_label: List[Dict[str, float]] = [{}, {}, {}]
     for device in cluster.topology.devices:
-        if device.kind not in tiers or device.memory is None:
+        pool, kind = device.memory, device.kind
+        if pool is None:
             continue
-        totals[device.kind] += device.memory.used_bytes
-        for label, used in device.memory.usage_by_label().items():
-            labels[device.kind][label] = labels[device.kind].get(label, 0.0) + used
+        if kind is DeviceKind.GPU:
+            tier = 0
+        elif kind is DeviceKind.DRAM:
+            tier = 1
+        elif kind is DeviceKind.NVME:
+            tier = 2
+        else:
+            continue
+        used[tier] += pool.used_bytes
+        labels = by_label[tier]
+        for label, amount in pool.usage_by_label().items():
+            labels[label] = labels.get(label, 0.0) + amount
     return MemoryReport(
-        gpu_used=totals[DeviceKind.GPU],
-        cpu_used=totals[DeviceKind.DRAM],
-        nvme_used=totals[DeviceKind.NVME],
-        gpu_by_label=labels[DeviceKind.GPU],
-        cpu_by_label=labels[DeviceKind.DRAM],
-        nvme_by_label=labels[DeviceKind.NVME],
+        gpu_used=used[0],
+        cpu_used=used[1],
+        nvme_used=used[2],
+        gpu_by_label=by_label[0],
+        cpu_by_label=by_label[1],
+        nvme_by_label=by_label[2],
     )

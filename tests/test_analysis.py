@@ -770,7 +770,7 @@ class TestSourceScan:
                             lambda path: parsed.append(path)
                             or real_parse(path))
         report = run_passes(AnalysisContext(source_root=tmp_path),
-                            ("source", "dims", "lifecycle"))
+                            ("source", "dims"))
         assert "DET020" in {f.code for f in report.findings}
         assert sorted(p.name for p in parsed) == ["clock.py", "top.py"]
 
@@ -778,7 +778,7 @@ class TestSourceScan:
         (tmp_path / "latin.py").write_bytes(b'NAME = "caf\xe9"\n')
         (tmp_path / "ok.py").write_text("X = 1\n")
         report = run_passes(AnalysisContext(source_root=tmp_path),
-                            ("source", "dims", "lifecycle"))
+                            ("source", "dims"))
         assert [(f.code, f.location) for f in report.findings] == [
             ("SRC000", "latin.py:1")]
         assert "utf-8" in report.findings[0].message

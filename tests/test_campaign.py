@@ -1,6 +1,9 @@
 """Campaign expansion, the content-addressed cache, and the worker pool."""
 
 import json
+import multiprocessing
+import os
+import stat
 
 import pytest
 
@@ -172,6 +175,87 @@ class TestResultCache:
         owners = code_owners()
         for code in CACHE_CODES:
             assert owners[code] == "campaign-cache"
+
+
+# Targets of the concurrent-write test live at module level, so spawned
+# processes can import them.  The payload is large enough (~80 kB on
+# disk) that writes and reads overlap.
+_SHARED_SALT = "concurrent"
+_SHARED_PAYLOAD = {"series": list(range(0, 20000, 3))}
+
+
+def _put_repeatedly(root, key, count):
+    cache = ResultCache(root, salt=_SHARED_SALT)
+    for _ in range(count):
+        cache.put(key, kind="run", spec={"name": "shared"},
+                  payload=_SHARED_PAYLOAD)
+
+
+def _get_until(root, key, stop, out):
+    cache = ResultCache(root, salt=_SHARED_SALT)
+    while not stop.is_set():
+        cache.get(key)
+    out.put([finding.code for finding in cache.findings])
+
+
+class TestLockFreeWrites:
+    KEY = "ab" + "0" * 62
+
+    def test_writers_of_one_key_need_no_lock(self, tmp_path):
+        # Two processes put the same key while a third reads it: every
+        # read sees a whole object or none, both writers succeed, and
+        # no temp file is left behind.
+        spawn = multiprocessing.get_context("spawn")
+        stop = spawn.Event()
+        out = spawn.Queue()
+        reader = spawn.Process(
+            target=_get_until, args=(tmp_path, self.KEY, stop, out))
+        writers = [spawn.Process(
+            target=_put_repeatedly, args=(tmp_path, self.KEY, 200))
+            for _ in range(2)]
+        try:
+            reader.start()
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=120)
+            stop.set()
+            codes = out.get(timeout=60)
+            reader.join(timeout=60)
+        finally:
+            for process in (reader, *writers):
+                if process.is_alive():
+                    process.terminate()
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert reader.exitcode == 0
+        assert codes == []
+        cache = ResultCache(tmp_path, salt=_SHARED_SALT)
+        assert [path.relative_to(tmp_path).as_posix()
+                for path in tmp_path.rglob("*") if path.is_file()] == [
+            f"objects/ab/{self.KEY}.json"]
+        assert cache.get(self.KEY) == _SHARED_PAYLOAD
+
+    def test_object_mode_follows_the_umask(self, tmp_path):
+        # Like any file the process writes (0o666 less the umask), so a
+        # shared cache directory stays readable to its other users.
+        cache = ResultCache(tmp_path)
+        path = cache.put(self.KEY, kind="run", spec={}, payload={"x": 1})
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        assert (stat.S_IMODE(path.stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(self.KEY, kind="run", spec={}, payload={"x": 1})
+        assert [path for path in tmp_path.rglob("*")
+                if path.is_file()] == []
 
 
 class TestRunCampaign:

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cluster import ClusterScenario, run_cluster
 from repro.core.results import SCHEMA_VERSION
+from repro.core.runner import run_training
+from repro.core.search import model_for_billions
 from repro.errors import ConfigurationError
+from repro.experiments.common import ALL_STRATEGIES, make_strategy
+from repro.hardware import Cluster, ClusterSpec
+from repro.inference import InferenceSpec, run_inference
+from repro.model.config import TrainingConfig
 
 
 def _trace_scenario(*jobs, **kwargs):
@@ -62,6 +68,50 @@ class TestSmoke:
         report = run_cluster(_trace_scenario(*jobs, nodes=1)).report
         assert report.max_concurrent_jobs == 1
         assert report.queue_wait_p99_s > 0
+
+
+class TestOneJobIsASingleRun:
+    """One job on an idle fabric runs exactly as the single-run entry
+    points run it: the same total time to the last bit, and two more
+    events (the job's arrival and the scheduler daemon)."""
+
+    # every strategy the shared service accepts (it rejects NVMe offload)
+    @pytest.mark.parametrize("strategy", sorted(
+        name for name in ALL_STRATEGIES if "nvme" not in name))
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_training_job(self, strategy, nodes):
+        report = run_cluster(_trace_scenario(
+            {"time": 0.0, "strategy": strategy, "size_billions": 0.7,
+             "gpus": 4 * nodes, "iterations": 4,
+             "micro_batch_per_gpu": 16},
+            nodes=nodes)).report
+        single = run_training(
+            Cluster(ClusterSpec(num_nodes=nodes)), make_strategy(strategy),
+            model_for_billions(0.7),
+            training=TrainingConfig(micro_batch_per_gpu=16), iterations=4,
+        ).execution
+        assert report.total_time_s.hex() == single.total_time.hex()
+        assert report.events_processed == single.events_processed + 2
+
+    @pytest.mark.parametrize("gpus", [2, 4])
+    def test_serving_job(self, gpus):
+        spec = InferenceSpec(
+            size_billions=0.7, gpus=gpus, num_requests=64,
+            rate_per_second=2.0, arrival_seed=7, request_mix="chat",
+            max_batch_tokens=4096, max_batch_requests=8)
+        report = run_cluster(_trace_scenario(
+            {"time": 0.0, "workload": "inference", "size_billions": 0.7,
+             "gpus": gpus, "iterations": 64, "request_rate_per_s": 2.0,
+             "request_seed": 7, "request_mix": "chat",
+             "max_batch_tokens": 4096, "max_batch_requests": 8},
+            nodes=1)).report
+        single = run_inference(spec).report
+        # The cluster re-times the request stream to the job's start, so
+        # its makespan is shorter by the first request's arrival time.
+        first_arrival = spec.expand_requests()[0].time
+        assert ((report.total_time_s + first_arrival).hex()
+                == single.total_time_s.hex())
+        assert report.events_processed == single.events_processed + 2
 
 
 class TestValidation:

@@ -70,14 +70,6 @@ class TestMemoryPool:
         with pytest.raises(ConfigurationError):
             pool.free("empty")
 
-    def test_lease_releases_on_exception(self):
-        pool = MemoryPool(10.0)
-        with pytest.raises(RuntimeError):
-            with pool.lease("scratch", 4.0):
-                assert pool.used_bytes == 4.0
-                raise RuntimeError("boom")
-        assert pool.used_bytes == 0.0
-
     def test_reset(self):
         pool = MemoryPool(10.0)
         pool.allocate("a", 5.0)

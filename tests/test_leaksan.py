@@ -1,17 +1,14 @@
 """Runtime leak audit: the teardown audit of pool labels and active
-flows, the cross-validation joint with the static RES findings, and the
-leak-checked end-to-end run.
+flows, and the leak-checked end-to-end run.
 
-The audit is the dynamic half of the RES family: the typestate passes
-prove acquire/release conformance per function, these tests pin that a
-conforming *run* really ends with no pool label holding bytes and no
-flow still active — and that a planted runtime leak is reported once,
-not papered over.
+These tests pin that a conforming run really ends with no pool label
+holding bytes and no flow still active — and that a planted runtime
+leak is reported once, not papered over.
 """
 
 import pytest
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Severity
 from repro.api import RunSpec, build_cluster, run_spec
 from repro.core.runner import run_training
 from repro.errors import SimulationError
@@ -25,7 +22,6 @@ from repro.sim.leaksan import (
     LeakRecord,
     LeakReport,
     audit_leaks,
-    cross_validate,
 )
 from repro.sim.probes import RunProbes
 from repro.units import GB
@@ -196,39 +192,3 @@ class TestLeakCheckedRun:
                                iterations=2, leak_check=True)
         assert metrics.memory.gpu_used > 0
         assert "parameters" in metrics.memory.gpu_by_label
-
-
-class TestCrossValidation:
-    @staticmethod
-    def _static(code, message, location="core/runner.py:10"):
-        return Finding("res-typestate", Severity.ERROR, code, message,
-                       subject="f", location=location)
-
-    def test_corroborated_leak(self):
-        report = LeakReport(records=[LeakRecord(
-            protocol="memory-pool", code="RES007", resource="gpu0",
-            detail="leak")])
-        static = [self._static(
-            "RES001", "memory-pool label 'x' never freed")]
-        verdicts = cross_validate(static, report)
-        assert [v.code for v in verdicts] == ["RES009"]
-        assert "corroborated" in verdicts[0].message
-
-    def test_dynamic_only_leak(self):
-        report = LeakReport(records=[LeakRecord(
-            protocol="flow-epoch", code="RES007", resource="flow:3",
-            detail="still active")])
-        verdicts = cross_validate([], report)
-        assert [v.code for v in verdicts] == ["RES009"]
-        assert "dynamic-only" in verdicts[0].message
-
-    def test_static_without_runtime_counterpart(self):
-        static = [self._static(
-            "RES002", "cache-lock token leaks on the "
-            "exception path")]
-        verdicts = cross_validate(static, LeakReport())
-        assert [v.code for v in verdicts] == ["RES009"]
-        assert "latent" in verdicts[0].message
-
-    def test_clean_everywhere_is_silent(self):
-        assert cross_validate([], LeakReport()) == []
