@@ -16,6 +16,18 @@ plain list of :class:`~repro.trace.model.Span` that
 populated per-link bandwidth ledgers — everything the paper's
 experiments need in a single pass.
 
+The steps are fixed for the run, so the executor resolves each rank's
+step list once, at construction, into a *rank program* of opcode
+tuples.  A collective step resolves to its communicator, group index
+and group, :class:`~repro.collectives.primitives.CollectiveOp` and
+kernel kind; a blocking step to its ``wait:<key>`` idle-span name; a
+host transfer to its span kind and routes: the GPU<->DRAM route, or each
+NVMe stripe member's drive, route and PCIe link.  What changes in
+simulated time is still read when a step launches: the straggler
+multiplier, NVMe media bandwidth (``nvme_slow``), link capacities, and
+the ring outage probe in
+:meth:`~repro.collectives.nccl.NcclCommunicator.run`.
+
 The executor builds and wires no instruments.  A run that wants a tie
 order, the sanitizers or a trace gets its engine and flow network from
 :class:`repro.sim.probes.RunProbes` and passes them in; the only hook
@@ -27,7 +39,7 @@ uses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.liveness import check_liveness
 from ..collectives.nccl import NcclCommunicator, RetryPolicy
@@ -39,8 +51,10 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..hardware.cluster import Cluster
 from ..hardware.cpu import CPU_ADAM_BYTES_PER_PARAM, cpu_adam_step_time
-from ..hardware.nvme import Raid0Volume
+from ..hardware.link import Link
+from ..hardware.nvme import NvmeDrive, Raid0Volume
 from ..hardware.serdes import TrafficProfile
+from ..hardware.topology import Route
 from ..parallel.schedule import (
     CollectiveStep,
     ComputeStep,
@@ -49,6 +63,7 @@ from ..parallel.schedule import (
     IdleStep,
     IterationSchedule,
     Location,
+    Step,
     WaitForStep,
     WaitPendingStep,
 )
@@ -62,7 +77,12 @@ from .kernels import KernelKind, straggler_multiplier
 
 @dataclass
 class ExecutionResult:
-    """Everything one simulated training run produced."""
+    """Everything one simulated training run produced.
+
+    ``spans`` holds one immutable :class:`~repro.trace.model.Span` tuple
+    per recorded interval, appended as the run goes; the hybrid
+    extrapolator appends shifted copies marked ``synthetic``.
+    """
 
     iteration_times: List[float]
     #: every rank-lane span the run recorded, in recording order
@@ -103,6 +123,12 @@ class ExecutionResult:
         return sum(self.iteration_times) / len(self.iteration_times)
 
 
+#: Rank-program opcodes, one per step type; each program entry is a tuple
+#: led by one (laid out where :meth:`Executor._resolve` builds it).
+(_COMPUTE, _COLLECTIVE, _WAIT_FOR, _WAIT_PENDING, _HOST_IO, _IDLE,
+ _CPU_WORK) = range(7)
+
+
 class _CollectiveGate:
     """Rendezvous for one keyed collective across its group's ranks."""
 
@@ -139,18 +165,57 @@ class _CollectiveGate:
     def _finish(self, started_at: float) -> None:
         now = self.executor.engine.now
         spans = self.executor.spans
-        name = str(self.op.kind)
+        lane, kernel, name = Lane.COMMUNICATION, self.kernel, str(self.op.kind)
         for rank in self.group:
-            spans.append(Span(rank, Lane.COMMUNICATION, self.kernel, name,
-                              started_at, now))
+            spans.append(Span(rank, lane, kernel, name, started_at, now))
         sink = self.executor.collective_sink
         if sink is not None:
             sink.collective_phase(
-                self.comm_name, self.group_index, str(self.op.kind),
+                self.comm_name, self.group_index, name,
                 self.op.payload_bytes, self.launch_count,
                 tuple(self.group), started_at, now,
             )
         self.event.succeed(None)
+
+
+class _HostTransfer(NamedTuple):
+    """One rank's host-transfer step with its routes resolved.
+
+    :meth:`launch` reads the drives' media bandwidth and the links'
+    capacities each time, because ``nvme_slow`` and link faults change
+    them in simulated time.
+    """
+
+    #: the GPU<->DRAM route; None for NVMe I/O
+    route: Optional[Route]
+    #: ``(drive, route, pcie_link)`` per member of the rank's NVMe
+    #: volume; empty for GPU<->DRAM
+    stripes: Tuple[Tuple[NvmeDrive, Route, Link], ...]
+    reading: bool
+    #: the whole payload, or one stripe member's share of it
+    num_bytes: float
+    label: str
+
+    def launch(self, network: FlowNetwork,
+               profile: TrafficProfile) -> BaseEvent:
+        if self.route is not None:
+            return network.transfer(self.route, self.num_bytes,
+                                    profile=profile, label=self.label)
+        transfers: List[Transfer] = []
+        for drive, route, pcie_link in self.stripes:
+            if self.reading:
+                media = (drive.effective_nand_read_bandwidth
+                         * calibration.AIO_EFFICIENCY)
+            else:
+                media = (drive.effective_nand_write_bandwidth
+                         * calibration.AIO_EFFICIENCY)
+            # The drive's NAND media, not its PCIe x4 link, bounds
+            # sustained swap traffic; scale the flow's pool consumption so
+            # aggregate throughput stays at media rate no matter how many
+            # ranks swap against the drive concurrently.
+            multiplier = max(1.0, pcie_link.capacity_per_direction / media)
+            transfers.append((route, self.num_bytes, multiplier, None))
+        return network.launch(transfers, profile=profile, label=self.label)
 
 
 class Executor:
@@ -194,9 +259,15 @@ class Executor:
             FaultInjector(fault_plan, cluster, self.engine, self.network)
             if fault_plan is not None else None
         )
+        #: the current iteration's gates by ``(comm, group index, key)``
         self._gates: Dict[Tuple[str, int, str], _CollectiveGate] = {}
-        self._keyed_events: Dict[Tuple[int, str], BaseEvent] = {}
         self._communicators = self._build_communicators(internode_rate_efficiency)
+        #: ``(rank, program)`` per rank, in rank order
+        self._programs: List[Tuple[int, List[tuple]]] = [
+            (rank, [self._resolve(rank, step)
+                    for step in schedule.steps_by_rank[rank]])
+            for rank in schedule.ranks
+        ]
 
     # -- setup ---------------------------------------------------------------
     def _build_communicators(
@@ -213,6 +284,92 @@ class Executor:
                     label_prefix=self.flow_tag,
                 )
         return comms
+
+    def _resolve(self, rank: int, step: Step) -> tuple:
+        """``step``'s entry in ``rank``'s program: what the step needs at
+        launch that stays fixed for the run."""
+        if isinstance(step, ComputeStep):
+            return (_COMPUTE, step.kind, step.duration, step.name)
+        if isinstance(step, CollectiveStep):
+            group_index, group = (
+                self.schedule.communicators[step.comm].group_of(rank))
+            comm = self._communicators[(step.comm, group_index)]
+            gate = (comm, CollectiveOp(step.kind, step.payload_bytes,
+                                       comm.size),
+                    step.kernel_kind, group, step.op_count, step.comm,
+                    group_index)
+            return (_COLLECTIVE, (step.comm, group_index, step.key), gate,
+                    step.key, step.blocking, f"wait:{step.key}")
+        if isinstance(step, WaitForStep):
+            return (_WAIT_FOR, step.key, f"wait:{step.key}")
+        if isinstance(step, WaitPendingStep):
+            return (_WAIT_PENDING, f"wait:{step.name}")
+        if isinstance(step, HostTransferStep):
+            kind = (KernelKind.NVME_IO
+                    if Location.NVME in (step.src, step.dst)
+                    else KernelKind.HOST_TRANSFER)
+            return (_HOST_IO, self._host_transfer(rank, step), step.blocking,
+                    kind, step.name, f"wait:{step.name}")
+        if isinstance(step, IdleStep):
+            return (_IDLE, step.duration, step.name)
+        if isinstance(step, CpuWorkStep):
+            node = self.cluster.node_of_rank(rank)
+            socket = self.cluster.gpu(rank).socket_index or 0
+            dram_link = self.cluster.topology.link_between(
+                node.cpus[socket].name, node.drams[socket].name
+            )
+            return (_CPU_WORK, self._cpu_work_duration(rank, step),
+                    step.name, f"wait:{step.name}", dram_link,
+                    step.num_params * CPU_ADAM_BYTES_PER_PARAM)
+        raise SimulationError(f"unknown step type {type(step).__name__}")
+
+    def _host_transfer(self, rank: int,
+                       step: HostTransferStep) -> _HostTransfer:
+        """``step``'s flows as one launch: one flow between the rank's GPU
+        and DRAM, or one per member drive of its NVMe volume."""
+        gpu = self.cluster.gpu(rank).name
+        dram = self.cluster.dram_for_rank(rank).name
+        topology = self.cluster.topology
+        label = self.flow_tag + step.name
+        # GPU and DRAM are the rank's own; NVMe resolves per stripe member
+        src = _rank_endpoint(step.src, gpu, dram)
+        dst = _rank_endpoint(step.dst, gpu, dram)
+        if src is not None and dst is not None:
+            return _HostTransfer(topology.route(src, dst), (), False,
+                                 step.payload_bytes, label)
+        # One endpoint is the rank's NVMe swap volume: stripe the payload
+        # across member drives, capping each flow at the drive's media
+        # bandwidth under the aio layer.
+        volume = self.swap_volumes.get(rank)
+        if volume is None:
+            raise ConfigurationError(
+                f"rank {rank} performs NVMe I/O but has no swap volume"
+            )
+        reading = step.src is Location.NVME
+        stripes = []
+        for drive in volume.drives:
+            if reading:
+                route = topology.route(drive.device.name, dram)
+            else:
+                route = topology.route(dram, drive.device.name)
+            pcie_link = route.links[0] if reading else route.links[-1]
+            stripes.append((drive, route, pcie_link))
+        return _HostTransfer(None, tuple(stripes), reading,
+                             step.payload_bytes / len(volume.drives), label)
+
+    def _ranks_per_socket(self, rank: int) -> int:
+        """How many ranks' CPU work shares this rank's socket DRAM."""
+        node = self.cluster.node_of_rank(rank)
+        socket = self.cluster.gpu(rank).socket_index
+        return max(1, sum(
+            1 for gpu in node.gpus if gpu.socket_index == socket
+        ))
+
+    def _cpu_work_duration(self, rank: int, step: CpuWorkStep) -> float:
+        cpu_spec = self.cluster.nodes[0].spec.cpu
+        base = cpu_adam_step_time(step.num_params, cpu_spec)
+        sharing = self._ranks_per_socket(rank)
+        return base * sharing / calibration.CPU_ADAM_SHARE_EFFICIENCY
 
     # -- run -------------------------------------------------------------------
     def execute(self, num_iterations: int, *, should_stop=None):
@@ -237,18 +394,19 @@ class Executor:
             started = self.engine.now
             processes = [
                 self.engine.process(
-                    self._rank_process(rank, iteration),
+                    self._rank_process(rank, program),
                     name=f"{self.flow_tag}rank{rank}/it{iteration}",
                 )
-                for rank in self.schedule.ranks
+                for rank, program in self._programs
             ]
             yield self.engine.all_of(processes)
+            # Every rank has finished, so every gate of the iteration has
+            # fired and sees no more arrivals; each holds the executor, a
+            # cycle that would outlive the iteration.
+            self._gates.clear()
             iteration_times.append(self.engine.now - started)
             if should_stop is not None and should_stop():
                 break
-        # Every rank has finished, so no gate sees another arrival; each
-        # holds the executor, a cycle that would outlive the run.
-        self._gates.clear()
         # Training ends when the driver does.  engine.run() keeps draining
         # whatever else is queued (e.g. fault-revert callbacks scheduled
         # past the last iteration), and that trailing housekeeping must
@@ -273,188 +431,112 @@ class Executor:
         return result
 
     # -- per-rank interpretation ------------------------------------------------
-    def _rank_process(self, rank: int, iteration: int):
+    def _rank_process(self, rank: int, program: List[tuple]):
+        engine = self.engine
+        spans = self.spans
+        faults = self.faults
         pending: List[BaseEvent] = []
-        for step in self.schedule.steps_by_rank[rank]:
-            if isinstance(step, ComputeStep):
-                start = self.engine.now
-                duration = step.duration
-                if self.faults is not None:
+        # this iteration's collective completion events, by step key
+        keyed: Dict[str, BaseEvent] = {}
+        for op in program:
+            code = op[0]
+            if code == _COMPUTE:
+                _, kind, duration, name = op
+                start = engine.now
+                if faults is not None:
                     # Sampled at kernel launch: a straggler window opening
                     # mid-kernel stretches the *next* kernel, matching how
                     # a clock drop only affects instructions not yet run.
                     duration *= straggler_multiplier(
-                        step.kind, self.faults.compute_multiplier(rank)
+                        kind, faults.compute_multiplier(rank)
                     )
-                yield self.engine.timeout(duration)
-                self.spans.append(Span(rank, Lane.COMPUTE, step.kind,
-                                       step.name, start, self.engine.now))
-            elif isinstance(step, IdleStep):
-                start = self.engine.now
-                yield self.engine.timeout(step.duration)
-                self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
-                                       step.name, start, self.engine.now))
-            elif isinstance(step, CollectiveStep):
-                event = self._join_collective(rank, iteration, step)
-                self._keyed_events[(rank, self._iter_key(iteration, step.key))] = event
-                if step.blocking:
-                    start = self.engine.now
+                yield engine.timeout(duration)
+                spans.append(Span(rank, Lane.COMPUTE, kind, name, start,
+                                  engine.now))
+            elif code == _COLLECTIVE:
+                _, gate_key, gate_args, key, blocking, wait = op
+                event = self._join_collective(gate_key, gate_args)
+                keyed[key] = event
+                if blocking:
+                    start = engine.now
                     yield event
-                    self._record_idle(rank, start, step.key)
+                    self._record_idle(rank, start, wait)
                 else:
                     pending.append(event)
-            elif isinstance(step, WaitPendingStep):
-                if pending:
-                    start = self.engine.now
-                    yield self.engine.all_of(pending)
-                    pending = []
-                    self._record_idle(rank, start, step.name)
-            elif isinstance(step, WaitForStep):
-                event = self._keyed_events.get(
-                    (rank, self._iter_key(iteration, step.key))
-                )
+            elif code == _WAIT_FOR:
+                _, key, wait = op
+                event = keyed.get(key)
                 if event is None:
                     raise SimulationError(
-                        f"rank {rank} waits for unknown key {step.key!r}"
+                        f"rank {rank} waits for unknown key {key!r}"
                     )
                 if not event.triggered:
-                    start = self.engine.now
+                    start = engine.now
                     yield event
-                    self._record_idle(rank, start, step.key)
+                    self._record_idle(rank, start, wait)
                 if event in pending:
                     pending.remove(event)
-            elif isinstance(step, HostTransferStep):
-                event = self._host_transfer(rank, step)
-                if step.blocking:
-                    start = self.engine.now
+            elif code == _WAIT_PENDING:
+                if pending:
+                    start = engine.now
+                    yield engine.all_of(pending)
+                    pending = []
+                    self._record_idle(rank, start, op[1])
+            elif code == _HOST_IO:
+                _, transfer, blocking, kind, name, wait = op
+                event = transfer.launch(self.network, self.traffic_profile)
+                if blocking:
+                    start = engine.now
                     yield event
-                    kind = (
-                        KernelKind.NVME_IO
-                        if Location.NVME in (step.src, step.dst)
-                        else KernelKind.HOST_TRANSFER
-                    )
-                    self.spans.append(Span(rank, Lane.HOST_IO, kind,
-                                           step.name, start, self.engine.now))
-                    self._record_idle(rank, start, step.name)
+                    spans.append(Span(rank, Lane.HOST_IO, kind, name, start,
+                                      engine.now))
+                    self._record_idle(rank, start, wait)
                 else:
                     pending.append(event)
-            elif isinstance(step, CpuWorkStep):
-                start = self.engine.now
-                duration = self._cpu_work_duration(rank, step)
-                yield self.engine.timeout(duration)
-                self._record_cpu_work(rank, step, start, self.engine.now)
-            else:  # pragma: no cover - exhaustive over the IR
-                raise SimulationError(f"unknown step type {type(step).__name__}")
+            elif code == _IDLE:
+                _, duration, name = op
+                start = engine.now
+                yield engine.timeout(duration)
+                spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE, name,
+                                  start, engine.now))
+            else:  # _CPU_WORK
+                _, duration, name, wait, dram_link, num_bytes = op
+                start = engine.now
+                yield engine.timeout(duration)
+                end = engine.now
+                spans.append(Span(rank, Lane.HOST_IO,
+                                  KernelKind.CPU_OPTIMIZER, name, start, end))
+                spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE, wait,
+                                  start, end))
+                # Charge the streamed optimizer bytes to the socket's DRAM
+                # channels.
+                dram_link.ledger.record(start, end, num_bytes)
         if pending:
-            start = self.engine.now
-            yield self.engine.all_of(pending)
-            self._record_idle(rank, start, "drain_pending")
+            start = engine.now
+            yield engine.all_of(pending)
+            self._record_idle(rank, start, "wait:drain_pending")
 
     # -- step helpers -------------------------------------------------------------
-    @staticmethod
-    def _iter_key(iteration: int, key: str) -> str:
-        return f"it{iteration}/{key}"
-
     def _record_idle(self, rank: int, start: float, name: str) -> None:
         now = self.engine.now
         if now > start:
             self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
-                                   f"wait:{name}", start, now))
+                                   name, start, now))
 
-    def _join_collective(self, rank: int, iteration: int,
-                         step: CollectiveStep) -> BaseEvent:
-        spec = self.schedule.communicators[step.comm]
-        group_index, group = spec.group_of(rank)
-        gate_key = (step.comm, group_index, self._iter_key(iteration, step.key))
-        self.engine.note_touch(f"stream:{step.comm}[{group_index}]")
+    def _join_collective(self, gate_key: Tuple[str, int, str],
+                         gate_args: tuple) -> BaseEvent:
+        engine = self.engine
+        if engine.sanitizer is not None:
+            engine.note_touch(f"stream:{gate_key[0]}[{gate_key[1]}]")
         gate = self._gates.get(gate_key)
         if gate is None:
-            comm = self._communicators[(step.comm, group_index)]
-            op = CollectiveOp(step.kind, step.payload_bytes, comm.size)
-            gate = _CollectiveGate(self, comm, op, step.kernel_kind, group,
-                                   launch_count=step.op_count,
-                                   comm_name=step.comm,
-                                   group_index=group_index)
-            self._gates[gate_key] = gate
+            gate = self._gates[gate_key] = _CollectiveGate(self, *gate_args)
         return gate.arrive()
-
-    def _host_transfer(self, rank: int, step: HostTransferStep) -> BaseEvent:
-        """Start ``step``'s flows as one launch: one flow between the
-        rank's GPU and DRAM, or one per member drive of its NVMe volume."""
-        gpu = self.cluster.gpu(rank).name
-        dram = self.cluster.dram_for_rank(rank).name
-        topology = self.cluster.topology
-        # GPU and DRAM are the rank's own; NVMe resolves per stripe member
-        src = _rank_endpoint(step.src, gpu, dram)
-        dst = _rank_endpoint(step.dst, gpu, dram)
-        if src is not None and dst is not None:
-            route = topology.route(src, dst)
-            return self.network.transfer(route, step.payload_bytes,
-                                         profile=self.traffic_profile,
-                                         label=self.flow_tag + step.name)
-        # One endpoint is the rank's NVMe swap volume: stripe the payload
-        # across member drives, capping each flow at the drive's media
-        # bandwidth under the aio layer.
-        volume = self.swap_volumes.get(rank)
-        if volume is None:
-            raise ConfigurationError(
-                f"rank {rank} performs NVMe I/O but has no swap volume"
-            )
-        reading = step.src is Location.NVME
-        per_member = step.payload_bytes / len(volume.drives)
-        transfers: List[Transfer] = []
-        for drive in volume.drives:
-            if reading:
-                route = topology.route(drive.device.name, dram)
-                media = (drive.effective_nand_read_bandwidth
-                         * calibration.AIO_EFFICIENCY)
-            else:
-                route = topology.route(dram, drive.device.name)
-                media = (drive.effective_nand_write_bandwidth
-                         * calibration.AIO_EFFICIENCY)
-            # The drive's NAND media, not its PCIe x4 link, bounds
-            # sustained swap traffic; scale the flow's pool consumption so
-            # aggregate throughput stays at media rate no matter how many
-            # ranks swap against the drive concurrently.
-            pcie_link = route.links[0] if reading else route.links[-1]
-            multiplier = max(1.0, pcie_link.capacity_per_direction / media)
-            transfers.append((route, per_member, multiplier, None))
-        return self.network.launch(transfers, profile=self.traffic_profile,
-                                   label=self.flow_tag + step.name)
-
-    def _ranks_per_socket(self, rank: int) -> int:
-        """How many ranks' CPU work shares this rank's socket DRAM."""
-        node = self.cluster.node_of_rank(rank)
-        socket = self.cluster.gpu(rank).socket_index
-        return max(1, sum(
-            1 for gpu in node.gpus if gpu.socket_index == socket
-        ))
-
-    def _cpu_work_duration(self, rank: int, step: CpuWorkStep) -> float:
-        cpu_spec = self.cluster.nodes[0].spec.cpu
-        base = cpu_adam_step_time(step.num_params, cpu_spec)
-        sharing = self._ranks_per_socket(rank)
-        return base * sharing / calibration.CPU_ADAM_SHARE_EFFICIENCY
-
-    def _record_cpu_work(self, rank: int, step: CpuWorkStep,
-                         start: float, end: float) -> None:
-        self.spans.append(Span(rank, Lane.HOST_IO, KernelKind.CPU_OPTIMIZER,
-                               step.name, start, end))
-        self.spans.append(Span(rank, Lane.COMPUTE, KernelKind.IDLE,
-                               f"wait:{step.name}", start, end))
-        # Charge the streamed optimizer bytes to the socket's DRAM channels.
-        node = self.cluster.node_of_rank(rank)
-        socket = self.cluster.gpu(rank).socket_index or 0
-        link = self.cluster.topology.link_between(
-            node.cpus[socket].name, node.drams[socket].name
-        )
-        link.ledger.record(start, end, step.num_params * CPU_ADAM_BYTES_PER_PARAM)
 
 
 def _rank_endpoint(location: Location, gpu: str, dram: str) -> Optional[str]:
     """The device ``location`` names for a rank whose GPU is ``gpu`` and
-    whose DRAM is ``dram``; None for NVMe.  Tested by identity: a dict
-    keyed by the enum would hash it in Python on every transfer."""
+    whose DRAM is ``dram``; None for NVMe."""
     if location is Location.GPU:
         return gpu
     if location is Location.DRAM:

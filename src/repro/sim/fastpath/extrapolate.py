@@ -35,7 +35,6 @@ consistent without special cases:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ...trace.model import Span
@@ -132,13 +131,13 @@ def _replicate_trace_spans(recorder: "TraceRecorder", cutoff: Seconds,
     for k in range(1, extra + 1):
         shift = k * period
         for span in flow_template:
-            recorder.flows.append(replace(
-                span, flow_id=next_id, start=span.start + shift,
+            recorder.flows.append(span._replace(
+                flow_id=next_id, start=span.start + shift,
                 end=span.end + shift, synthetic=True,
             ))
             next_id += 1
         for span in coll_template:
-            recorder.collectives.append(replace(
-                span, start=span.start + shift, end=span.end + shift,
+            recorder.collectives.append(span._replace(
+                start=span.start + shift, end=span.end + shift,
                 synthetic=True,
             ))

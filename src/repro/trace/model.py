@@ -20,6 +20,15 @@ the single source of truth for time-domain data.  It holds:
 * :class:`CounterTrack` — a regular-grid sample series (per-link
   instantaneous bytes/s, per-rank device/host memory).
 
+The three per-event records (:class:`Span`, :class:`CollectiveSpan`,
+:class:`FlowSpan`) are immutable :class:`typing.NamedTuple` records: a
+run builds one per kernel, wait, collective phase or flow, tens of
+thousands per training run, and a tuple is built in about a third of
+the time a frozen dataclass spends on its ``object.__setattr__`` per
+field.  They compare and hash as tuples, and ``_replace`` derives a
+changed copy.  :class:`FaultSpan`, :class:`LinkAccount` and
+:class:`CounterTrack`, a handful per run, stay frozen dataclasses.
+
 Everything serializes to a compact native JSON schema
 (:data:`TRACE_SCHEMA`) via :meth:`Trace.to_dict` / :meth:`Trace.from_dict`;
 :mod:`~repro.trace.export` wraps it in Chrome Trace Event JSON.
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..runtime.kernels import KernelKind
@@ -49,8 +58,7 @@ class Lane(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One interval of activity on one rank's lane."""
 
     rank: int
@@ -94,8 +102,7 @@ class Span:
         )
 
 
-@dataclass(frozen=True)
-class CollectiveSpan:
+class CollectiveSpan(NamedTuple):
     """One collective phase on one communicator group."""
 
     comm: str
@@ -143,8 +150,7 @@ class CollectiveSpan:
         )
 
 
-@dataclass(frozen=True)
-class FlowSpan:
+class FlowSpan(NamedTuple):
     """One fluid-flow transfer, activation to completion."""
 
     flow_id: int

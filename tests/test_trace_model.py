@@ -107,6 +107,62 @@ class TestSpanTypes:
         assert again == account
 
 
+#: one of each per-event record, with every non-default flag set
+RECORDS = [
+    Span(0, Lane.COMPUTE, KernelKind.GEMM, "fwd", 0.25, 0.75,
+         synthetic=True),
+    CollectiveSpan("dp", 1, "all_gather", 8.5, 4, (0, 1, 2, 3), 0.1, 0.35,
+                   synthetic=True),
+    FlowSpan(9, "grad", "a", "b", ("l1", "l2"), 10.0, 0.5, 1.5,
+             completed=False, synthetic=True),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+class TestRecordContract:
+    """Span, CollectiveSpan and FlowSpan are immutable, hashable value
+    records whose serialized form keeps every field."""
+
+    def test_assignment_raises(self, record):
+        with pytest.raises(AttributeError):
+            record.start = 0.0
+        with pytest.raises(AttributeError):
+            record.synthetic = False
+
+    def test_hashable_by_value(self, record):
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+
+    def test_duration(self, record):
+        assert record.duration == record.end - record.start
+
+    def test_round_trip_keeps_flags(self, record):
+        again = type(record).from_dict(
+            json.loads(json.dumps(record.to_dict()))
+        )
+        assert again == record
+        assert again.synthetic is True
+        assert getattr(again, "completed", False) is False
+
+    def test_replace_copies_and_cleared_flag_is_omitted(self, record):
+        plain = record._replace(synthetic=False)
+        assert "synthetic" not in plain.to_dict()
+        assert type(record).from_dict(plain.to_dict()).synthetic is False
+        assert record.synthetic is True
+
+
+def test_record_flag_defaults():
+    """Records built without their flags are simulated and, for flows,
+    completed."""
+    span = Span(0, Lane.COMPUTE, KernelKind.GEMM, "fwd", 0.0, 1.0)
+    collective = CollectiveSpan("dp", 0, "all_reduce", 1.0, 1, (0, 1),
+                                0.0, 1.0)
+    flow = FlowSpan(1, "", "a", "b", ("l1",), 1.0, 0.0, 1.0)
+    assert span.synthetic is False and collective.synthetic is False
+    assert flow.completed is True and flow.synthetic is False
+
+
 class TestCounterTrack:
     def test_rejects_non_positive_period(self):
         with pytest.raises(ConfigurationError):
